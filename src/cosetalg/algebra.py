@@ -11,20 +11,29 @@ axis-wise marginal slices reproduce a, b and c:
 
     sum_k t_ijk = a_ij,   sum_i t_ijk = b_jk,   sum_j t_ijk = c_ik.
 
-Such tensors are 3-margin transportation arrays; they are enumerated by a
-recursive constrained fill over the cells of a with running column budgets
-taken from b, and the c-slice is read off at the leaves.  This derives every
-nonzero product target in a single pass, so a full product costs one
-enumeration rather than one per candidate c.
+The first two constraints separate by the middle index j: the slice t_{.j.}
+is a transportation table with row sums a_{.j} and column sums b_{j.}, and
+c is the sum of the slices.  The slice weight prod_i a_ij! / prod_ik t_ijk!
+is an integer (a product of multinomials), so
+
+    coefficient = (prod_jk b_jk! / prod_j n_j!) * W_c,
+    W_c = sum over slice choices with sum c of the product of slice weights.
+
+W_c is computed for every target at once by a convolution over j: a dict
+from the partial c, packed into one integer with a fixed bit width per
+entry, to the integer weight accumulated so far.  One ``Fraction`` is built
+per target; no tensor is ever materialised on this route.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
-from .cosets import CosetMatrix, Margins, enumerate_coset_matrices
+from .cosets import CosetMatrix, Margins, enumerate_coset_matrices, transport
 from .rationals import format_rational
 
 Grid = tuple[tuple[int, ...], ...]
@@ -74,124 +83,83 @@ class TripleTensor:
         )
 
 
-@lru_cache(maxsize=None)
-def _fact(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+def _convolve(slices) -> dict[int, int]:
+    """Sum the weight products of every choice of one term per slice.
 
-
-def _tensor_sums(a: Grid, b: Grid, nu: int):
-    """Yield (c_entries, inv_denominator) for every admissible 3-tensor.
-
-    inv_denominator is prod t_ijk! as a plain integer.  Cells are visited in
-    row-major order of (i, j) and each a_ij is split across k under the
-    remaining b-column budgets.
+    Each slice is a sequence of (packed key, integer weight).  The result maps
+    each sum of packed keys to its total weight.
     """
-    colrem = [list(row) for row in b]
-    t = [[[0] * nu for _ in range(nu)] for _ in range(nu)]
-    cells = [(i, j) for i in range(nu) for j in range(nu)]
-    results: list[tuple[Grid, int]] = []
+    states = {0: 1}
+    for terms in slices:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, w in states.items():
+            for d, v in terms:
+                k = key + d
+                nxt[k] = get(k, 0) + w * v
+        states = nxt
+    return states
 
-    def after_cell(ci: int, denom: int):
-        if ci == len(cells):
-            if any(v for row in colrem for v in row):
-                return
-            c = tuple(
-                tuple(sum(t[i][j][k] for j in range(nu)) for k in range(nu))
-                for i in range(nu)
-            )
-            results.append((c, denom))
-            return
-        i, j = cells[ci]
-        rem_cols = colrem[j]
 
-        def split(k: int, rem: int, denom2: int):
-            if k == nu - 1:
-                if rem <= rem_cols[k]:
-                    t[i][j][k] = rem
-                    rem_cols[k] -= rem
-                    after_cell(ci + 1, denom2 * _fact(rem))
-                    rem_cols[k] += rem
-                    t[i][j][k] = 0
-                return
-            for v in range(min(rem, rem_cols[k]) + 1):
-                t[i][j][k] = v
-                rem_cols[k] -= v
-                split(k + 1, rem - v, denom2 * _fact(v))
-                rem_cols[k] += v
-                t[i][j][k] = 0
+def _digits(key: int, count: int, shift: int) -> tuple[int, ...]:
+    """The first ``count`` fields of width ``shift`` bits of a packed key."""
+    mask = (1 << shift) - 1
+    return tuple((key >> (shift * p)) & mask for p in range(count))
 
-        split(0, a[i][j], denom)
 
-    after_cell(0, 1)
-    return results
+def _column(grid: Grid, j: int) -> tuple[int, ...]:
+    return tuple(row[j] for row in grid)
+
+
+@lru_cache(maxsize=None)
+def _slice_terms(caps: tuple[int, ...], cols: tuple[int, ...], shift: int):
+    """(packed table, integer weight) for each slice with margins caps and cols.
+
+    Entry (i, k) sits in field i*nu + k; the weight is
+    prod_i caps_i! / prod_ik t_ik!, a product of multinomials.
+    """
+    nu = len(caps)
+    top = prod(map(factorial, caps))
+    out = []
+    for table in transport(caps, cols):
+        packed = 0
+        den = 1
+        for i, row in enumerate(table):
+            for k, v in enumerate(row):
+                packed += v << (shift * (i * nu + k))
+                den *= factorial(v)
+        out.append((packed, top // den))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _product_terms(a: Grid, b: Grid, n: tuple[int, ...]) -> dict[Grid, Fraction]:
     nu = len(n)
-    pref_num = 1
-    for row in a:
-        for v in row:
-            pref_num *= _fact(v)
-    for row in b:
-        for v in row:
-            pref_num *= _fact(v)
-    pref_den = 1
-    for x in n:
-        pref_den *= _fact(x)
-    pref = Fraction(pref_num, pref_den)
-    acc: dict[Grid, Fraction] = {}
-    for c, denom in _tensor_sums(a, b, nu):
-        acc[c] = acc.get(c, Fraction(0)) + Fraction(1, denom)
-    return {c: pref * v for c, v in acc.items() if v}
+    shift = max(n).bit_length()  # every partial c_ik is at most n_i
+    weights = _convolve(_slice_terms(_column(a, j), b[j], shift) for j in range(nu))
+    num = prod(factorial(v) for row in b for v in row)
+    den = prod(map(factorial, n))
+    out = {}
+    for key, w in weights.items():
+        flat = _digits(key, nu * nu, shift)
+        out[tuple(flat[i * nu : (i + 1) * nu] for i in range(nu))] = Fraction(num * w, den)
+    return out
 
 
 def triple_tensors(a: CosetMatrix, b: CosetMatrix, c: CosetMatrix) -> list[TripleTensor]:
     """All 3-tensors whose marginal slices are exactly (a, b, c)."""
     _require_same_margins(a, b, c)
     nu = a.margins.nu
+    slices = [transport(_column(a.entries, j), b.entries[j]) for j in range(nu)]
     found = []
-    colrem = [list(row) for row in b.entries]
-    t = [[[0] * nu for _ in range(nu)] for _ in range(nu)]
-    cells = [(i, j) for i in range(nu) for j in range(nu)]
-
-    def after_cell(ci: int):
-        if ci == len(cells):
-            if any(v for row in colrem for v in row):
-                return
-            got = tuple(
-                tuple(sum(t[i][j][k] for j in range(nu)) for k in range(nu))
-                for i in range(nu)
+    for planes in itertools.product(*slices):
+        got = tuple(
+            tuple(sum(p[i][k] for p in planes) for k in range(nu)) for i in range(nu)
+        )
+        if got == c.entries:
+            found.append(
+                TripleTensor(tuple(tuple(p[i] for p in planes) for i in range(nu)))
             )
-            if got == c.entries:
-                found.append(
-                    TripleTensor(tuple(tuple(tuple(col) for col in plane) for plane in t))
-                )
-            return
-        i, j = cells[ci]
-
-        def split(k: int, rem: int):
-            if k == nu - 1:
-                if rem <= colrem[j][k]:
-                    t[i][j][k] = rem
-                    colrem[j][k] -= rem
-                    after_cell(ci + 1)
-                    colrem[j][k] += rem
-                    t[i][j][k] = 0
-                return
-            for v in range(min(rem, colrem[j][k]) + 1):
-                t[i][j][k] = v
-                colrem[j][k] -= v
-                split(k + 1, rem - v)
-                colrem[j][k] += v
-                t[i][j][k] = 0
-
-        split(0, a.entries[i][j])
-
-    after_cell(0)
     return found
 
 

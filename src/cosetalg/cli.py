@@ -75,6 +75,14 @@ def _parse_offdiag(text: str, nu: int) -> OffDiagonalType:
     return OffDiagonalType.build(nu, entries)
 
 
+def _check_counts(args) -> None:
+    """Refuse a block count or sample size below 1 before any work starts."""
+    for name in ("nu", "sample"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name} must be at least 1, got {value}")
+
+
 def _emit(payload) -> None:
     print(json.dumps(payload))
 
@@ -369,6 +377,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
+        _check_counts(args)
         return args.fn(args)
     except PoleAtSpecialization as exc:
         _emit({"error": "pole-at-specialization", "j": exc.j, "m": exc.m,

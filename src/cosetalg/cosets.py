@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .errors import MarginOverflow
+from .errors import InvariantViolation, MarginOverflow
 
 
 @dataclass(frozen=True)
@@ -165,48 +165,59 @@ class OffDiagonalType:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_entries(n: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    nu = len(n)
+def transport(
+    caps: tuple[int, ...], cols: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every nonnegative integer table with column sums ``cols`` and row i
+    summing to at most ``caps[i]``, in row-major lexicographic order.
+
+    When the caps add up to the column total every row meets its cap
+    exactly.  Each cell's range is cut to the values that still leave a
+    completion (the rows below must absorb what this row leaves), so no
+    branch is abandoned.
+    """
+    rows, width = len(caps), len(cols)
+    room = [0] * (rows + 1)  # room[i]: what rows i.. can absorb together
+    for i in range(rows - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    if sum(cols) > room[0]:
+        return ()
     out: list[tuple[tuple[int, ...], ...]] = []
+    colrem = list(cols)
+    table: list[tuple[int, ...]] = []
 
-    def fill_rows(i: int, colrem: list[int], acc: list[tuple[int, ...]]):
-        if i == nu:
-            if all(c == 0 for c in colrem):
-                out.append(tuple(acc))
+    def fill_row(i: int, total: int):
+        if i == rows:
+            out.append(tuple(table))
             return
-        # remaining rows must be able to absorb every remaining column sum
-        room = sum(n[k] for k in range(i, nu))
-        if sum(colrem) != room:
-            return
+        need = total - room[i + 1]
+        cap = caps[i]
+        row = [0] * width
+        after = [0] * (width + 1)  # after[k]: column budget right of cell k - 1
+        for k in range(width - 1, -1, -1):
+            after[k] = after[k + 1] + colrem[k]
 
-        def fill_cells(j: int, rem: int, row: list[int]):
-            if j == nu - 1:
-                if rem <= colrem[j]:
-                    colrem[j] -= rem
-                    fill_rows(i + 1, colrem, acc + [tuple(row + [rem])])
-                    colrem[j] += rem
+        def fill_cell(k: int, taken: int):
+            if k == width:
+                table.append(tuple(row))
+                fill_row(i + 1, total - taken)
+                table.pop()
                 return
-            for v in range(min(rem, colrem[j]) + 1):
-                colrem[j] -= v
-                row.append(v)
-                fill_cells(j + 1, rem - v, row)
-                row.pop()
-                colrem[j] += v
+            for v in range(max(0, need - taken - after[k + 1]), min(colrem[k], cap - taken) + 1):
+                row[k] = v
+                colrem[k] -= v
+                fill_cell(k + 1, taken + v)
+                colrem[k] += v
 
-        fill_cells(0, n[i], [])
+        fill_cell(0, 0)
 
-    fill_rows(0, list(n), [])
+    fill_row(0, sum(cols))
     return tuple(out)
 
 
 def enumerate_coset_matrices(margins: Margins) -> list[CosetMatrix]:
     """All coset matrices for the given margins, in row-major lexicographic order."""
-    return [CosetMatrix(e, margins) for e in _enumerate_entries(margins.n)]
-
-
-@lru_cache(maxsize=None)
-def _factorial(k: int) -> int:
-    return factorial(k)
+    return [CosetMatrix(e, margins) for e in transport(margins.n, margins.n)]
 
 
 def coset_size(m: CosetMatrix) -> int:
@@ -216,13 +227,14 @@ def coset_size(m: CosetMatrix) -> int:
     """
     num = 1
     for x in m.margins.n:
-        num *= _factorial(x) ** 2
+        num *= factorial(x) ** 2
     den = 1
     for row in m.entries:
         for v in row:
-            den *= _factorial(v)
+            den *= factorial(v)
     size, rem = divmod(num, den)
-    assert rem == 0, "coset size formula must be integral"
+    if rem:
+        raise InvariantViolation(f"coset size of {m.entries} is not integral")
     return size
 
 

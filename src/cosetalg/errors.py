@@ -19,6 +19,10 @@ class MarginOverflow(CosetAlgError):
         super().__init__(f"off-diagonal sums at block {j} exceed margin: {star} > {n_j}")
 
 
+class InvariantViolation(CosetAlgError):
+    """An internal invariant failed; this is a bug, not a bad input."""
+
+
 class BruteForceLimitExceeded(CosetAlgError):
     """The requested symmetric group is larger than the brute-force limit."""
 

@@ -17,21 +17,13 @@ correctness certificate for every branch.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import factorial
 
 from .algebra import structure_constant
 from .cosets import CosetMatrix, Margins
 from .epsring import EpsPolynomial, EpsRingElement, bracket
-from .errors import HypergeometricParameterError
+from .errors import HypergeometricParameterError, InvariantViolation
 from .oracle import YoungPartition, oracle_structure_constant
-
-
-@lru_cache(maxsize=None)
-def _fact(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _check_domain(a: int, b: int, c: int, n1: int, n2: int):
@@ -55,9 +47,9 @@ def s_sum(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:
     """
     _check_domain(a, b, c, n1, n2)
     pref = Fraction(
-        _fact(a) ** 2 * _fact(b) ** 2
-        * _fact(n1 - a) * _fact(n2 - a) * _fact(n1 - b) * _fact(n2 - b),
-        _fact(n1) * _fact(n2),
+        factorial(a) ** 2 * factorial(b) ** 2
+        * factorial(n1 - a) * factorial(n2 - a) * factorial(n1 - b) * factorial(n2 - b),
+        factorial(n1) * factorial(n2),
     )
     total = Fraction(0)
     for sigma in range(0, min(a, b) + 1):
@@ -72,7 +64,7 @@ def s_sum(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:
             continue
         den = 1
         for x in args:
-            den *= _fact(x)
+            den *= factorial(x)
         total += Fraction(1, den)
     return pref * total
 
@@ -143,14 +135,15 @@ def s_closed_form(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:
         s0, a + b - c - s0, a - s0, b - s0,
         c - b + s0, c - a + s0, n1 - c - s0, n2 - a - b + s0,
     )
-    assert all(x >= 0 for x in base_args)
+    if min(base_args) < 0:
+        raise InvariantViolation(f"negative 4F3 base argument in {base_args}")
     den = 1
     for x in base_args:
-        den *= _fact(x)
+        den *= factorial(x)
     prefactor = Fraction(
-        _fact(a) ** 2 * _fact(b) ** 2
-        * _fact(n1 - a) * _fact(n2 - a) * _fact(n1 - b) * _fact(n2 - b),
-        _fact(n1) * _fact(n2) * den,
+        factorial(a) ** 2 * factorial(b) ** 2
+        * factorial(n1 - a) * factorial(n2 - a) * factorial(n1 - b) * factorial(n2 - b),
+        factorial(n1) * factorial(n2) * den,
     )
     upper = (s0 - a, s0 - b, s0 + c - a - b, s0 + c - n1)
     lowers = [s0 + 1, c - b + s0 + 1, c - a + s0 + 1, n2 - a - b + s0 + 1]
@@ -174,9 +167,9 @@ def universal_s(a: int, b: int, c: int) -> EpsRingElement:
         if not 0 <= tau <= min(a, b):
             continue
         coeff = Fraction(
-            _fact(a) ** 2 * _fact(b) ** 2,
-            _fact(sigma) * _fact(tau) * _fact(a - sigma) * _fact(a - tau)
-            * _fact(b - sigma) * _fact(b - tau),
+            factorial(a) ** 2 * factorial(b) ** 2,
+            factorial(sigma) * factorial(tau) * factorial(a - sigma) * factorial(a - tau)
+            * factorial(b - sigma) * factorial(b - tau),
         )
         cut1 = a + b - tau
         cut2 = a + b - sigma

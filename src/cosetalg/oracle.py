@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .cosets import CosetMatrix, Margins, coset_size
 from .errors import BruteForceLimitExceeded
@@ -264,7 +265,7 @@ def young_average(yp: YoungPartition) -> GroupAlgebraVector:
     terms: dict[Perm, Fraction] = {}
     weight = Fraction(1)
     for size in yp.margins.n:
-        weight /= _factorial_cached(size)
+        weight /= factorial(size)
     for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
         img = [0] * N
         for block, perm in zip(blocks, parts):
@@ -272,14 +273,6 @@ def young_average(yp: YoungPartition) -> GroupAlgebraVector:
                 img[src] = dst
         terms[tuple(img)] = weight
     return GroupAlgebraVector(N, terms)
-
-
-@lru_cache(maxsize=None)
-def _factorial_cached(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def coset_average(m: CosetMatrix, yp: YoungPartition, limit: int | None = None) -> GroupAlgebraVector:

@@ -13,9 +13,7 @@ t_ijk >= 0 (cells with all three indices equal are excluded) subject to
 
 Given the first two margin families and balanced a, b, the first equality is
 automatic and the remaining one holds exactly when the derived c-slice is
-itself balanced, so enumeration walks the free cells t_ijk (j != k) under
-the column sums, derives t_ijj from the row sums, reads off c, and keeps the
-balanced ones.  Each admissible tensor contributes
+itself balanced.  Each admissible tensor contributes
 
     (prod a_ij! prod b_jk! / prod t_ijk!)
       * prod_j eps_j^(a*_jj + b*_jj - t*_jjj)
@@ -25,18 +23,32 @@ with ((p, q)) the falling bracket in eps_j.  The exponents are nonnegative,
 all constants live in the localized polynomial ring, and substituting
 eps_j = 1/n_j recovers the finite algebra whenever the star sums of a and b
 fit under the margins.
+
+The constraints separate by the middle index j.  Slice j is a
+transportation table over rows i and columns k != j with column sums b_jk,
+row i != j capped by a_ij (the remainder is t_ijj) and row j uncapped.  The
+weight factorises into integer slice weights
+
+    prod_{k != j} b_jk! / prod_i t_ijk!  *  prod_{i != j} a_ij! / t_ijj!,
+
+and t*_jjj = a*_jj + sum_{k != j} t_jjk depends on slice j alone.  So the
+integer weight of every (c, t*-profile) is a convolution over j keyed on the
+partial c and the t*-profile (packed into one integer), and the balanced c
+are kept at the end.  Polynomials are touched once per profile.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
-from .algebra import TripleTensor, structure_constant
-from .cosets import Margins, OffDiagonalType, embed_offdiagonal
+from .algebra import TripleTensor, _column, _convolve, _digits, structure_constant
+from .cosets import Margins, OffDiagonalType, embed_offdiagonal, transport
 from .epsring import EpsPolynomial, EpsRingElement, bracket
-from .errors import MarginOverflow
+from .errors import InvariantViolation, MarginOverflow
 
 Grid = tuple[tuple[int, ...], ...]
 
@@ -55,86 +67,81 @@ class ConstrainedTripleTensor(TripleTensor):
         return self.middle_slice_sum(j)
 
 
-@lru_cache(maxsize=None)
-def _fact(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def _star(entries: Grid, j: int) -> int:
     return sum(entries[i][j] for i in range(len(entries)) if i != j)
 
 
-def _walk_tensors(a: Grid, b: Grid):
-    """Yield (t_entries, c_entries, denominator) over the admissible tensors.
+def _balanced(c: Grid) -> bool:
+    return all(_star(c, j) == sum(c[j]) for j in range(len(c)))
 
-    ``denominator`` is prod t_ijk! as an integer.  Tensors whose derived
-    c-slice is unbalanced are skipped (they belong to no basis index).
+
+@lru_cache(maxsize=None)
+def _slice_planes(j: int, a_col: tuple[int, ...], b_row: tuple[int, ...]) -> tuple[Grid, ...]:
+    """Every slice t_{.j.} as a grid p[i][k] = t_ijk, with p[j][j] = 0."""
+    nu = len(a_col)
+    ks = [k for k in range(nu) if k != j]
+    caps = tuple(sum(b_row) if i == j else a_col[i] for i in range(nu))
+    planes = []
+    for table in transport(caps, tuple(b_row[k] for k in ks)):
+        plane = [[0] * nu for _ in range(nu)]
+        for i, row in enumerate(table):
+            for k, v in zip(ks, row):
+                plane[i][k] = v
+            if i != j:
+                plane[i][j] = a_col[i] - sum(row)
+        planes.append(tuple(map(tuple, plane)))
+    return tuple(planes)
+
+
+@lru_cache(maxsize=None)
+def _slice_terms(j: int, a_col: tuple[int, ...], b_row: tuple[int, ...], shift: int):
+    """(packed key, integer weight) for every slice j.
+
+    The key holds the slice's share of c_ik (i != k) in field i*nu + k and
+    the row-j total sum_{k != j} t_jjk in field nu*nu + j.
     """
-    nu = len(a)
-    free_pairs = [(j, k) for j in range(nu) for k in range(nu) if j != k]
-    t = [[[0] * nu for _ in range(nu)] for _ in range(nu)]
-    row_used = [[0] * nu for _ in range(nu)]  # sum over k != j of t[i][j][k]
-    results = []
+    nu = len(a_col)
+    top = prod(map(factorial, a_col)) * prod(map(factorial, b_row))
+    out = []
+    for plane in _slice_planes(j, a_col, b_row):
+        packed = sum(plane[j]) << (shift * (nu * nu + j))
+        den = 1
+        for i, row in enumerate(plane):
+            for k, v in enumerate(row):
+                if i != k:
+                    packed += v << (shift * (i * nu + k))
+                den *= factorial(v)
+        out.append((packed, top // den))
+    return tuple(out)
 
-    def finish():
-        denom = 1
-        # derive t_ijj = a_ij - row_used and fold in the factorials
-        for i in range(nu):
-            for j in range(nu):
-                if i != j:
-                    v = a[i][j] - row_used[i][j]
-                    if v < 0:
-                        return
-                    t[i][j][j] = v
-        for i in range(nu):
-            for j in range(nu):
-                for k in range(nu):
-                    if not (i == j == k):
-                        denom *= _fact(t[i][j][k])
+
+def _profile_weights(a: Grid, b: Grid) -> dict[tuple[Grid, tuple[int, ...]], int]:
+    """Integer weight sum_t prod a! prod b! / prod t! per balanced (c, t*-profile)."""
+    nu = len(a)
+    shift = (sum(map(sum, a)) + sum(map(sum, b))).bit_length()  # bounds every field
+    states = _convolve(_slice_terms(j, _column(a, j), b[j], shift) for j in range(nu))
+    a_stars = [_star(a, j) for j in range(nu)]
+    out = {}
+    for key, w in states.items():
+        flat = _digits(key, nu * nu + nu, shift)
+        c = tuple(flat[i * nu : (i + 1) * nu] for i in range(nu))
+        if _balanced(c):
+            t_stars = tuple(s + r for s, r in zip(a_stars, flat[nu * nu :]))
+            out[(c, t_stars)] = w
+    return out
+
+
+def _tensors(a: Grid, b: Grid):
+    """Yield (t, c) for every admissible tensor: slice choices with balanced c."""
+    nu = len(a)
+    slices = [_slice_planes(j, _column(a, j), b[j]) for j in range(nu)]
+    for planes in itertools.product(*slices):
         c = tuple(
-            tuple(
-                sum(t[i][m][k] for m in range(nu)) if i != k else 0
-                for k in range(nu)
-            )
+            tuple(sum(p[i][k] for p in planes) if i != k else 0 for k in range(nu))
             for i in range(nu)
         )
-        for j in range(nu):
-            if _star(c, j) != sum(c[j][i] for i in range(nu) if i != j):
-                return
-        snapshot = tuple(tuple(tuple(col) for col in plane) for plane in t)
-        results.append((snapshot, c, denom))
-
-    def place(pi: int):
-        if pi == len(free_pairs):
-            finish()
-            return
-        j, k = free_pairs[pi]
-
-        def split(i: int, rem: int):
-            if i == nu:
-                if rem == 0:
-                    place(pi + 1)
-                return
-            if i == j:
-                cap = rem
-            else:
-                cap = min(rem, a[i][j] - row_used[i][j])
-            for v in range(cap + 1):
-                t[i][j][k] = v
-                if i != j:
-                    row_used[i][j] += v
-                split(i + 1, rem - v)
-                if i != j:
-                    row_used[i][j] -= v
-                t[i][j][k] = 0
-
-        split(0, b[j][k])
-
-    place(0)
-    return results
+        if _balanced(c):
+            yield tuple(tuple(p[i] for p in planes) for i in range(nu)), c
 
 
 @lru_cache(maxsize=None)
@@ -165,35 +172,17 @@ def _profile_poly(
 @lru_cache(maxsize=None)
 def _product_terms(a: Grid, b: Grid) -> dict[Grid, EpsRingElement]:
     nu = len(a)
-    pref = 1
-    for i in range(nu):
-        for j in range(nu):
-            if i != j:
-                pref *= _fact(a[i][j]) * _fact(b[i][j])
     a_stars = tuple(_star(a, j) for j in range(nu))
     b_stars = tuple(_star(b, j) for j in range(nu))
     common_den: dict[tuple[int, int], int] = {}
     for j in range(nu):
         for m in range(1, min(a_stars[j], b_stars[j])):
             common_den[(j, m)] = 1
-    # tensors sharing a star profile share their polynomial part entirely, so
-    # sum the rational weights first and touch polynomials once per profile
-    weights: dict[tuple[Grid, tuple[int, ...]], Fraction] = {}
-    for t, c, denom in _walk_tensors(a, b):
-        t_stars = tuple(
-            a_stars[j] + sum(t[j][j][k] for k in range(nu) if k != j)
-            for j in range(nu)
-        )
-        key = (c, t_stars)
-        w = Fraction(pref, denom)
-        acc = weights.get(key)
-        weights[key] = w if acc is None else acc + w
     numerators: dict[Grid, EpsPolynomial] = {}
-    for (c, t_stars), w in weights.items():
-        exps = tuple(
-            a_stars[j] + b_stars[j] - t_stars[j] for j in range(nu)
-        )
-        assert all(e >= 0 for e in exps), "exponent must be nonnegative"
+    for (c, t_stars), w in _profile_weights(a, b).items():
+        exps = tuple(a_stars[j] + b_stars[j] - t_stars[j] for j in range(nu))
+        if min(exps) < 0:
+            raise InvariantViolation(f"negative eps exponent {exps} for {a} * {b}")
         num = _profile_poly(a_stars, b_stars, t_stars, nu).shift_scale(exps, w)
         acc = numerators.get(c)
         numerators[c] = num if acc is None else acc + num
@@ -227,7 +216,7 @@ def candidate_outputs(a: OffDiagonalType, b: OffDiagonalType) -> list[OffDiagona
     """The finitely many types reachable from the pair (a, b), sorted."""
     if a.nu != b.nu:
         raise ValueError("size mismatch")
-    seen = {c for _, c, _ in _walk_tensors(a.entries, b.entries)}
+    seen = {c for c, _ in _profile_weights(a.entries, b.entries)}
     return sorted((OffDiagonalType(c) for c in seen), key=lambda t: t.entries)
 
 
@@ -239,7 +228,7 @@ def enumerate_tensors(
         raise ValueError("size mismatch")
     return [
         ConstrainedTripleTensor(t)
-        for t, got_c, _ in _walk_tensors(a.entries, b.entries)
+        for t, got_c in _tensors(a.entries, b.entries)
         if got_c == c.entries
     ]
 
@@ -401,7 +390,7 @@ def lemma3_checks(a: OffDiagonalType, b: OffDiagonalType) -> Lemma3Report:
     bad_exponent = 0
     bad_zero = 0
     target_sum = (a + b).entries
-    for t, c, _ in _walk_tensors(a.entries, b.entries):
+    for t, c in _tensors(a.entries, b.entries):
         tensors += 1
         exps = []
         for j in range(nu):

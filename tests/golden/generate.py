@@ -73,6 +73,13 @@ CASES = [
     ("error-missing-arg", ["mu", "--n", "2,2"]),
     ("error-no-command", []),
     ("error-bad-int", ["universal", "--nu", "x", "--a", "", "--b", ""]),
+    ("error-universal-nu0", ["universal", "--nu", "0", "--a", "", "--b", ""]),
+    ("error-universal-nu0-c", ["universal", "--nu", "0", "--a", "", "--b", "", "--c", ""]),
+    ("error-universal-nu-neg", ["universal", "--nu", "-1", "--a", "", "--b", ""]),
+    ("error-poisson-nu0", ["poisson", "--nu", "0", "--a", "", "--b", ""]),
+    ("error-graded-nu-neg", ["graded", "--nu", "-1", "--a", "", "--b", ""]),
+    ("error-sample0", ["oracle-check", "--n", "2,2", "--sample", "0"]),
+    ("error-sample-neg", ["oracle-check", "--n", "2,2", "--sample", "-3"]),
 ]
 
 

@@ -1,6 +1,8 @@
-"""Shared brute-force helpers, kept independent of the package internals."""
+"""Shared brute-force helpers and reference routes, kept independent of the package's enumeration."""
 
 import itertools
+from fractions import Fraction
+from math import factorial, prod
 
 from cosetalg import Margins, OffDiagonalType
 
@@ -60,3 +62,174 @@ def balanced_types(nu, entry_max, star_caps=None):
 
 def margins_of(*n):
     return Margins(tuple(n))
+
+
+# Reference routes: the full 3-tensor walks that the slice convolution in
+# ``cosetalg.algebra`` and ``cosetalg.universal`` replaced.  They enumerate
+# every tensor one by one and build one Fraction per tensor.
+
+
+def tensor_sums(a, b, nu):
+    """Return (c_entries, prod t_ijk!) for every tensor with margins a and b.
+
+    Cells are visited in row-major order of (i, j) and each a_ij is split
+    across k under the remaining b-column budgets.
+    """
+    colrem = [list(row) for row in b]
+    t = [[[0] * nu for _ in range(nu)] for _ in range(nu)]
+    cells = [(i, j) for i in range(nu) for j in range(nu)]
+    results = []
+
+    def after_cell(ci, denom):
+        if ci == len(cells):
+            if any(v for row in colrem for v in row):
+                return
+            c = tuple(
+                tuple(sum(t[i][j][k] for j in range(nu)) for k in range(nu))
+                for i in range(nu)
+            )
+            results.append((c, denom))
+            return
+        i, j = cells[ci]
+        rem_cols = colrem[j]
+
+        def split(k, rem, denom2):
+            if k == nu - 1:
+                if rem <= rem_cols[k]:
+                    t[i][j][k] = rem
+                    rem_cols[k] -= rem
+                    after_cell(ci + 1, denom2 * factorial(rem))
+                    rem_cols[k] += rem
+                    t[i][j][k] = 0
+                return
+            for v in range(min(rem, rem_cols[k]) + 1):
+                t[i][j][k] = v
+                rem_cols[k] -= v
+                split(k + 1, rem - v, denom2 * factorial(v))
+                rem_cols[k] += v
+                t[i][j][k] = 0
+
+        split(0, a[i][j], denom)
+
+    after_cell(0, 1)
+    return results
+
+
+def reference_product_terms(a, b, n):
+    """Finite structure constants {c: Fraction} of the pair (a, b) by the tensor walk."""
+    pref = Fraction(
+        prod(factorial(v) for row in a for v in row) * prod(factorial(v) for row in b for v in row),
+        prod(factorial(x) for x in n),
+    )
+    acc = {}
+    for c, denom in tensor_sums(a, b, len(n)):
+        acc[c] = acc.get(c, Fraction(0)) + Fraction(1, denom)
+    return {c: pref * v for c, v in acc.items() if v}
+
+
+def _star(entries, j):
+    return sum(entries[i][j] for i in range(len(entries)) if i != j)
+
+
+def walk_tensors(a, b):
+    """Return (t_entries, c_entries, prod t_ijk!) over the admissible universal tensors.
+
+    Free cells t_ijk (j != k) are placed under the column sums b_jk, t_ijj
+    is derived from the row sums, and tensors whose c-slice is unbalanced
+    are skipped.
+    """
+    nu = len(a)
+    free_pairs = [(j, k) for j in range(nu) for k in range(nu) if j != k]
+    t = [[[0] * nu for _ in range(nu)] for _ in range(nu)]
+    row_used = [[0] * nu for _ in range(nu)]  # sum over k != j of t[i][j][k]
+    results = []
+
+    def finish():
+        denom = 1
+        for i in range(nu):
+            for j in range(nu):
+                if i != j:
+                    v = a[i][j] - row_used[i][j]
+                    if v < 0:
+                        return
+                    t[i][j][j] = v
+        for i in range(nu):
+            for j in range(nu):
+                for k in range(nu):
+                    if not (i == j == k):
+                        denom *= factorial(t[i][j][k])
+        c = tuple(
+            tuple(
+                sum(t[i][m][k] for m in range(nu)) if i != k else 0
+                for k in range(nu)
+            )
+            for i in range(nu)
+        )
+        for j in range(nu):
+            if _star(c, j) != sum(c[j][i] for i in range(nu) if i != j):
+                return
+        snapshot = tuple(tuple(tuple(col) for col in plane) for plane in t)
+        results.append((snapshot, c, denom))
+
+    def place(pi):
+        if pi == len(free_pairs):
+            finish()
+            return
+        j, k = free_pairs[pi]
+
+        def split(i, rem):
+            if i == nu:
+                if rem == 0:
+                    place(pi + 1)
+                return
+            if i == j:
+                cap = rem
+            else:
+                cap = min(rem, a[i][j] - row_used[i][j])
+            for v in range(cap + 1):
+                t[i][j][k] = v
+                if i != j:
+                    row_used[i][j] += v
+                split(i + 1, rem - v)
+                if i != j:
+                    row_used[i][j] -= v
+                t[i][j][k] = 0
+
+        split(0, b[j][k])
+
+    place(0)
+    return results
+
+
+def reference_universal_terms(a, b):
+    """Universal constants {c: EpsRingElement} of the pair (a, b) by the tensor walk.
+
+    Weights are summed as one Fraction per tensor; the polynomial part uses
+    the package's per-profile bracket products.
+    """
+    from cosetalg import EpsRingElement
+    from cosetalg.universal import _profile_poly
+
+    nu = len(a)
+    pref = prod(factorial(a[i][j]) * factorial(b[i][j]) for i in range(nu) for j in range(nu))
+    a_stars = tuple(_star(a, j) for j in range(nu))
+    b_stars = tuple(_star(b, j) for j in range(nu))
+    common_den = {
+        (j, m): 1 for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))
+    }
+    weights = {}
+    for t, c, denom in walk_tensors(a, b):
+        t_stars = tuple(
+            a_stars[j] + sum(t[j][j][k] for k in range(nu) if k != j) for j in range(nu)
+        )
+        weights[(c, t_stars)] = weights.get((c, t_stars), Fraction(0)) + Fraction(pref, denom)
+    numerators = {}
+    for (c, t_stars), w in weights.items():
+        exps = tuple(a_stars[j] + b_stars[j] - t_stars[j] for j in range(nu))
+        num = _profile_poly(a_stars, b_stars, t_stars, nu).shift_scale(exps, w)
+        numerators[c] = numerators[c] + num if c in numerators else num
+    return {
+        c: EpsRingElement(nu, num, dict(common_den))
+        for c, num in numerators.items()
+        if not num.is_zero()
+    }

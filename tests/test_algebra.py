@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -18,7 +19,10 @@ from cosetalg import (
     triple_tensors,
     verify_associativity,
 )
+from cosetalg import algebra
 from cosetalg.oracle import oracle_product
+
+from helpers import reference_product_terms
 
 
 def basis_elements(margins):
@@ -193,3 +197,23 @@ def test_element_arithmetic():
     assert (x - y).terms == {ms[0]: Fraction(-1, 2), ms[1]: Fraction(1, 2)}
     assert (2 * x).mass() == 2
     assert (x - x).is_zero()
+
+
+def _check_against_tensor_walk(pairs, n):
+    # bypass the cache: the exhaustive runs would otherwise keep every product
+    product_terms = algebra._product_terms.__wrapped__
+    for a, b in pairs:
+        assert product_terms(a, b, n) == reference_product_terms(a, b, n), (a, b)
+
+
+@pytest.mark.parametrize("n", [(2, 2, 2), (1, 2, 3), (2, 2, 2, 2)])
+def test_product_terms_match_tensor_walk(n):
+    basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
+    _check_against_tensor_walk(itertools.product(basis, repeat=2), n)
+
+
+def test_product_terms_match_tensor_walk_sampled():
+    n = (3, 3, 3, 3)
+    basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
+    rng = random.Random(0)
+    _check_against_tensor_walk([(rng.choice(basis), rng.choice(basis)) for _ in range(200)], n)

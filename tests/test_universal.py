@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -19,9 +20,10 @@ from cosetalg import (
     universal_product,
     universal_structure_constant,
 )
+from cosetalg import universal
 from cosetalg.universal import finite_constant_via_embedding
 
-from helpers import balanced_types
+from helpers import balanced_types, reference_universal_terms
 
 
 def two_block(a):
@@ -269,3 +271,24 @@ def test_universal_element_equality_and_sum():
     two_x = x + x
     assert two_x.coefficient(a) == EpsRingElement.from_rational(2, 2)
     assert (two_x - x) == x
+
+
+def _check_against_tensor_walk(pairs):
+    product_terms = universal._product_terms.__wrapped__
+    for a, b in pairs:
+        got = product_terms(a.entries, b.entries)
+        want = reference_universal_terms(a.entries, b.entries)
+        assert {c: (v.num.terms, v.den) for c, v in got.items()} == {
+            c: (v.num.terms, v.den) for c, v in want.items()
+        }, (a, b)
+
+
+def test_constants_match_tensor_walk_nu3():
+    types = balanced_types(3, 1)
+    _check_against_tensor_walk(itertools.product(types, repeat=2))
+
+
+def test_constants_match_tensor_walk_nu4_sampled():
+    types = balanced_types(4, 1)
+    rng = random.Random(0)
+    _check_against_tensor_walk([(rng.choice(types), rng.choice(types)) for _ in range(100)])
