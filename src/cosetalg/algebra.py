@@ -101,10 +101,18 @@ def _convolve(slices) -> dict[int, int]:
     return states
 
 
-def _digits(key: int, count: int, shift: int) -> tuple[int, ...]:
-    """The first ``count`` fields of width ``shift`` bits of a packed key."""
-    mask = (1 << shift) - 1
-    return tuple((key >> (shift * p)) & mask for p in range(count))
+def _field_bits(bound: int) -> int:
+    """Bits per packed field that hold every value up to ``bound``: whole bytes."""
+    return 8 * max(1, (bound.bit_length() + 7) // 8)
+
+
+def _unpack(key: int, rows: int, width: int, shift: int) -> Grid:
+    """Read a packed key back as ``rows`` rows of ``width`` fields of ``shift`` bits."""
+    size = shift // 8
+    raw = key.to_bytes(rows * width * size, "little")
+    if size > 1:
+        raw = [int.from_bytes(raw[p : p + size], "little") for p in range(0, len(raw), size)]
+    return tuple(zip(*[iter(raw)] * width))
 
 
 def _column(grid: Grid, j: int) -> tuple[int, ...]:
@@ -135,15 +143,11 @@ def _slice_terms(caps: tuple[int, ...], cols: tuple[int, ...], shift: int):
 @lru_cache(maxsize=None)
 def _product_terms(a: Grid, b: Grid, n: tuple[int, ...]) -> dict[Grid, Fraction]:
     nu = len(n)
-    shift = max(n).bit_length()  # every partial c_ik is at most n_i
+    shift = _field_bits(max(n))  # every partial c_ik is at most n_i
     weights = _convolve(_slice_terms(_column(a, j), b[j], shift) for j in range(nu))
     num = prod(factorial(v) for row in b for v in row)
     den = prod(map(factorial, n))
-    out = {}
-    for key, w in weights.items():
-        flat = _digits(key, nu * nu, shift)
-        out[tuple(flat[i * nu : (i + 1) * nu] for i in range(nu))] = Fraction(num * w, den)
-    return out
+    return {_unpack(key, nu, nu, shift): Fraction(num * w, den) for key, w in weights.items()}
 
 
 def triple_tensors(a: CosetMatrix, b: CosetMatrix, c: CosetMatrix) -> list[TripleTensor]:
@@ -266,10 +270,11 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         for b, cb in y.terms.items():
             w = ca * cb
             for c, coeff in _product_terms(a.entries, b.entries, margins.n).items():
-                acc[c] = acc.get(c, Fraction(0)) + w * coeff
-    return AlgebraElement(
-        margins, {CosetMatrix(c, margins): v for c, v in acc.items() if v}
-    )
+                prev = acc.get(c)
+                acc[c] = w * coeff if prev is None else prev + w * coeff
+    out = AlgebraElement(margins)
+    out.terms = {CosetMatrix._make(c, margins): v for c, v in acc.items() if v}
+    return out
 
 
 def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -291,7 +296,7 @@ def product_table(
             terms = _product_terms(a.entries, b.entries, margins.n)
             for c_entries in sorted(terms):
                 rows.append(
-                    (a, b, CosetMatrix(c_entries, margins), terms[c_entries])
+                    (a, b, CosetMatrix._make(c_entries, margins), terms[c_entries])
                 )
     return rows
 

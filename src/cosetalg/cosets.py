@@ -74,6 +74,14 @@ class CosetMatrix:
             if col != n[j]:
                 raise ValueError(f"column {j + 1} sums to {col}, expected {n[j]}")
 
+    @classmethod
+    def _make(cls, entries: tuple[tuple[int, ...], ...], margins: Margins) -> "CosetMatrix":
+        """Trusted constructor: entries already a valid integer grid for the margins."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "margins", margins)
+        return self
+
     def __lt__(self, other: "CosetMatrix") -> bool:
         return self.entries < other.entries
 
@@ -217,7 +225,7 @@ def transport(
 
 def enumerate_coset_matrices(margins: Margins) -> list[CosetMatrix]:
     """All coset matrices for the given margins, in row-major lexicographic order."""
-    return [CosetMatrix(e, margins) for e in transport(margins.n, margins.n)]
+    return [CosetMatrix._make(e, margins) for e in transport(margins.n, margins.n)]
 
 
 def coset_size(m: CosetMatrix) -> int:

@@ -45,7 +45,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .algebra import TripleTensor, _column, _convolve, _digits, structure_constant
+from .algebra import (
+    TripleTensor,
+    _column,
+    _convolve,
+    _field_bits,
+    _unpack,
+    structure_constant,
+)
 from .cosets import Margins, OffDiagonalType, embed_offdiagonal, transport
 from .epsring import EpsPolynomial, EpsRingElement, bracket
 from .errors import InvariantViolation, MarginOverflow
@@ -118,15 +125,15 @@ def _slice_terms(j: int, a_col: tuple[int, ...], b_row: tuple[int, ...], shift: 
 def _profile_weights(a: Grid, b: Grid) -> dict[tuple[Grid, tuple[int, ...]], int]:
     """Integer weight sum_t prod a! prod b! / prod t! per balanced (c, t*-profile)."""
     nu = len(a)
-    shift = (sum(map(sum, a)) + sum(map(sum, b))).bit_length()  # bounds every field
+    shift = _field_bits(sum(map(sum, a)) + sum(map(sum, b)))  # bounds every field
     states = _convolve(_slice_terms(j, _column(a, j), b[j], shift) for j in range(nu))
     a_stars = [_star(a, j) for j in range(nu)]
     out = {}
     for key, w in states.items():
-        flat = _digits(key, nu * nu + nu, shift)
-        c = tuple(flat[i * nu : (i + 1) * nu] for i in range(nu))
+        *c, row_sums = _unpack(key, nu + 1, nu, shift)
+        c = tuple(c)
         if _balanced(c):
-            t_stars = tuple(s + r for s, r in zip(a_stars, flat[nu * nu :]))
+            t_stars = tuple(s + r for s, r in zip(a_stars, row_sums))
             out[(c, t_stars)] = w
     return out
 
@@ -183,7 +190,7 @@ def _product_terms(a: Grid, b: Grid) -> dict[Grid, EpsRingElement]:
         exps = tuple(a_stars[j] + b_stars[j] - t_stars[j] for j in range(nu))
         if min(exps) < 0:
             raise InvariantViolation(f"negative eps exponent {exps} for {a} * {b}")
-        num = _profile_poly(a_stars, b_stars, t_stars, nu).shift_scale(exps, w)
+        num = _profile_poly(a_stars, b_stars, t_stars, nu).shift_scale(exps, Fraction(w))
         acc = numerators.get(c)
         numerators[c] = num if acc is None else acc + num
     out: dict[Grid, EpsRingElement] = {}
