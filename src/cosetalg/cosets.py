@@ -201,7 +201,7 @@ def transport(
         need = total - room[i + 1]
         cap = caps[i]
         row = [0] * width
-        after = [0] * (width + 1)  # after[k]: column budget right of cell k - 1
+        after = [0] * (width + 1)  # after[k]: column budget left in cells k..width-1
         for k in range(width - 1, -1, -1):
             after[k] = after[k + 1] + colrem[k]
 

@@ -82,7 +82,6 @@ def _balanced(c: Grid) -> bool:
     return all(_star(c, j) == sum(c[j]) for j in range(len(c)))
 
 
-@lru_cache(maxsize=None)
 def _slice_planes(j: int, a_col: tuple[int, ...], b_row: tuple[int, ...]) -> tuple[Grid, ...]:
     """Every slice t_{.j.} as a grid p[i][k] = t_ijk, with p[j][j] = 0."""
     nu = len(a_col)

@@ -100,7 +100,8 @@ def main():
         (HERE / f"{name}.out").write_bytes(out.encode())
         cases.append({"name": name, "argv": argv, "exit": code})
         print(f"{name}: exit {code}, {len(out)} bytes", file=sys.stderr)
-    (HERE / "cases.json").write_text(json.dumps(cases, indent=1) + "\n")
+    lines = ",\n".join(json.dumps(case) for case in cases)
+    (HERE / "cases.json").write_text(f"[\n{lines}\n]\n")
 
 
 if __name__ == "__main__":
