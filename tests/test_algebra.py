@@ -206,7 +206,8 @@ def _check_against_tensor_walk(pairs, n):
         assert product_terms(a, b, n) == reference_product_terms(a, b, n), (a, b)
 
 
-@pytest.mark.parametrize("n", [(2, 2, 2), (1, 2, 3), (2, 2, 2, 2)])
+# (256, 1) needs two bytes per packed field
+@pytest.mark.parametrize("n", [(2, 2, 2), (1, 2, 3), (2, 2, 2, 2), (256, 1)])
 def test_product_terms_match_tensor_walk(n):
     basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
     _check_against_tensor_walk(itertools.product(basis, repeat=2), n)
@@ -217,3 +218,11 @@ def test_product_terms_match_tensor_walk_sampled():
     basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
     rng = random.Random(0)
     _check_against_tensor_walk([(rng.choice(basis), rng.choice(basis)) for _ in range(200)], n)
+
+
+def test_unpack_multibyte_fields():
+    shift = algebra._field_bits(300)
+    assert shift == 16 and algebra._field_bits(255) == 8 and algebra._field_bits(0) == 8
+    grid = ((0, 300), (65535, 1))
+    key = sum(v << (shift * (2 * i + k)) for i, row in enumerate(grid) for k, v in enumerate(row))
+    assert algebra._unpack(key, 2, 2, shift) == grid
