@@ -222,9 +222,11 @@ def _cmd_specialize(args) -> int:
         value = universal.specialize_constant(a, b, c, margins)
         _emit({"n": list(margins.n), "c": c.to_json_dict(), "value": format_rational(value)})
         return 0
+    universal.check_fit(a, b, margins)
+    product = universal.universal_product(a, b)
     terms = []
-    for c in universal.candidate_outputs(a, b):
-        value = universal.specialize_constant(a, b, c, margins)
+    for c in sorted(product, key=lambda t: t.entries):
+        value = product[c].specialize(margins)
         if value:
             terms.append({"c": c.to_json_dict(), "value": format_rational(value)})
     _emit({"n": list(margins.n), "a": a.to_json_dict(), "b": b.to_json_dict(), "terms": terms})

@@ -124,6 +124,13 @@ class OffDiagonalType:
             if self.star(j) != sum(self.entries[j][i] for i in range(nu)):
                 raise ValueError(f"unbalanced at index {j + 1}: column and row sums differ")
 
+    @classmethod
+    def _make(cls, entries: tuple[tuple[int, ...], ...]) -> "OffDiagonalType":
+        """Trusted constructor: entries already a balanced integer grid, zero diagonal."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", entries)
+        return self
+
     @property
     def nu(self) -> int:
         return len(self.entries)
@@ -138,7 +145,7 @@ class OffDiagonalType:
     def __add__(self, other: "OffDiagonalType") -> "OffDiagonalType":
         if self.nu != other.nu:
             raise ValueError("size mismatch")
-        return OffDiagonalType(
+        return OffDiagonalType._make(
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
@@ -262,7 +269,7 @@ def embed_offdiagonal(t: OffDiagonalType, margins: Margins) -> CosetMatrix:
 def strip_diagonal(m: CosetMatrix) -> OffDiagonalType:
     """Forget the diagonal of a coset matrix.  Inverse of ``embed_offdiagonal``."""
     nu = m.margins.nu
-    return OffDiagonalType(
+    return OffDiagonalType._make(
         tuple(
             tuple(0 if i == j else m.entries[i][j] for j in range(nu))
             for i in range(nu)

@@ -1,5 +1,13 @@
 """Exact arithmetic in rational-coefficient rings of the deformation variables.
 
+Coefficients are exact rationals, never floats.  An integral coefficient is
+held as a Python ``int`` and a ``Fraction`` appears only where a coefficient
+is truly non-integral (a rational passed in, ``scale``, ``div_by_rational``).
+Everything the universal algebra builds stays in the integers: slice weights
+are integers, the brackets prod (1 - m*eps_j) have integer coefficients, and
+dividing by (1 - m*eps_j) keeps them integral because the divisor's constant
+term is 1.  Specialisation sums integers over one common denominator.
+
 Three layers, all exact:
 
 * ``EpsPolynomial``: sparse multivariate polynomials in eps_1, ..., eps_nu
@@ -20,33 +28,45 @@ cancellation is one synthetic division per factor.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .cosets import Margins
 from .errors import PoleAtSpecialization
 from .rationals import format_rational
 
 Degree = tuple[int, ...]
+Rational = int | Fraction
+
+
+def _exact(x) -> Rational:
+    """Any rational as an ``int`` when integral, else as a ``Fraction``."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class EpsPolynomial:
-    """Sparse polynomial: map from exponent multidegrees to rational coefficients."""
+    """Sparse polynomial: map from exponent multidegrees to exact coefficients.
+
+    A coefficient is an ``int`` where integral and a ``Fraction`` otherwise,
+    never a ``float``; the constructor accepts any rational.
+    """
 
     __slots__ = ("nu", "terms")
 
-    def __init__(self, nu: int, terms: dict[Degree, Fraction] | None = None):
+    def __init__(self, nu: int, terms: dict[Degree, Rational] | None = None):
         self.nu = nu
-        self.terms: dict[Degree, Fraction] = {}
+        self.terms: dict[Degree, Rational] = {}
         if terms:
             for deg, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff:
                     if len(deg) != nu or any(d < 0 for d in deg):
                         raise ValueError(f"bad multidegree {deg} for nu={nu}")
                     self.terms[tuple(deg)] = coeff
 
     @classmethod
-    def _make(cls, nu: int, terms: dict[Degree, Fraction]) -> "EpsPolynomial":
-        """Trusted constructor: terms already Fraction-valued, zero-free, valid."""
+    def _make(cls, nu: int, terms: dict[Degree, Rational]) -> "EpsPolynomial":
+        """Trusted constructor: coefficients already exact (int or Fraction), zero-free, valid."""
         self = object.__new__(cls)
         self.nu = nu
         self.terms = terms
@@ -54,23 +74,23 @@ class EpsPolynomial:
 
     @classmethod
     def constant(cls, nu: int, value) -> "EpsPolynomial":
-        return cls(nu, {(0,) * nu: Fraction(value)})
+        return cls(nu, {(0,) * nu: value})
 
     @classmethod
     def variable(cls, nu: int, j: int) -> "EpsPolynomial":
         deg = [0] * nu
         deg[j] = 1
-        return cls(nu, {tuple(deg): Fraction(1)})
+        return cls(nu, {tuple(deg): 1})
 
     @classmethod
     def monomial(cls, nu: int, deg: Degree, coeff=1) -> "EpsPolynomial":
-        return cls(nu, {tuple(deg): Fraction(coeff)})
+        return cls(nu, {tuple(deg): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nu, Fraction(0))
+    def constant_term(self) -> Rational:
+        return self.terms.get((0,) * self.nu, 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -104,78 +124,97 @@ class EpsPolynomial:
 
     def __mul__(self, other: "EpsPolynomial") -> "EpsPolynomial":
         self._check(other)
-        out: dict[Degree, Fraction] = {}
+        out: dict[Degree, Rational] = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
-                d = tuple(x + y for x, y in zip(d1, d2))
+                d = tuple(map(add, d1, d2))
                 acc = out.get(d)
                 out[d] = c1 * c2 if acc is None else acc + c1 * c2
         return EpsPolynomial._make(self.nu, {d: c for d, c in out.items() if c})
 
     def scale(self, scalar) -> "EpsPolynomial":
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         if not scalar:
             return EpsPolynomial._make(self.nu, {})
         return EpsPolynomial._make(self.nu, {d: scalar * c for d, c in self.terms.items()})
 
-    def shift_scale(self, deg: Degree, scalar: Fraction) -> "EpsPolynomial":
-        """Multiply by scalar * (monomial of multidegree deg)."""
+    def shift_scale(self, deg: Degree, scalar: Rational) -> "EpsPolynomial":
+        """Multiply by scalar * (monomial of multidegree deg); scalar is an int or a Fraction."""
         if not scalar:
             return EpsPolynomial._make(self.nu, {})
         return EpsPolynomial._make(
-            self.nu,
-            {
-                tuple(x + y for x, y in zip(d, deg)): c * scalar
-                for d, c in self.terms.items()
-            },
+            self.nu, {tuple(map(add, d, deg)): c * scalar for d, c in self.terms.items()}
         )
+
+    def _evaluate_over(self, point: list[tuple[int, int]]) -> tuple[Rational, int]:
+        """(s, d) with the value at x_j = p_j / q_j equal to s / d; point holds (p_j, q_j).
+
+        With E_j the top degree in variable j, each term c * prod x_j^e_j is
+        c * prod p_j^e_j q_j^(E_j - e_j) over the common denominator
+        d = prod q_j^E_j, so s is an integer sum when every c is an integer.
+        """
+        tops = [max(ds) for ds in zip(*self.terms)] or [0] * self.nu
+        tables = []
+        den = 1
+        for (p, q), top in zip(point, tops):
+            tables.append([p**e * q ** (top - e) for e in range(top + 1)])
+            den *= q**top
+        total = 0
+        for deg, coeff in self.terms.items():
+            for table, e in zip(tables, deg):
+                coeff *= table[e]
+            total += coeff
+        return total, den
 
     def evaluate(self, point: tuple[Fraction, ...]) -> Fraction:
         if len(point) != self.nu:
             raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for deg, coeff in self.terms.items():
-            v = coeff
-            for x, e in zip(point, deg):
-                if e:
-                    v *= Fraction(x) ** e
-            total += v
-        return total
+        xs = [Fraction(x) for x in point]
+        return Fraction(*self._evaluate_over([(x.numerator, x.denominator) for x in xs]))
 
-    def divide_linear(self, j: int, m: int) -> "EpsPolynomial | None":
-        """Exact quotient by (1 - m*eps_j), or None if it does not divide.
+    def divide_out(self, j: int, factors: dict[int, int]) -> tuple["EpsPolynomial", dict[int, int]]:
+        """Divide by each (1 - m*eps_j)^mult of ``factors`` as far as it divides exactly.
 
-        Writing the polynomial as sum_k p_k eps_j^k with p_k in the other
-        variables, the quotient satisfies q_k = p_k + m q_{k-1} and division
-        is exact iff the final carry vanishes.
+        Returns the quotient and the multiplicities {m: mult} left over.
+        Grouping the terms into chains sum_k p_k eps_j^k that share their
+        exponents in the other variables, each chain divides on its own: the
+        quotient satisfies q_k = p_k + m q_{k-1}, and one division is exact
+        iff the final carry vanishes in every chain.  The chains are built
+        once and divided as dense coefficient lists.
         """
-        if self.is_zero():
-            return self
-        by_deg: dict[int, dict[Degree, Fraction]] = {}
+        left = {m: mult for m, mult in factors.items() if mult}
+        if self.is_zero() or not left:
+            return self, left
+        chains: dict[Degree, list[Rational]] = {}
         for deg, coeff in self.terms.items():
-            by_deg.setdefault(deg[j], {})[deg] = coeff
-        top = max(by_deg)
-        quotient: dict[Degree, Fraction] = {}
-        carry: dict[Degree, Fraction] = {}
-        for k in range(top + 1):
-            level: dict[Degree, Fraction] = dict(by_deg.get(k, {}))
-            for deg, coeff in carry.items():
-                lifted = list(deg)
-                lifted[j] += 1
-                key = tuple(lifted)
-                level[key] = level.get(key, Fraction(0)) + m * coeff
-            level = {d: c for d, c in level.items() if c}
-            if k < top:
-                quotient.update(level)
-                carry = level
-            elif level:
-                return None
-        return EpsPolynomial._make(self.nu, quotient)
+            k = deg[j]
+            chain = chains.setdefault(deg[:j] + (0,) + deg[j + 1 :], [])
+            if len(chain) <= k:
+                chain.extend([0] * (k + 1 - len(chain)))
+            chain[k] = coeff
+        divided = False
+        for m in sorted(left):
+            while left[m]:
+                quotients = _divide_chains(chains, m)
+                if quotients is None:
+                    break
+                chains = quotients
+                divided = True
+                left[m] -= 1
+        left = {m: mult for m, mult in left.items() if mult}
+        if not divided:
+            return self, left
+        terms: dict[Degree, Rational] = {}
+        for rest, chain in chains.items():
+            for k, coeff in enumerate(chain):
+                if coeff:
+                    terms[rest[:j] + (k,) + rest[j + 1 :]] = coeff
+        return EpsPolynomial._make(self.nu, terms), left
 
     def total_degree(self) -> int:
         return max((sum(d) for d in self.terms), default=0)
 
-    def sorted_terms(self) -> list[tuple[Degree, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Degree, Rational]]:
         return sorted(self.terms.items())
 
     def __repr__(self):
@@ -192,6 +231,23 @@ class EpsPolynomial:
         return " + ".join(bits)
 
 
+def _divide_chains(
+    chains: dict[Degree, list[Rational]], m: int
+) -> dict[Degree, list[Rational]] | None:
+    """Every dense chain [p_0, ..., p_top] divided by (1 - m*x), or None if one does not divide."""
+    out = {}
+    for rest, chain in chains.items():
+        carry = 0
+        quotient = []
+        for p in chain[:-1]:
+            carry = p + m * carry
+            quotient.append(carry)
+        if chain[-1] + m * carry:
+            return None
+        out[rest] = quotient
+    return out
+
+
 def bracket(p: int, q: int, j: int, nu: int) -> EpsPolynomial:
     """The product (1 - p*eps_j)(1 - (p+1)*eps_j) ... (1 - (q-1)*eps_j).
 
@@ -202,20 +258,19 @@ def bracket(p: int, q: int, j: int, nu: int) -> EpsPolynomial:
         raise ValueError(f"need 0 <= p <= q, got ({p}, {q})")
     if not 0 <= j < nu:
         raise ValueError(f"variable index {j} out of range for nu={nu}")
-    out = EpsPolynomial.constant(nu, 1)
+    out = EpsPolynomial._make(nu, {(0,) * nu: 1})
     for m in range(p, q):
         if m == 0:
             continue
-        out = out * EpsPolynomial(
-            nu, {(0,) * nu: Fraction(1), _unit_degree(nu, j): Fraction(-m)}
-        )
+        out = out * _linear(nu, j, m)
     return out
 
 
-def _unit_degree(nu: int, j: int) -> Degree:
+def _linear(nu: int, j: int, m: int) -> EpsPolynomial:
+    """The factor 1 - m*eps_j, with integer coefficients."""
     deg = [0] * nu
     deg[j] = 1
-    return tuple(deg)
+    return EpsPolynomial._make(nu, {(0,) * nu: 1, tuple(deg): -m})
 
 
 class EpsRingElement:
@@ -245,16 +300,13 @@ class EpsRingElement:
         if self.num.is_zero():
             self.den = {}
             return
-        for key in sorted(self.den):
-            j, m = key
-            while self.den.get(key, 0) > 0:
-                q = self.num.divide_linear(j, m)
-                if q is None:
-                    break
-                self.num = q
-                self.den[key] -= 1
-                if not self.den[key]:
-                    del self.den[key]
+        den: dict[tuple[int, int], int] = {}
+        for j in sorted({j for j, _ in self.den}):
+            self.num, left = self.num.divide_out(
+                j, {m: mult for (i, m), mult in self.den.items() if i == j}
+            )
+            den.update(((j, m), mult) for m, mult in left.items())
+        self.den = den
 
     @classmethod
     def from_rational(cls, nu: int, value) -> "EpsRingElement":
@@ -276,14 +328,8 @@ class EpsRingElement:
         return self.num.is_zero()
 
     def den_polynomial(self) -> EpsPolynomial:
-        out = EpsPolynomial.constant(self.nu, 1)
-        for (j, m), mult in sorted(self.den.items()):
-            factor = EpsPolynomial(
-                self.nu, {(0,) * self.nu: Fraction(1), _unit_degree(self.nu, j): Fraction(-m)}
-            )
-            for _ in range(mult):
-                out = out * factor
-        return out
+        one = EpsPolynomial._make(self.nu, {(0,) * self.nu: 1})
+        return self._poly_times_factors(one, self.den)
 
     def __eq__(self, other) -> bool:
         """Cross-multiplied comparison; canonical forms make it cheap in the common case."""
@@ -305,9 +351,7 @@ class EpsRingElement:
     @staticmethod
     def _poly_times_factors(poly: EpsPolynomial, factors: dict[tuple[int, int], int]) -> EpsPolynomial:
         for (j, m), mult in sorted(factors.items()):
-            lin = EpsPolynomial(
-                poly.nu, {(0,) * poly.nu: Fraction(1), _unit_degree(poly.nu, j): Fraction(-m)}
-            )
+            lin = _linear(poly.nu, j, m)
             for _ in range(mult):
                 poly = poly * lin
         return poly
@@ -356,18 +400,22 @@ class EpsRingElement:
         return self.scale(1 / scalar)
 
     def specialize(self, margins: Margins) -> Fraction:
-        """Evaluate at eps_j = 1/n_j; fails exactly on surviving factors with m = n_j."""
+        """Evaluate at eps_j = 1/n_j; fails exactly on surviving factors with m = n_j.
+
+        Each factor 1/(1 - m/n_j) is n_j/(n_j - m), so the denominator folds
+        into one integer ratio and the value is built as a single Fraction.
+        """
         if margins.nu != self.nu:
             raise ValueError("margins dimension mismatch")
         n = margins.n
         for (j, m) in sorted(self.den):
             if m == n[j]:
                 raise PoleAtSpecialization(j + 1, m)
-        point = tuple(Fraction(1, x) for x in n)
-        value = self.num.evaluate(point)
+        total, den = self.num._evaluate_over([(1, x) for x in n])
         for (j, m), mult in self.den.items():
-            value /= (1 - Fraction(m, n[j])) ** mult
-        return value
+            total *= n[j] ** mult
+            den *= (n[j] - m) ** mult
+        return Fraction(total, den)
 
     def expand(self, order: int) -> "EpsSeries":
         """Truncated power series to total degree ``order`` (geometric expansion)."""
@@ -418,33 +466,38 @@ class EpsSeries:
 
     __slots__ = ("nu", "order", "terms")
 
-    def __init__(self, nu: int, order: int, terms: dict[Degree, Fraction] | None = None):
+    def __init__(self, nu: int, order: int, terms: dict[Degree, Rational] | None = None):
         self.nu = nu
         self.order = order
-        self.terms: dict[Degree, Fraction] = {}
+        self.terms: dict[Degree, Rational] = {}
         if terms:
             for deg, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff and sum(deg) <= order:
                     self.terms[tuple(deg)] = coeff
 
     @classmethod
-    def from_polynomial(cls, p: EpsPolynomial, order: int) -> "EpsSeries":
+    def _make(cls, nu: int, order: int, terms: dict[Degree, Rational]) -> "EpsSeries":
+        """Trusted constructor: coefficients already exact, zero-free, within the order."""
         self = object.__new__(cls)
-        self.nu = p.nu
+        self.nu = nu
         self.order = order
-        self.terms = {d: c for d, c in p.terms.items() if sum(d) <= order}
+        self.terms = terms
         return self
 
     @classmethod
+    def from_polynomial(cls, p: EpsPolynomial, order: int) -> "EpsSeries":
+        return cls._make(p.nu, order, {d: c for d, c in p.terms.items() if sum(d) <= order})
+
+    @classmethod
     def geometric(cls, nu: int, j: int, m: int, order: int) -> "EpsSeries":
-        """1 / (1 - m*eps_j) up to the truncation order."""
+        """1 / (1 - m*eps_j) up to the truncation order; m is an integer."""
         terms = {}
         deg = [0] * nu
         for k in range(order + 1):
             deg[j] = k
-            terms[tuple(deg)] = Fraction(m) ** k
-        return cls(nu, order, terms)
+            terms[tuple(deg)] = m**k
+        return cls._make(nu, order, terms)
 
     def _check(self, other: "EpsSeries"):
         if self.nu != other.nu or self.order != other.order:
@@ -462,32 +515,34 @@ class EpsSeries:
         self._check(other)
         merged = dict(self.terms)
         for deg, coeff in other.terms.items():
-            merged[deg] = merged.get(deg, Fraction(0)) + coeff
-        return EpsSeries(self.nu, self.order, merged)
+            merged[deg] = merged.get(deg, 0) + coeff
+        return EpsSeries._make(self.nu, self.order, {d: c for d, c in merged.items() if c})
 
     def __sub__(self, other: "EpsSeries") -> "EpsSeries":
         return self + other.scale(-1)
 
     def __mul__(self, other: "EpsSeries") -> "EpsSeries":
         self._check(other)
-        out: dict[Degree, Fraction] = {}
+        out: dict[Degree, Rational] = {}
         for d1, c1 in self.terms.items():
             r1 = sum(d1)
             for d2, c2 in other.terms.items():
                 if r1 + sum(d2) > self.order:
                     continue
-                d = tuple(x + y for x, y in zip(d1, d2))
-                out[d] = out.get(d, Fraction(0)) + c1 * c2
-        return EpsSeries(self.nu, self.order, out)
+                d = tuple(map(add, d1, d2))
+                out[d] = out.get(d, 0) + c1 * c2
+        return EpsSeries._make(self.nu, self.order, {d: c for d, c in out.items() if c})
 
     def scale(self, scalar) -> "EpsSeries":
-        scalar = Fraction(scalar)
-        return EpsSeries(self.nu, self.order, {d: scalar * c for d, c in self.terms.items()})
+        scalar = _exact(scalar)
+        if not scalar:
+            return EpsSeries._make(self.nu, self.order, {})
+        return EpsSeries._make(self.nu, self.order, {d: scalar * c for d, c in self.terms.items()})
 
-    def coefficient(self, deg: Degree) -> Fraction:
-        return self.terms.get(tuple(deg), Fraction(0))
+    def coefficient(self, deg: Degree) -> Rational:
+        return self.terms.get(tuple(deg), 0)
 
-    def homogeneous_part(self, degree: int) -> dict[Degree, Fraction]:
+    def homogeneous_part(self, degree: int) -> dict[Degree, Rational]:
         return {d: c for d, c in self.terms.items() if sum(d) == degree}
 
     def __repr__(self):

@@ -120,7 +120,7 @@ def _shift_target(base: Grid, alpha: int, j: int, gamma: int) -> OffDiagonalType
     grid[j][gamma] -= 1
     if alpha != gamma:
         grid[alpha][gamma] += 1
-    return OffDiagonalType(tuple(tuple(row) for row in grid))
+    return OffDiagonalType._make(tuple(tuple(row) for row in grid))
 
 
 @lru_cache(maxsize=None)
@@ -217,10 +217,10 @@ def _bracket_basis(a: Grid, b: Grid) -> "GradedElement":
     acc: dict[OffDiagonalType, Fraction] = {}
     for j in range(nu):
         for tgt, v in lin_ab[j].items():
-            key = OffDiagonalType(tgt)
+            key = OffDiagonalType._make(tgt)
             acc[key] = acc.get(key, Fraction(0)) + v
         for tgt, v in lin_ba[j].items():
-            key = OffDiagonalType(tgt)
+            key = OffDiagonalType._make(tgt)
             acc[key] = acc.get(key, Fraction(0)) - v
     return GradedElement(nu, acc)
 

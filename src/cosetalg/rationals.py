@@ -10,6 +10,8 @@ from fractions import Fraction
 
 
 def format_rational(x: Fraction | int) -> str:
+    if type(x) is int:
+        return str(x)
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)

@@ -79,7 +79,8 @@ def _star(entries: Grid, j: int) -> int:
 
 
 def _balanced(c: Grid) -> bool:
-    return all(_star(c, j) == sum(c[j]) for j in range(len(c)))
+    """Column sum equals row sum at every index (c has a zero diagonal)."""
+    return all(sum(col) == sum(row) for col, row in zip(zip(*c), c))
 
 
 def _slice_planes(j: int, a_col: tuple[int, ...], b_row: tuple[int, ...]) -> tuple[Grid, ...]:
@@ -169,7 +170,7 @@ def _reduced_bracket_product(
 def _profile_poly(
     a_stars: tuple[int, ...], b_stars: tuple[int, ...], t_stars: tuple[int, ...], nu: int
 ) -> EpsPolynomial:
-    out = EpsPolynomial.constant(nu, 1)
+    out = EpsPolynomial._make(nu, {(0,) * nu: 1})
     for j in range(nu):
         out = out * _reduced_bracket_product(j, a_stars[j], b_stars[j], t_stars[j], nu)
     return out
@@ -189,7 +190,7 @@ def _product_terms(a: Grid, b: Grid) -> dict[Grid, EpsRingElement]:
         exps = tuple(a_stars[j] + b_stars[j] - t_stars[j] for j in range(nu))
         if min(exps) < 0:
             raise InvariantViolation(f"negative eps exponent {exps} for {a} * {b}")
-        num = _profile_poly(a_stars, b_stars, t_stars, nu).shift_scale(exps, Fraction(w))
+        num = _profile_poly(a_stars, b_stars, t_stars, nu).shift_scale(exps, w)
         acc = numerators.get(c)
         numerators[c] = num if acc is None else acc + num
     out: dict[Grid, EpsRingElement] = {}
@@ -205,7 +206,7 @@ def universal_product(a: OffDiagonalType, b: OffDiagonalType) -> dict[OffDiagona
     if a.nu != b.nu:
         raise ValueError("size mismatch")
     return {
-        OffDiagonalType(c): v for c, v in _product_terms(a.entries, b.entries).items()
+        OffDiagonalType._make(c): v for c, v in _product_terms(a.entries, b.entries).items()
     }
 
 
@@ -223,7 +224,7 @@ def candidate_outputs(a: OffDiagonalType, b: OffDiagonalType) -> list[OffDiagona
     if a.nu != b.nu:
         raise ValueError("size mismatch")
     seen = {c for c, _ in _profile_weights(a.entries, b.entries)}
-    return sorted((OffDiagonalType(c) for c in seen), key=lambda t: t.entries)
+    return sorted((OffDiagonalType._make(c) for c in seen), key=lambda t: t.entries)
 
 
 def enumerate_tensors(
@@ -278,7 +279,7 @@ class UniversalElement:
         return UniversalElement(self.nu, merged)
 
     def __sub__(self, other: "UniversalElement") -> "UniversalElement":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, scalar) -> "UniversalElement":
         return UniversalElement(self.nu, {t: c.scale(scalar) for t, c in self.terms.items()})
@@ -317,7 +318,7 @@ def universal_multiply(x: UniversalElement, y: UniversalElement) -> UniversalEle
     for ta, ca in x.terms.items():
         for tb, cb in y.terms.items():
             for tc_entries, coeff in _product_terms(ta.entries, tb.entries).items():
-                tc = OffDiagonalType(tc_entries)
+                tc = OffDiagonalType._make(tc_entries)
                 num = ca.num * cb.num * coeff.num
                 den: dict[tuple[int, int], int] = dict(ca.den)
                 for key, mult in cb.den.items():
@@ -351,11 +352,16 @@ def specialize_constant(
     """
     if not (a.nu == b.nu == c.nu == margins.nu):
         raise ValueError("size mismatch")
+    check_fit(a, b, margins)
+    return universal_structure_constant(a, b, c).specialize(margins)
+
+
+def check_fit(a: OffDiagonalType, b: OffDiagonalType, margins: Margins) -> None:
+    """Raise ``MarginOverflow`` unless the star sums of a and b fit under the margins."""
     for tp in (a, b):
         for j in range(margins.nu):
             if tp.star(j) > margins.n[j]:
                 raise MarginOverflow(j + 1, tp.star(j), margins.n[j])
-    return universal_structure_constant(a, b, c).specialize(margins)
 
 
 def finite_constant_via_embedding(

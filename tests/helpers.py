@@ -233,3 +233,26 @@ def reference_universal_terms(a, b):
         for c, num in numerators.items()
         if not num.is_zero()
     }
+
+
+# Reference route for ``EpsPolynomial.evaluate`` and ``EpsRingElement.specialize``:
+# one Fraction power per term and variable, and one division per denominator factor.
+
+
+def reference_evaluate(poly, point):
+    total = Fraction(0)
+    for deg, coeff in poly.terms.items():
+        v = Fraction(coeff)
+        for x, e in zip(point, deg):
+            if e:
+                v *= Fraction(x) ** e
+        total += v
+    return total
+
+
+def reference_specialize(x, margins):
+    n = margins.n
+    value = reference_evaluate(x.num, tuple(Fraction(1, k) for k in n))
+    for (j, m), mult in x.den.items():
+        value /= (1 - Fraction(m, n[j])) ** mult
+    return value

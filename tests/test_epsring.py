@@ -11,6 +11,7 @@ from cosetalg import (
     PoleAtSpecialization,
     bracket,
 )
+from helpers import reference_evaluate, reference_specialize
 
 
 def poly1(coeff_map):
@@ -154,6 +155,13 @@ def test_canonical_form_cancels_hidden_factors():
     assert x.num == poly1({0: 2, 1: 5})
 
 
+def test_canonical_form_cancels_repeated_factors():
+    f = poly1({0: 1, 1: -2})
+    x = EpsRingElement(1, f * f * poly1({0: 1, 1: 1}), {(0, 2): 3, (0, 1): 1})
+    assert x.den == {(0, 2): 1, (0, 1): 1}
+    assert x.num == poly1({0: 1, 1: 1})
+
+
 def test_equality_across_different_denominators():
     # x = (1-eps)/(1-2eps), y = (1-eps)^2 / ((1-2eps)(1-eps))
     one_minus = poly1({0: 1, 1: -1})
@@ -176,3 +184,53 @@ def test_division_only_by_factors_and_rationals():
     assert x.div_by_rational(Fraction(2, 3)) == EpsRingElement.from_rational(1, Fraction(3, 2))
     with pytest.raises(ZeroDivisionError):
         x.div_by_rational(0)
+
+
+def test_evaluate_matches_reference_at_rational_points():
+    # numerators other than 1, negative values and zero, Fraction coefficients
+    rng = random.Random(4242)
+    values = [Fraction(0), Fraction(-1), Fraction(3)]
+    values += [Fraction(2, 3), Fraction(-5, 4), Fraction(-7, 9)]
+    for _ in range(300):
+        nu = rng.randrange(1, 4)
+        poly = EpsPolynomial(
+            nu,
+            {
+                tuple(rng.randrange(5) for _ in range(nu)): Fraction(
+                    rng.randrange(-9, 10), rng.randrange(1, 6)
+                )
+                for _ in range(rng.randrange(0, 7))
+            },
+        )
+        point = tuple(rng.choice(values) for _ in range(nu))
+        got = poly.evaluate(point)
+        assert isinstance(got, Fraction)
+        assert got == reference_evaluate(poly, point), (poly, point)
+
+
+def test_evaluate_accepts_plain_rationals():
+    p = EpsPolynomial(2, {(2, 0): Fraction(1, 2), (0, 1): -3, (1, 1): 4})
+    assert p.evaluate((2, Fraction(-1, 3))) == reference_evaluate(p, (2, Fraction(-1, 3)))
+    with pytest.raises(ValueError):
+        p.evaluate((1,))
+
+
+def test_integral_coefficients_are_ints():
+    p = EpsPolynomial(1, {(0,): Fraction(4, 2), (1,): Fraction(1, 2)})
+    assert type(p.terms[(0,)]) is int
+    assert type(p.terms[(1,)]) is Fraction
+    assert all(type(c) is int for c in bracket(1, 5, 0, 1).terms.values())
+    q = p.scale(2)
+    assert q.terms == {(0,): 4, (1,): 1}
+    assert type(q.terms[(0,)]) is int
+    series = EpsRingElement(1, bracket(0, 4, 0, 1), {(0, 2): 2}).expand(3)
+    assert all(type(c) is int for c in series.terms.values())
+
+
+def test_specialize_matches_reference():
+    # random numerators with Fraction coefficients, factors with multiplicity up to 2
+    rng = random.Random(777)
+    for margins in (Margins((5, 7)), Margins((4, 9))):
+        for _ in range(60):
+            x = random_element(rng, 2)
+            assert x.specialize(margins) == reference_specialize(x, margins), x

@@ -8,12 +8,24 @@ import cosetalg
 SRC = pathlib.Path(cosetalg.__file__).resolve().parent
 
 
+def _nodes():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
 def test_no_assert_statements():
     # invariants must hold under ``python -O``, which strips every assert
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_floats():
+    # the arithmetic is exact: no float literal and no use of the float builtin
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        or (isinstance(node, ast.Name) and node.id == "float")
     ]
     assert found == []

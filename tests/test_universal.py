@@ -23,7 +23,7 @@ from cosetalg import (
 from cosetalg import universal
 from cosetalg.universal import finite_constant_via_embedding
 
-from helpers import balanced_types, reference_universal_terms
+from helpers import balanced_types, reference_specialize, reference_universal_terms
 
 
 def two_block(a):
@@ -292,3 +292,34 @@ def test_constants_match_tensor_walk_nu4_sampled():
     types = balanced_types(4, 1)
     rng = random.Random(0)
     _check_against_tensor_walk([(rng.choice(types), rng.choice(types)) for _ in range(100)])
+
+
+def _fitted(a, b):
+    return Margins(tuple(max(1, a.star(j), b.star(j)) for j in range(a.nu)))
+
+
+def test_specialize_matches_reference_nu3():
+    for a, b in itertools.product(balanced_types(3, 1), repeat=2):
+        margins = _fitted(a, b)
+        for c, coeff in universal_product(a, b).items():
+            assert coeff.specialize(margins) == reference_specialize(coeff, margins), (a, b, c)
+
+
+def test_coefficients_are_exact_nu3():
+    # no float anywhere; numerators and their series are integral by construction
+    for a, b in itertools.product(balanced_types(3, 1), repeat=2):
+        margins = _fitted(a, b)
+        for coeff in universal_product(a, b).values():
+            assert all(type(v) is int for v in coeff.num.terms.values()), (a, b)
+            assert all(type(v) is int for v in coeff.expand(1).terms.values()), (a, b)
+            assert type(coeff.specialize(margins)) in (int, Fraction), (a, b)
+
+
+def test_rebuild_over_cubed_denominator_nu3():
+    # num * D^2 over D^3 cancels every factor twice, back to the same canonical form
+    for a, b in itertools.product(balanced_types(3, 1), repeat=2):
+        for coeff in universal_product(a, b).values():
+            d = coeff.den_polynomial()
+            tripled = {key: 3 * mult for key, mult in coeff.den.items()}
+            rebuilt = EpsRingElement(3, coeff.num * d * d, tripled)
+            assert (rebuilt.num.terms, rebuilt.den) == (coeff.num.terms, coeff.den), (a, b)
