@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
+from .combination import Combination, bilinear
 from .cosets import CosetMatrix, Margins, enumerate_coset_matrices, transport
 from .rationals import format_rational
 
@@ -181,25 +182,18 @@ def structure_constant(a: CosetMatrix, b: CosetMatrix, c: CosetMatrix) -> Fracti
     return _product_terms(a.entries, b.entries, a.margins.n).get(c.entries, Fraction(0))
 
 
-class AlgebraElement:
-    """Finite linear combination of coset-matrix basis elements, exact coefficients."""
+class AlgebraElement(Combination):
+    """Exact rational combination of coset-matrix basis elements; the space is the margins."""
 
-    __slots__ = ("margins", "terms")
+    __slots__ = ()
 
-    def __init__(self, margins: Margins, terms: dict[CosetMatrix, Fraction] | None = None):
-        self.margins = margins
-        self.terms: dict[CosetMatrix, Fraction] = {}
-        if terms:
-            for m, coeff in terms.items():
-                if m.margins != margins:
-                    raise ValueError("margin mismatch")
-                coeff = Fraction(coeff)
-                if coeff:
-                    self.terms[m] = coeff
+    @staticmethod
+    def _space_of(m: CosetMatrix) -> Margins:
+        return m.margins
 
-    @classmethod
-    def basis(cls, m: CosetMatrix) -> "AlgebraElement":
-        return cls(m.margins, {m: Fraction(1)})
+    @property
+    def margins(self) -> Margins:
+        return self.space
 
     @classmethod
     def unit(cls, margins: Margins) -> "AlgebraElement":
@@ -209,42 +203,8 @@ class AlgebraElement:
         )
         return cls.basis(CosetMatrix(diag, margins))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.margins == other.margins
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.margins != other.margins:
-            raise ValueError("margin mismatch")
-        merged = dict(self.terms)
-        for m, coeff in other.terms.items():
-            merged[m] = merged.get(m, Fraction(0)) + coeff
-        return AlgebraElement(self.margins, merged)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "AlgebraElement":
-        scalar = Fraction(scalar)
-        return AlgebraElement(self.margins, {m: scalar * c for m, c in self.terms.items()})
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self, other)
-
-    def mass(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
-
-    def coefficient(self, m: CosetMatrix) -> Fraction:
-        return self.terms.get(m, Fraction(0))
-
-    def sorted_terms(self) -> list[tuple[CosetMatrix, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].entries)
 
     def to_json_dict(self):
         return {
@@ -255,26 +215,17 @@ class AlgebraElement:
             ],
         }
 
-    def __repr__(self):
-        body = " + ".join(f"{c} * Xi{list(map(list, m.entries))}" for m, c in self.sorted_terms())
-        return body or "0"
+
+def _basis_product(a: CosetMatrix, b: CosetMatrix):
+    """(c, structure constant) for every target c of the basis pair (a, b)."""
+    margins = a.margins
+    for c, v in _product_terms(a.entries, b.entries, margins.n).items():
+        yield CosetMatrix._make(c, margins), v
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the structure constants; first factor acts first."""
-    if x.margins != y.margins:
-        raise ValueError("margin mismatch")
-    margins = x.margins
-    acc: dict[Grid, Fraction] = {}
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            w = ca * cb
-            for c, coeff in _product_terms(a.entries, b.entries, margins.n).items():
-                prev = acc.get(c)
-                acc[c] = w * coeff if prev is None else prev + w * coeff
-    out = AlgebraElement(margins)
-    out.terms = {CosetMatrix._make(c, margins): v for c, v in acc.items() if v}
-    return out
+    return bilinear(x, y, _basis_product)
 
 
 def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

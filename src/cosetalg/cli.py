@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import algebra, braid, nu2, poisson, universal
 from .cosets import (
@@ -20,7 +19,6 @@ from .cosets import (
     Margins,
     OffDiagonalType,
     coset_size,
-    embed_offdiagonal,
     enumerate_coset_matrices,
 )
 from .errors import (

@@ -36,6 +36,7 @@ from .rationals import format_rational
 
 Degree = tuple[int, ...]
 Rational = int | Fraction
+Den = dict[tuple[int, int], int]  # {(j, m): multiplicity of (1 - m*eps_j)}
 
 
 def _exact(x) -> Rational:
@@ -88,9 +89,6 @@ class EpsPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_term(self) -> Rational:
-        return self.terms.get((0,) * self.nu, 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -211,9 +209,6 @@ class EpsPolynomial:
                     terms[rest[:j] + (k,) + rest[j + 1 :]] = coeff
         return EpsPolynomial._make(self.nu, terms), left
 
-    def total_degree(self) -> int:
-        return max((sum(d) for d in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[Degree, Rational]]:
         return sorted(self.terms.items())
 
@@ -327,9 +322,11 @@ class EpsRingElement:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
+
     def den_polynomial(self) -> EpsPolynomial:
-        one = EpsPolynomial._make(self.nu, {(0,) * self.nu: 1})
-        return self._poly_times_factors(one, self.den)
+        return _times_factors(EpsPolynomial._make(self.nu, {(0,) * self.nu: 1}), self.den)
 
     def __eq__(self, other) -> bool:
         """Cross-multiplied comparison; canonical forms make it cheap in the common case."""
@@ -339,31 +336,10 @@ class EpsRingElement:
             return self.num == other.num
         return self.num * other.den_polynomial() == other.num * self.den_polynomial()
 
-    def _merge_dens(self, other: "EpsRingElement"):
-        """lcm of the two denominators plus the cofactors to scale each numerator."""
-        lcm: dict[tuple[int, int], int] = dict(self.den)
-        for key, mult in other.den.items():
-            lcm[key] = max(lcm.get(key, 0), mult)
-        self_extra = {k: v - self.den.get(k, 0) for k, v in lcm.items() if v - self.den.get(k, 0)}
-        other_extra = {k: v - other.den.get(k, 0) for k, v in lcm.items() if v - other.den.get(k, 0)}
-        return lcm, self_extra, other_extra
-
-    @staticmethod
-    def _poly_times_factors(poly: EpsPolynomial, factors: dict[tuple[int, int], int]) -> EpsPolynomial:
-        for (j, m), mult in sorted(factors.items()):
-            lin = _linear(poly.nu, j, m)
-            for _ in range(mult):
-                poly = poly * lin
-        return poly
-
     def __add__(self, other: "EpsRingElement") -> "EpsRingElement":
         if self.nu != other.nu:
             raise ValueError("variable count mismatch")
-        lcm, self_extra, other_extra = self._merge_dens(other)
-        num = self._poly_times_factors(self.num, self_extra) + self._poly_times_factors(
-            other.num, other_extra
-        )
-        return EpsRingElement(self.nu, num, lcm)
+        return EpsRingElement(self.nu, *_sum_over_lcm(self.num, self.den, other.num, other.den))
 
     def __neg__(self) -> "EpsRingElement":
         return EpsRingElement(self.nu, -self.num, dict(self.den))
@@ -374,13 +350,12 @@ class EpsRingElement:
     def __mul__(self, other: "EpsRingElement") -> "EpsRingElement":
         if self.nu != other.nu:
             raise ValueError("variable count mismatch")
-        den = dict(self.den)
-        for key, mult in other.den.items():
-            den[key] = den.get(key, 0) + mult
-        return EpsRingElement(self.nu, self.num * other.num, den)
+        return EpsRingElement(self.nu, self.num * other.num, _den_product(self.den, other.den))
 
     def scale(self, scalar) -> "EpsRingElement":
         return EpsRingElement(self.nu, self.num.scale(scalar), dict(self.den))
+
+    __rmul__ = scale
 
     def div_by_bracket(self, p: int, q: int, j: int) -> "EpsRingElement":
         """Divide by the factor product (1 - m*eps_j) for m = p, ..., q-1."""
@@ -451,6 +426,37 @@ class EpsRingElement:
             for (j, m), mult in self.sorted_den()
         ]
         return f"({self.num!r}) / ({'*'.join(bits)})"
+
+
+def _times_factors(poly: EpsPolynomial, factors: Den) -> EpsPolynomial:
+    """poly times prod (1 - m*eps_j)^mult over the factors {(j, m): mult}."""
+    for (j, m), mult in sorted(factors.items()):
+        lin = _linear(poly.nu, j, m)
+        for _ in range(mult):
+            poly = poly * lin
+    return poly
+
+
+def _den_product(*dens: Den) -> Den:
+    """The denominator of a product: factor multiplicities add."""
+    out = dict(dens[0])
+    for den in dens[1:]:
+        for key, mult in den.items():
+            out[key] = out.get(key, 0) + mult
+    return out
+
+
+def _sum_over_lcm(
+    num1: EpsPolynomial, den1: Den, num2: EpsPolynomial, den2: Den
+) -> tuple[EpsPolynomial, Den]:
+    """num1/den1 + num2/den2 as a numerator over the lcm of the denominators, not cancelled."""
+    lcm = dict(den1)
+    for key, mult in den2.items():
+        if mult > lcm.get(key, 0):
+            lcm[key] = mult
+    extra1 = {k: v - den1.get(k, 0) for k, v in lcm.items() if v != den1.get(k, 0)}
+    extra2 = {k: v - den2.get(k, 0) for k, v in lcm.items() if v != den2.get(k, 0)}
+    return _times_factors(num1, extra1) + _times_factors(num2, extra2), lcm
 
 
 def specialize(x: EpsRingElement, margins: Margins) -> Fraction:
@@ -541,9 +547,6 @@ class EpsSeries:
 
     def coefficient(self, deg: Degree) -> Rational:
         return self.terms.get(tuple(deg), 0)
-
-    def homogeneous_part(self, degree: int) -> dict[Degree, Rational]:
-        return {d: c for d, c in self.terms.items() if sum(d) == degree}
 
     def __repr__(self):
         body = " + ".join(f"{c}*e^{list(d)}" for d, c in sorted(self.terms.items()))

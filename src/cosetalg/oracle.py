@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .combination import Combination, bilinear
 from .cosets import CosetMatrix, Margins, coset_size
 from .errors import BruteForceLimitExceeded
 
@@ -59,10 +60,6 @@ def inverse(g: Perm) -> Perm:
     for x, y in enumerate(g):
         inv[y] = x
     return tuple(inv)
-
-
-def is_permutation(g) -> bool:
-    return sorted(g) == list(range(len(g)))
 
 
 def random_permutation(n: int, seed: int) -> Perm:
@@ -185,77 +182,44 @@ def oracle_structure_constant(
 
 def oracle_product(a: CosetMatrix, b: CosetMatrix, yp: YoungPartition,
                    limit: int | None = None) -> dict[CosetMatrix, Fraction]:
-    """All nonzero oracle structure constants with first factor a, second b."""
+    """All nonzero oracle structure constants with first factor a, second b.
+
+    Fix g0 in the a-coset; the coefficient of c is the share of h in the
+    b-coset with h o g0 in the c-coset.  The share does not depend on g0,
+    because the b-coset is invariant under right multiplication by the Young
+    subgroup, so one sweep of the b-coset gives every target.
+    """
     part = coset_partition(yp, limit)
-    mu_a, mu_b = coset_size(a), coset_size(b)
-    b_entries = b.entries
-    out: dict[CosetMatrix, Fraction] = {}
-    for c, perms in part.items():
-        x0 = perms[0]
-        count = 0
-        for g in part[a]:
-            h = compose(x0, inverse(g))
-            if classify(h, yp).entries == b_entries:
-                count += 1
-        if count:
-            out[c] = Fraction(count * coset_size(c), mu_a * mu_b)
-    return out
+    g0 = part[a][0]
+    counts: dict[CosetMatrix, int] = {}
+    for h in part[b]:
+        c = classify(compose(h, g0), yp)
+        counts[c] = counts.get(c, 0) + 1
+    mu_b = coset_size(b)
+    return {c: Fraction(k, mu_b) for c, k in counts.items()}
 
 
-class GroupAlgebraVector:
-    """Sparse exact-rational vector in the group algebra of S_N."""
+class GroupAlgebraVector(Combination):
+    """Sparse exact-rational vector in the group algebra of S_N; the space is N."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms: dict[Perm, Fraction] | None = None):
-        self.n = n
-        self.terms: dict[Perm, Fraction] = {}
-        if terms:
-            for g, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    self.terms[tuple(g)] = coeff
+    @staticmethod
+    def _space_of(g: Perm) -> int:
+        return len(g)
+
+    @property
+    def n(self) -> int:
+        return self.space
 
     @classmethod
     def delta(cls, g: Perm) -> "GroupAlgebraVector":
-        return cls(len(g), {tuple(g): Fraction(1)})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupAlgebraVector) and self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other: "GroupAlgebraVector") -> "GroupAlgebraVector":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        merged = dict(self.terms)
-        for g, coeff in other.terms.items():
-            merged[g] = merged.get(g, Fraction(0)) + coeff
-        return GroupAlgebraVector(self.n, merged)
-
-    def __sub__(self, other: "GroupAlgebraVector") -> "GroupAlgebraVector":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "GroupAlgebraVector":
-        scalar = Fraction(scalar)
-        return GroupAlgebraVector(self.n, {g: scalar * c for g, c in self.terms.items()})
-
-    def mass(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
-
-    def __repr__(self):
-        body = ", ".join(f"{g}: {c}" for g, c in sorted(self.terms.items()))
-        return f"GroupAlgebraVector({self.n}, {{{body}}})"
+        return cls.basis(tuple(g))
 
 
 def convolve(x: GroupAlgebraVector, y: GroupAlgebraVector) -> GroupAlgebraVector:
     """Group algebra product: mass of x at g and of y at h lands on h o g."""
-    if x.n != y.n:
-        raise ValueError("size mismatch")
-    out: dict[Perm, Fraction] = {}
-    for g, cg in x.terms.items():
-        for h, ch in y.terms.items():
-            k = compose(h, g)
-            out[k] = out.get(k, Fraction(0)) + cg * ch
-    return GroupAlgebraVector(x.n, out)
+    return bilinear(x, y, lambda g, h: ((compose(h, g), 1),))
 
 
 def young_average(yp: YoungPartition) -> GroupAlgebraVector:

@@ -22,9 +22,9 @@ against the full ring expansion.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
+from .combination import Combination, bilinear
 from .cosets import OffDiagonalType
 from .epsring import EpsRingElement
 from .rationals import format_rational
@@ -33,60 +33,18 @@ from .universal import universal_product
 Grid = tuple[tuple[int, ...], ...]
 
 
-class GradedElement:
-    """Rational combination of off-diagonal basis types."""
+class GradedElement(Combination):
+    """Rational combination of off-diagonal basis types; the space is nu."""
 
-    __slots__ = ("nu", "terms")
+    __slots__ = ()
 
-    def __init__(self, nu: int, terms: dict[OffDiagonalType, Fraction] | None = None):
-        self.nu = nu
-        self.terms: dict[OffDiagonalType, Fraction] = {}
-        if terms:
-            for tp, coeff in terms.items():
-                if tp.nu != nu:
-                    raise ValueError("size mismatch")
-                coeff = Fraction(coeff)
-                if coeff:
-                    self.terms[tp] = coeff
+    @staticmethod
+    def _space_of(tp: OffDiagonalType) -> int:
+        return tp.nu
 
-    @classmethod
-    def basis(cls, tp: OffDiagonalType) -> "GradedElement":
-        return cls(tp.nu, {tp: Fraction(1)})
-
-    @classmethod
-    def zero(cls, nu: int) -> "GradedElement":
-        return cls(nu)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedElement)
-            and self.nu == other.nu
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        if self.nu != other.nu:
-            raise ValueError("size mismatch")
-        merged = dict(self.terms)
-        for tp, coeff in other.terms.items():
-            merged[tp] = merged.get(tp, Fraction(0)) + coeff
-        return GradedElement(self.nu, merged)
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "GradedElement":
-        scalar = Fraction(scalar)
-        return GradedElement(self.nu, {t: scalar * c for t, c in self.terms.items()})
-
-    def coefficient(self, tp: OffDiagonalType) -> Fraction:
-        return self.terms.get(tp, Fraction(0))
-
-    def sorted_terms(self) -> list[tuple[OffDiagonalType, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].entries)
+    @property
+    def nu(self) -> int:
+        return self.space
 
     def to_json_dict(self):
         return {
@@ -97,21 +55,10 @@ class GradedElement:
             ],
         }
 
-    def __repr__(self):
-        body = " + ".join(f"{c}*Xi{list(map(list, t.entries))}" for t, c in self.sorted_terms())
-        return body or "0"
-
 
 def graded_multiply(x: GradedElement, y: GradedElement) -> GradedElement:
     """Commutative product: basis types multiply by entrywise addition."""
-    if x.nu != y.nu:
-        raise ValueError("size mismatch")
-    acc: dict[OffDiagonalType, Fraction] = {}
-    for ta, ca in x.terms.items():
-        for tb, cb in y.terms.items():
-            tc = ta + tb
-            acc[tc] = acc.get(tc, Fraction(0)) + ca * cb
-    return GradedElement(x.nu, acc)
+    return bilinear(x, y, lambda a, b: ((a + b, 1),))
 
 
 def _shift_target(base: Grid, alpha: int, j: int, gamma: int) -> OffDiagonalType:
@@ -127,7 +74,7 @@ def _shift_target(base: Grid, alpha: int, j: int, gamma: int) -> OffDiagonalType
 def _order_one_linear(a: Grid, b: Grid) -> tuple[dict, ...]:
     """Per-variable eps-linear coefficients of the product of basis types a, b.
 
-    Returns one {target entries: Fraction} map per variable index.  Exact:
+    Returns one {target entries: int} map per variable index.  Exact:
     the weight-one tensors give the shifted targets, the weight-zero tensor's
     bracket ratio gives the diagonal correction on a + b.
     """
@@ -135,7 +82,7 @@ def _order_one_linear(a: Grid, b: Grid) -> tuple[dict, ...]:
     base = tuple(
         tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
-    out: list[dict[Grid, Fraction]] = [dict() for _ in range(nu)]
+    out: list[dict[Grid, int]] = [dict() for _ in range(nu)]
     for j in range(nu):
         a_star = sum(a[i][j] for i in range(nu) if i != j)
         b_star = sum(b[j][k] for k in range(nu) if k != j)
@@ -143,7 +90,7 @@ def _order_one_linear(a: Grid, b: Grid) -> tuple[dict, ...]:
         t_star = a_star + b_star
         lin = -(_range_sum(a_star, t_star) + _range_sum(b_star, t_star) - _range_sum(0, t_star))
         if lin:
-            out[j][base] = Fraction(lin)
+            out[j][base] = lin
         for alpha in range(nu):
             if alpha == j or a[alpha][j] == 0:
                 continue
@@ -151,8 +98,7 @@ def _order_one_linear(a: Grid, b: Grid) -> tuple[dict, ...]:
                 if gamma == j or b[j][gamma] == 0:
                     continue
                 tgt = _shift_target(base, alpha, j, gamma).entries
-                w = Fraction(a[alpha][j] * b[j][gamma])
-                out[j][tgt] = out[j].get(tgt, Fraction(0)) + w
+                out[j][tgt] = out[j].get(tgt, 0) + a[alpha][j] * b[j][gamma]
     return tuple(out)
 
 
@@ -195,7 +141,7 @@ def first_order_shift_formula(a: OffDiagonalType, b: OffDiagonalType) -> dict[in
     base = (a + b).entries
     out = {}
     for j in range(nu):
-        acc: dict[OffDiagonalType, Fraction] = {}
+        acc: dict[OffDiagonalType, int] = {}
         for alpha in range(nu):
             if alpha == j or a.entries[alpha][j] == 0:
                 continue
@@ -203,26 +149,22 @@ def first_order_shift_formula(a: OffDiagonalType, b: OffDiagonalType) -> dict[in
                 if gamma == j or b.entries[j][gamma] == 0:
                     continue
                 tgt = _shift_target(base, alpha, j, gamma)
-                w = Fraction(a.entries[alpha][j] * b.entries[j][gamma])
-                acc[tgt] = acc.get(tgt, Fraction(0)) + w
+                acc[tgt] = acc.get(tgt, 0) + a.entries[alpha][j] * b.entries[j][gamma]
         out[j + 1] = GradedElement(nu, acc)
     return out
 
 
 @lru_cache(maxsize=None)
-def _bracket_basis(a: Grid, b: Grid) -> "GradedElement":
+def _bracket_basis(a: Grid, b: Grid) -> GradedElement:
     nu = len(a)
-    lin_ab = _order_one_linear(a, b)
-    lin_ba = _order_one_linear(b, a)
-    acc: dict[OffDiagonalType, Fraction] = {}
-    for j in range(nu):
-        for tgt, v in lin_ab[j].items():
-            key = OffDiagonalType._make(tgt)
-            acc[key] = acc.get(key, Fraction(0)) + v
-        for tgt, v in lin_ba[j].items():
-            key = OffDiagonalType._make(tgt)
-            acc[key] = acc.get(key, Fraction(0)) - v
-    return GradedElement(nu, acc)
+    acc: dict[Grid, int] = {}
+    for sign, lin in ((1, _order_one_linear(a, b)), (-1, _order_one_linear(b, a))):
+        for part in lin:
+            for tgt, v in part.items():
+                acc[tgt] = acc.get(tgt, 0) + sign * v
+    return GradedElement._make(
+        nu, {OffDiagonalType._make(tgt): v for tgt, v in acc.items() if v}
+    )
 
 
 def poisson_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -232,15 +174,7 @@ def poisson_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
     computed exactly from the order-one part of the product expansion and
     extended bilinearly.
     """
-    if x.nu != y.nu:
-        raise ValueError("size mismatch")
-    acc: dict[OffDiagonalType, Fraction] = {}
-    for ta, ca in x.terms.items():
-        for tb, cb in y.terms.items():
-            w = ca * cb
-            for tp, v in _bracket_basis(ta.entries, tb.entries).terms.items():
-                acc[tp] = acc.get(tp, Fraction(0)) + w * v
-    return GradedElement(x.nu, acc)
+    return bilinear(x, y, lambda a, b: _bracket_basis(a.entries, b.entries).terms.items())
 
 
 def poisson_bracket_via_ring(a: OffDiagonalType, b: OffDiagonalType) -> GradedElement:
@@ -250,7 +184,7 @@ def poisson_bracket_via_ring(a: OffDiagonalType, b: OffDiagonalType) -> GradedEl
     nu = a.nu
     forward = universal_product(a, b)
     backward = universal_product(b, a)
-    acc: dict[OffDiagonalType, Fraction] = {}
+    acc: dict[OffDiagonalType, int] = {}
     for target in set(forward) | set(backward):
         diff = forward.get(target, EpsRingElement.zero(nu)) - backward.get(
             target, EpsRingElement.zero(nu)
@@ -261,16 +195,14 @@ def poisson_bracket_via_ring(a: OffDiagonalType, b: OffDiagonalType) -> GradedEl
     return GradedElement(nu, acc)
 
 
-def _identified_linear_value(x: EpsRingElement) -> Fraction:
+def _identified_linear_value(x: EpsRingElement):
     """(x / eps) at eps = 0 with every variable set to eps.
 
     Needs the identified constant term to vanish; the denominator factors all
     equal 1 at the origin, so the value is the total-degree-one coefficient
     mass of the canonical numerator.
     """
-    const = sum(
-        (c for d, c in x.num.terms.items() if sum(d) == 0), Fraction(0)
-    )
+    const = sum(c for d, c in x.num.terms.items() if sum(d) == 0)
     if const:
         raise ValueError("constant term does not vanish; not a commutator coefficient")
-    return sum((c for d, c in x.num.terms.items() if sum(d) == 1), Fraction(0))
+    return sum(c for d, c in x.num.terms.items() if sum(d) == 1)

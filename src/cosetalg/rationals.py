@@ -1,4 +1,4 @@
-"""Formatting and parsing of exact rationals for JSON output.
+"""Formatting of exact rationals for JSON output.
 
 Everything user-facing prints as "p/q" in lowest terms with positive q,
 or plain "p" for integers.
@@ -16,7 +16,3 @@ def format_rational(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)

@@ -53,8 +53,9 @@ from .algebra import (
     _unpack,
     structure_constant,
 )
+from .combination import Combination
 from .cosets import Margins, OffDiagonalType, embed_offdiagonal, transport
-from .epsring import EpsPolynomial, EpsRingElement, bracket
+from .epsring import EpsPolynomial, EpsRingElement, _den_product, _sum_over_lcm, bracket
 from .errors import InvariantViolation, MarginOverflow
 
 Grid = tuple[tuple[int, ...], ...]
@@ -240,58 +241,33 @@ def enumerate_tensors(
     ]
 
 
-class UniversalElement:
+class UniversalElement(Combination):
     """Finite combination of off-diagonal basis types with ring-element coefficients."""
 
-    __slots__ = ("nu", "terms")
+    __slots__ = ()
 
-    def __init__(self, nu: int, terms: dict[OffDiagonalType, EpsRingElement] | None = None):
-        self.nu = nu
-        self.terms: dict[OffDiagonalType, EpsRingElement] = {}
-        if terms:
-            for tp, coeff in terms.items():
-                if tp.nu != nu:
-                    raise ValueError("size mismatch")
-                if not coeff.is_zero():
-                    self.terms[tp] = coeff
+    @staticmethod
+    def _space_of(tp: OffDiagonalType) -> int:
+        return tp.nu
 
-    @classmethod
-    def basis(cls, tp: OffDiagonalType) -> "UniversalElement":
-        return cls(tp.nu, {tp: EpsRingElement.one(tp.nu)})
+    def _coefficient(self, value) -> EpsRingElement:
+        """A ring element as it is; a rational as the constant ring element."""
+        if not isinstance(value, EpsRingElement):
+            return EpsRingElement.from_rational(self.space, value)
+        if value.nu != self.space:
+            raise ValueError(f"coefficient in {value.nu} variables, expected {self.space}")
+        return value
+
+    @property
+    def nu(self) -> int:
+        return self.space
 
     @classmethod
     def unit(cls, nu: int) -> "UniversalElement":
         return cls.basis(OffDiagonalType.zero(nu))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniversalElement) or self.nu != other.nu:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[t] == other.terms[t] for t in self.terms)
-
-    def __add__(self, other: "UniversalElement") -> "UniversalElement":
-        if self.nu != other.nu:
-            raise ValueError("size mismatch")
-        merged = dict(self.terms)
-        for tp, coeff in other.terms.items():
-            merged[tp] = merged[tp] + coeff if tp in merged else coeff
-        return UniversalElement(self.nu, merged)
-
-    def __sub__(self, other: "UniversalElement") -> "UniversalElement":
-        return self + other.scale(-1)
-
-    def scale(self, scalar) -> "UniversalElement":
-        return UniversalElement(self.nu, {t: c.scale(scalar) for t, c in self.terms.items()})
-
     def __mul__(self, other: "UniversalElement") -> "UniversalElement":
         return universal_multiply(self, other)
-
-    def coefficient(self, tp: OffDiagonalType) -> EpsRingElement:
-        return self.terms.get(tp, EpsRingElement.zero(self.nu))
-
-    def sorted_terms(self) -> list[tuple[OffDiagonalType, EpsRingElement]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].entries)
 
     def to_json_dict(self):
         return {
@@ -310,31 +286,16 @@ def universal_multiply(x: UniversalElement, y: UniversalElement) -> UniversalEle
     running least common denominator; cancellation runs once per final
     target, not once per contribution.
     """
-    if x.nu != y.nu:
-        raise ValueError("size mismatch")
+    x._check(y)
     nu = x.nu
-    scale = EpsRingElement._poly_times_factors
     acc: dict[OffDiagonalType, tuple[EpsPolynomial, dict]] = {}
     for ta, ca in x.terms.items():
         for tb, cb in y.terms.items():
             for tc_entries, coeff in _product_terms(ta.entries, tb.entries).items():
                 tc = OffDiagonalType._make(tc_entries)
                 num = ca.num * cb.num * coeff.num
-                den: dict[tuple[int, int], int] = dict(ca.den)
-                for key, mult in cb.den.items():
-                    den[key] = den.get(key, 0) + mult
-                for key, mult in coeff.den.items():
-                    den[key] = den.get(key, 0) + mult
-                if tc not in acc:
-                    acc[tc] = (num, den)
-                    continue
-                old_num, old_den = acc[tc]
-                lcm = dict(old_den)
-                for key, mult in den.items():
-                    lcm[key] = max(lcm.get(key, 0), mult)
-                old_extra = {k: v - old_den.get(k, 0) for k, v in lcm.items() if v - old_den.get(k, 0)}
-                new_extra = {k: v - den.get(k, 0) for k, v in lcm.items() if v - den.get(k, 0)}
-                acc[tc] = (scale(old_num, old_extra) + scale(num, new_extra), lcm)
+                den = _den_product(ca.den, cb.den, coeff.den)
+                acc[tc] = (num, den) if tc not in acc else _sum_over_lcm(*acc[tc], num, den)
     return UniversalElement(
         nu, {tc: EpsRingElement(nu, num, den) for tc, (num, den) in acc.items()}
     )

@@ -1,0 +1,103 @@
+"""The shared sparse-combination behaviour of the four element types."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from cosetalg import (
+    AlgebraElement,
+    GradedElement,
+    GroupAlgebraVector,
+    Margins,
+    OffDiagonalType,
+    UniversalElement,
+    enumerate_coset_matrices,
+)
+
+
+def _types(nu):
+    return [OffDiagonalType.zero(nu), OffDiagonalType.build(nu, {(0, 1): 1, (1, 0): 1})]
+
+
+# per class: a space, two keys in it and a key in another space
+KEYS = {
+    AlgebraElement: (
+        Margins((2, 2)),
+        enumerate_coset_matrices(Margins((2, 2)))[:2],
+        enumerate_coset_matrices(Margins((1, 2)))[0],
+    ),
+    GradedElement: (2, _types(2), OffDiagonalType.zero(3)),
+    UniversalElement: (2, _types(2), OffDiagonalType.zero(3)),
+    GroupAlgebraVector: (3, [(0, 1, 2), (1, 0, 2)], (1, 0)),
+}
+CLASSES = list(KEYS)
+
+
+def _element(cls):
+    space, (k1, k2), _ = KEYS[cls]
+    return cls(space, {k1: Fraction(1, 2), k2: -3})
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_zero_coefficients_are_dropped(cls):
+    space, (k1, k2), _ = KEYS[cls]
+    x = cls(space, {k1: 0, k2: Fraction(1, 2)})
+    assert list(x.terms) == [k2]
+    assert x == cls(space, {k2: Fraction(1, 2)})
+    assert cls(space, {k1: Fraction(0)}).is_zero()
+
+
+@pytest.mark.parametrize("cls", [AlgebraElement, GradedElement, GroupAlgebraVector])
+def test_rational_coefficients_stored_exactly(cls):
+    space, (k1, k2), _ = KEYS[cls]
+    x = cls(space, {k1: Fraction(4, 2), k2: Fraction(1, 3)})
+    assert type(x.terms[k1]) is int and x.terms[k1] == 2
+    assert x.terms[k2] == Fraction(1, 3)
+    assert type(cls.basis(k1).terms[k1]) is int
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_self_difference_and_zero_multiple_vanish(cls):
+    x = _element(cls)
+    assert not x.is_zero()
+    assert (x - x).is_zero()
+    assert (0 * x).is_zero()
+    assert (Fraction(0) * x).is_zero()
+    assert x - x == cls.zero(KEYS[cls][0])
+    assert 2 * x == x + x
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_coefficient_and_sorted_terms(cls):
+    space, (k1, k2), _ = KEYS[cls]
+    x = _element(cls)
+    assert x.coefficient(k1) == x.terms[k1]
+    assert not cls.zero(space).coefficient(k1)
+    assert [k for k, _ in x.sorted_terms()] == sorted([k1, k2])
+    assert x.mass() == x.terms[k1] + x.terms[k2]
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_other_space_never_equal_nor_added(cls):
+    space, (k1, _), other = KEYS[cls]
+    x, y = cls.basis(k1), cls.basis(other)
+    assert x != y
+    assert cls.zero(space) != y - y
+    with pytest.raises(ValueError):
+        x + y
+    with pytest.raises(ValueError):
+        x - y
+    with pytest.raises(ValueError):
+        cls(space, {other: 1})
+
+
+@pytest.mark.parametrize("cls1, cls2", list(itertools.permutations(CLASSES, 2)))
+def test_other_type_never_equal_nor_added(cls1, cls2):
+    x, y = _element(cls1), _element(cls2)
+    assert x != y
+    assert cls1.zero(KEYS[cls1][0]) != cls2.zero(KEYS[cls2][0])
+    with pytest.raises(ValueError):
+        x + y
+    with pytest.raises(ValueError):
+        x - y

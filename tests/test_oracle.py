@@ -22,6 +22,7 @@ from cosetalg import (
     random_permutation,
     young_average,
 )
+from cosetalg.oracle import oracle_product
 
 from helpers import naive_classify
 
@@ -229,3 +230,16 @@ def test_convolution_convention_matches_oracle():
                 members = enumerate_coset(c, yp)
                 for g in members:
                     assert vec.terms.get(g, Fraction(0)) == coeff / len(members)
+
+
+@pytest.mark.parametrize("n", [(2, 2), (1, 2, 2)])
+def test_oracle_product_matches_direct_counts(n):
+    margins = Margins(n)
+    yp = YoungPartition(margins)
+    matrices = enumerate_coset_matrices(margins)
+    for a in matrices:
+        for b in matrices:
+            direct = {
+                c: oracle_structure_constant(a, b, c, yp, mode="direct") for c in matrices
+            }
+            assert oracle_product(a, b, yp) == {c: v for c, v in direct.items() if v}

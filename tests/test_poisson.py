@@ -9,6 +9,7 @@ from cosetalg import (
     first_order_shift_formula,
     first_order_term,
     graded_multiply,
+    poisson,
     poisson_bracket,
     poisson_bracket_via_ring,
     universal_product,
@@ -155,3 +156,17 @@ def test_leibniz_small_grid():
                     y, poisson_bracket(x, z)
                 )
                 assert lhs == rhs
+
+
+def test_graded_layer_coefficients_are_ints():
+    # brackets and graded products of basis types have integer coefficients,
+    # and the graded layer keeps them as ints
+    pool = balanced_types(3, 2)
+    for a in pool:
+        x = GradedElement.basis(a)
+        for b in pool:
+            y = GradedElement.basis(b)
+            for product in (poisson_bracket(x, y), graded_multiply(x, y)):
+                assert all(type(v) is int for v in product.terms.values()), (a, b)
+            for part in poisson._order_one_linear(a.entries, b.entries):
+                assert all(type(v) is int for v in part.values()), (a, b)
