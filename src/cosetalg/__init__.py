@@ -8,19 +8,16 @@ hypergeometric closed forms, and the graded/Poisson degeneration.
 from .algebra import (
     AlgebraElement,
     AssociativityReport,
-    TripleTensor,
     commutator,
     multiply,
     product_table,
     structure_constant,
-    triple_tensors,
     verify_associativity,
 )
 from .braid import (
     BraidReport,
     RelationCheck,
     check_relations,
-    commutator_witness,
     r_element,
     scaled_r_element,
 )
@@ -33,7 +30,7 @@ from .cosets import (
     enumerate_coset_matrices,
     strip_diagonal,
 )
-from .epsring import EpsPolynomial, EpsRingElement, EpsSeries, bracket, expand, specialize
+from .epsring import EpsPolynomial, EpsRingElement, EpsSeries, bracket
 from .errors import (
     BruteForceLimitExceeded,
     CosetAlgError,
@@ -41,35 +38,22 @@ from .errors import (
     MarginOverflow,
     PoleAtSpecialization,
 )
-from .nu2 import f43_terminating, phi_matrix, s_closed_form, s_eq3, s_oracle, s_sum, universal_s
+from .nu2 import f43_terminating, phi_matrix, s_closed_form, s_eq3, s_oracle, s_sum
 from .oracle import (
-    GroupAlgebraVector,
     YoungPartition,
     classify,
     compose,
-    convolve,
-    coset_average,
-    enumerate_coset,
-    inverse,
     oracle_structure_constant,
-    random_permutation,
-    young_average,
 )
 from .poisson import (
     GradedElement,
-    first_order_shift_formula,
-    first_order_term,
     graded_multiply,
     poisson_bracket,
     poisson_bracket_via_ring,
 )
 from .universal import (
-    ConstrainedTripleTensor,
-    Lemma3Report,
     UniversalElement,
     candidate_outputs,
-    enumerate_tensors,
-    lemma3_checks,
     specialize_constant,
     universal_multiply,
     universal_product,

@@ -27,7 +27,6 @@ per target; no tensor is ever materialised on this route.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,50 +37,6 @@ from .cosets import CosetMatrix, Margins, enumerate_coset_matrices, transport
 from .rationals import format_rational
 
 Grid = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class TripleTensor:
-    """A nonnegative integer 3-tensor t_ijk with its three marginal slices."""
-
-    entries: tuple[tuple[tuple[int, ...], ...], ...]
-
-    @property
-    def nu(self) -> int:
-        return len(self.entries)
-
-    def first_margin(self) -> Grid:
-        """sum over k: the a-slice."""
-        nu = self.nu
-        return tuple(
-            tuple(sum(self.entries[i][j]) for j in range(nu)) for i in range(nu)
-        )
-
-    def second_margin(self) -> Grid:
-        """sum over i: the b-slice."""
-        nu = self.nu
-        return tuple(
-            tuple(sum(self.entries[i][j][k] for i in range(nu)) for k in range(nu))
-            for j in range(nu)
-        )
-
-    def third_margin(self) -> Grid:
-        """sum over j: the c-slice."""
-        nu = self.nu
-        return tuple(
-            tuple(sum(self.entries[i][j][k] for j in range(nu)) for k in range(nu))
-            for i in range(nu)
-        )
-
-    def middle_slice_sum(self, j: int) -> int:
-        """Total of all cells with middle index j, excluding the (j, j, j) cell."""
-        nu = self.nu
-        return sum(
-            self.entries[i][j][k]
-            for i in range(nu)
-            for k in range(nu)
-            if not (i == j and k == j)
-        )
 
 
 def _convolve(slices) -> dict[int, int]:
@@ -149,23 +104,6 @@ def _product_terms(a: Grid, b: Grid, n: tuple[int, ...]) -> dict[Grid, Fraction]
     num = prod(factorial(v) for row in b for v in row)
     den = prod(map(factorial, n))
     return {_unpack(key, nu, nu, shift): Fraction(num * w, den) for key, w in weights.items()}
-
-
-def triple_tensors(a: CosetMatrix, b: CosetMatrix, c: CosetMatrix) -> list[TripleTensor]:
-    """All 3-tensors whose marginal slices are exactly (a, b, c)."""
-    _require_same_margins(a, b, c)
-    nu = a.margins.nu
-    slices = [transport(_column(a.entries, j), b.entries[j]) for j in range(nu)]
-    found = []
-    for planes in itertools.product(*slices):
-        got = tuple(
-            tuple(sum(p[i][k] for p in planes) for k in range(nu)) for i in range(nu)
-        )
-        if got == c.entries:
-            found.append(
-                TripleTensor(tuple(tuple(p[i] for p in planes) for i in range(nu)))
-            )
-    return found
 
 
 def _require_same_margins(*ms: CosetMatrix) -> Margins:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, commutator, multiply
+from .algebra import AlgebraElement, commutator
 from .cosets import CosetMatrix, Margins
 
 
@@ -48,18 +48,6 @@ def scaled_r_element(i: int, j: int, margins: Margins) -> AlgebraElement:
     """n_i * n_j times the transposition average; the braid-relation normalization."""
     base = r_element(i, j, margins)
     return Fraction(margins.n[i - 1] * margins.n[j - 1]) * base
-
-
-def commutator_witness(i: int, j: int, k: int, margins: Margins) -> AlgebraElement:
-    """The commutator of the (j, k) and (i, j) transposition averages.
-
-    For pairwise distinct indices this is a difference of two basis elements,
-    each weighted 1/n_j: the two targets are the diagonal-minus-one matrix
-    completed by the two opposite 3-cycles through blocks i, j, k.
-    """
-    if len({i, j, k}) != 3:
-        raise ValueError("indices must be pairwise distinct")
-    return commutator(r_element(j, k, margins), r_element(i, j, margins))
 
 
 @dataclass
@@ -113,41 +101,3 @@ def check_relations(margins: Margins) -> BraidReport:
             lhs = commutator(scaled_r_element(p, q, margins), scaled_r_element(r, s, margins))
             checks.append(RelationCheck("(9)", (p, q, r, s), lhs.is_zero(), lhs))
     return BraidReport(margins, checks)
-
-
-def displayed_product_targets(i: int, j: int, k: int, margins: Margins):
-    """The product r_jk * r_ij together with its two predicted basis targets.
-
-    The product is supported on exactly two matrices: the chain matrix, with
-    off-diagonal units at (i, j), (j, i), (j, k), (k, j), carrying coefficient
-    (n_j - 1)/n_j, and the forward 3-cycle matrix, with units at (i, j),
-    (j, k), (k, i), carrying 1/n_j.  Returns (product, chain, cycle); the
-    chain is None when n_j = 1 (its coefficient vanishes and its matrix
-    would need two points in block j).
-    """
-    prod = multiply(r_element(j, k, margins), r_element(i, j, margins))
-    nu = margins.nu
-    i0, j0, k0 = i - 1, j - 1, k - 1
-    chain = None
-    if margins.n[j0] >= 2:
-        grid = [[0] * nu for _ in range(nu)]
-        for t in range(nu):
-            grid[t][t] = margins.n[t]
-        grid[i0][i0] -= 1
-        grid[j0][j0] -= 2
-        grid[k0][k0] -= 1
-        grid[i0][j0] += 1
-        grid[j0][i0] += 1
-        grid[j0][k0] += 1
-        grid[k0][j0] += 1
-        chain = CosetMatrix(tuple(tuple(r) for r in grid), margins)
-    cycle = [[0] * nu for _ in range(nu)]
-    for t in range(nu):
-        cycle[t][t] = margins.n[t]
-    cycle[i0][i0] -= 1
-    cycle[j0][j0] -= 1
-    cycle[k0][k0] -= 1
-    cycle[i0][j0] += 1
-    cycle[j0][k0] += 1
-    cycle[k0][i0] += 1
-    return prod, chain, CosetMatrix(tuple(tuple(r) for r in cycle), margins)

@@ -1,8 +1,9 @@
 """Finite combinations of basis keys and the bilinear extension of a basis product.
 
-The finite, graded, universal and group algebras share one shape: an element
-is a finite combination sum_k c_k * k of basis keys that all lie in one space
-(the margins, the block count nu, or the permutation length), and a product
+The finite, graded and universal algebras (and the group algebra of S_N that
+the tests use as a reference) share one shape: an element is a finite
+combination sum_k c_k * k of basis keys that all lie in one space (the
+margins, the block count nu, or the permutation length), and a product
 is the bilinear extension of a product of basis keys.  ``Combination`` holds
 that shape once; each algebra subclasses it with how to read a key's space,
 its unit, its JSON shape and, where the ring is not the rationals, how a

@@ -78,12 +78,6 @@ class EpsPolynomial:
         return cls(nu, {(0,) * nu: value})
 
     @classmethod
-    def variable(cls, nu: int, j: int) -> "EpsPolynomial":
-        deg = [0] * nu
-        deg[j] = 1
-        return cls(nu, {tuple(deg): 1})
-
-    @classmethod
     def monomial(cls, nu: int, deg: Degree, coeff=1) -> "EpsPolynomial":
         return cls(nu, {tuple(deg): coeff})
 
@@ -291,6 +285,15 @@ class EpsRingElement:
                     self.den[(j, m)] = self.den.get((j, m), 0) + mult
         self._canonicalize()
 
+    @classmethod
+    def _make(cls, nu: int, num: EpsPolynomial, den: Den) -> "EpsRingElement":
+        """Trusted constructor: num over den already canonical, den empty when num is zero."""
+        self = object.__new__(cls)
+        self.nu = nu
+        self.num = num
+        self.den = den
+        return self
+
     def _canonicalize(self):
         if self.num.is_zero():
             self.den = {}
@@ -342,7 +345,7 @@ class EpsRingElement:
         return EpsRingElement(self.nu, *_sum_over_lcm(self.num, self.den, other.num, other.den))
 
     def __neg__(self) -> "EpsRingElement":
-        return EpsRingElement(self.nu, -self.num, dict(self.den))
+        return EpsRingElement._make(self.nu, -self.num, dict(self.den))
 
     def __sub__(self, other: "EpsRingElement") -> "EpsRingElement":
         return self + (-other)
@@ -353,7 +356,9 @@ class EpsRingElement:
         return EpsRingElement(self.nu, self.num * other.num, _den_product(self.den, other.den))
 
     def scale(self, scalar) -> "EpsRingElement":
-        return EpsRingElement(self.nu, self.num.scale(scalar), dict(self.den))
+        """Multiply by a rational; a nonzero factor cannot change which factors divide."""
+        num = self.num.scale(scalar)
+        return EpsRingElement._make(self.nu, num, dict(self.den) if num.terms else {})
 
     __rmul__ = scale
 
@@ -457,14 +462,6 @@ def _sum_over_lcm(
     extra1 = {k: v - den1.get(k, 0) for k, v in lcm.items() if v != den1.get(k, 0)}
     extra2 = {k: v - den2.get(k, 0) for k, v in lcm.items() if v != den2.get(k, 0)}
     return _times_factors(num1, extra1) + _times_factors(num2, extra2), lcm
-
-
-def specialize(x: EpsRingElement, margins: Margins) -> Fraction:
-    return x.specialize(margins)
-
-
-def expand(x: EpsRingElement, order: int) -> "EpsSeries":
-    return x.expand(order)
 
 
 class EpsSeries:

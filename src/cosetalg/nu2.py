@@ -21,7 +21,6 @@ from math import factorial
 
 from .algebra import structure_constant
 from .cosets import CosetMatrix, Margins
-from .epsring import EpsPolynomial, EpsRingElement, bracket
 from .errors import HypergeometricParameterError, InvariantViolation
 from .oracle import YoungPartition, oracle_structure_constant
 
@@ -67,15 +66,6 @@ def s_sum(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:
             den *= factorial(x)
         total += Fraction(1, den)
     return pref * total
-
-
-def pochhammer(x, k: int) -> Fraction:
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1), exact."""
-    out = Fraction(1)
-    x = Fraction(x)
-    for t in range(k):
-        out *= x + t
-    return out
 
 
 def f43_terminating(upper, lower) -> Fraction:
@@ -149,40 +139,6 @@ def s_closed_form(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:
     lowers = [s0 + 1, c - b + s0 + 1, c - a + s0 + 1, n2 - a - b + s0 + 1]
     lowers.remove(1)  # the slot realizing s0 supplies the series k!
     return prefactor * f43_terminating(upper, tuple(lowers))
-
-
-def universal_s(a: int, b: int, c: int) -> EpsRingElement:
-    """The margin-free two-block structure constant as a ring element.
-
-    Each (sigma, tau) term carries the monomial eps_1^tau eps_2^sigma and the
-    bracket ratio with upper cut a+b-tau on the first variable and a+b-sigma
-    on the second.  Reduces to (a!)^2 eps_1^a eps_2^a / (((0,a)) ((0,a)))
-    at b = a, c = 0.
-    """
-    if min(a, b, c) < 0:
-        raise ValueError("indices must be nonnegative")
-    total = EpsRingElement.zero(2)
-    for sigma in range(0, min(a, b) + 1):
-        tau = a + b - c - sigma
-        if not 0 <= tau <= min(a, b):
-            continue
-        coeff = Fraction(
-            factorial(a) ** 2 * factorial(b) ** 2,
-            factorial(sigma) * factorial(tau) * factorial(a - sigma) * factorial(a - tau)
-            * factorial(b - sigma) * factorial(b - tau),
-        )
-        cut1 = a + b - tau
-        cut2 = a + b - sigma
-        num = EpsPolynomial.monomial(2, (tau, sigma), coeff)
-        num = num * bracket(a, cut1, 0, 2) * bracket(b, cut1, 0, 2)
-        num = num * bracket(a, cut2, 1, 2) * bracket(b, cut2, 1, 2)
-        den: dict[tuple[int, int], int] = {}
-        for m in range(1, cut1):
-            den[(0, m)] = den.get((0, m), 0) + 1
-        for m in range(1, cut2):
-            den[(1, m)] = den.get((1, m), 0) + 1
-        total = total + EpsRingElement(2, num, den)
-    return total
 
 
 def s_eq3(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:

@@ -107,53 +107,6 @@ def _range_sum(p: int, q: int) -> int:
     return (q * (q - 1) - p * (p - 1)) // 2
 
 
-def first_order_term(a: OffDiagonalType, b: OffDiagonalType) -> dict[int, GradedElement]:
-    """Coefficient of each eps_j (1-based j) in the product of basis types a, b.
-
-    Computed by expanding every exact product coefficient to total degree
-    one; no transcribed formula is involved.
-    """
-    if a.nu != b.nu:
-        raise ValueError("size mismatch")
-    nu = a.nu
-    out = {j + 1: GradedElement.zero(nu) for j in range(nu)}
-    for target, coeff in universal_product(a, b).items():
-        series = coeff.expand(1)
-        for j in range(nu):
-            deg = tuple(1 if t == j else 0 for t in range(nu))
-            v = series.coefficient(deg)
-            if v:
-                out[j + 1] = out[j + 1] + GradedElement(nu, {target: v})
-    return out
-
-
-def first_order_shift_formula(a: OffDiagonalType, b: OffDiagonalType) -> dict[int, GradedElement]:
-    """The pure shifted-target sum, without the diagonal correction on a + b.
-
-    For each variable j this is sum over alpha, gamma != j of
-    a_{alpha j} b_{j gamma} on a + b + E_{alpha gamma} - E_{alpha j} - E_{j gamma}.
-    It differs from the true first-order coefficient by the correction term
-    -a*_jj b*_jj on a + b; the test suite records exactly that difference.
-    """
-    if a.nu != b.nu:
-        raise ValueError("size mismatch")
-    nu = a.nu
-    base = (a + b).entries
-    out = {}
-    for j in range(nu):
-        acc: dict[OffDiagonalType, int] = {}
-        for alpha in range(nu):
-            if alpha == j or a.entries[alpha][j] == 0:
-                continue
-            for gamma in range(nu):
-                if gamma == j or b.entries[j][gamma] == 0:
-                    continue
-                tgt = _shift_target(base, alpha, j, gamma)
-                acc[tgt] = acc.get(tgt, 0) + a.entries[alpha][j] * b.entries[j][gamma]
-        out[j + 1] = GradedElement(nu, acc)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _bracket_basis(a: Grid, b: Grid) -> GradedElement:
     nu = len(a)

@@ -39,40 +39,17 @@ are kept at the end.  Polynomials are touched once per profile.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .algebra import (
-    TripleTensor,
-    _column,
-    _convolve,
-    _field_bits,
-    _unpack,
-    structure_constant,
-)
+from .algebra import _column, _convolve, _field_bits, _unpack
 from .combination import Combination
-from .cosets import Margins, OffDiagonalType, embed_offdiagonal, transport
+from .cosets import Margins, OffDiagonalType, transport
 from .epsring import EpsPolynomial, EpsRingElement, _den_product, _sum_over_lcm, bracket
 from .errors import InvariantViolation, MarginOverflow
 
 Grid = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class ConstrainedTripleTensor(TripleTensor):
-    """A triple tensor whose (j, j, j) cells are identically zero."""
-
-    def __post_init__(self):
-        for j in range(self.nu):
-            if self.entries[j][j][j] != 0:
-                raise ValueError("cells with all indices equal must be zero")
-
-    def t_star(self, j: int) -> int:
-        """The common coupled value at j: the middle-slice sum."""
-        return self.middle_slice_sum(j)
 
 
 def _star(entries: Grid, j: int) -> int:
@@ -137,19 +114,6 @@ def _profile_weights(a: Grid, b: Grid) -> dict[tuple[Grid, tuple[int, ...]], int
             t_stars = tuple(s + r for s, r in zip(a_stars, row_sums))
             out[(c, t_stars)] = w
     return out
-
-
-def _tensors(a: Grid, b: Grid):
-    """Yield (t, c) for every admissible tensor: slice choices with balanced c."""
-    nu = len(a)
-    slices = [_slice_planes(j, _column(a, j), b[j]) for j in range(nu)]
-    for planes in itertools.product(*slices):
-        c = tuple(
-            tuple(sum(p[i][k] for p in planes) if i != k else 0 for k in range(nu))
-            for i in range(nu)
-        )
-        if _balanced(c):
-            yield tuple(tuple(p[i] for p in planes) for i in range(nu)), c
 
 
 @lru_cache(maxsize=None)
@@ -226,19 +190,6 @@ def candidate_outputs(a: OffDiagonalType, b: OffDiagonalType) -> list[OffDiagona
         raise ValueError("size mismatch")
     seen = {c for c, _ in _profile_weights(a.entries, b.entries)}
     return sorted((OffDiagonalType._make(c) for c in seen), key=lambda t: t.entries)
-
-
-def enumerate_tensors(
-    a: OffDiagonalType, b: OffDiagonalType, c: OffDiagonalType
-) -> list[ConstrainedTripleTensor]:
-    """The full constraint set for the triple (a, b, c); may be empty."""
-    if not (a.nu == b.nu == c.nu):
-        raise ValueError("size mismatch")
-    return [
-        ConstrainedTripleTensor(t)
-        for t, got_c in _tensors(a.entries, b.entries)
-        if got_c == c.entries
-    ]
 
 
 class UniversalElement(Combination):
@@ -323,61 +274,3 @@ def check_fit(a: OffDiagonalType, b: OffDiagonalType, margins: Margins) -> None:
         for j in range(margins.nu):
             if tp.star(j) > margins.n[j]:
                 raise MarginOverflow(j + 1, tp.star(j), margins.n[j])
-
-
-def finite_constant_via_embedding(
-    a: OffDiagonalType, b: OffDiagonalType, c: OffDiagonalType, margins: Margins
-) -> Fraction:
-    """Reference value for ``specialize_constant``: embed and use the finite algebra."""
-    try:
-        mc = embed_offdiagonal(c, margins)
-    except MarginOverflow:
-        return Fraction(0)
-    return structure_constant(
-        embed_offdiagonal(a, margins), embed_offdiagonal(b, margins), mc
-    )
-
-
-@dataclass
-class Lemma3Report:
-    """Exponent bookkeeping over every reachable target of one ordered pair."""
-
-    a: OffDiagonalType
-    b: OffDiagonalType
-    tensors_checked: int
-    exponent_failures: int
-    zero_exponent_failures: int
-
-    @property
-    def ok(self) -> bool:
-        return self.exponent_failures == 0 and self.zero_exponent_failures == 0
-
-
-def lemma3_checks(a: OffDiagonalType, b: OffDiagonalType) -> Lemma3Report:
-    """For every admissible tensor: the eps-exponents are the cross-slice sums,
-    hence nonnegative, and they all vanish only on the target a + b."""
-    if a.nu != b.nu:
-        raise ValueError("size mismatch")
-    nu = a.nu
-    tensors = 0
-    bad_exponent = 0
-    bad_zero = 0
-    target_sum = (a + b).entries
-    for t, c in _tensors(a.entries, b.entries):
-        tensors += 1
-        exps = []
-        for j in range(nu):
-            t_star = _star(a.entries, j) + sum(t[j][j][k] for k in range(nu) if k != j)
-            e = _star(a.entries, j) + _star(b.entries, j) - t_star
-            cross = sum(
-                t[i][j][k]
-                for i in range(nu)
-                for k in range(nu)
-                if i != j and k != j
-            )
-            if e != cross or e < 0:
-                bad_exponent += 1
-            exps.append(e)
-        if all(e == 0 for e in exps) and c != target_sum:
-            bad_zero += 1
-    return Lemma3Report(a, b, tensors, bad_exponent, bad_zero)

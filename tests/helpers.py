@@ -1,10 +1,32 @@
-"""Shared brute-force helpers and reference routes, kept independent of the package's enumeration."""
+"""Shared brute-force helpers and every reference route the tests compare against.
+
+The package keeps one production route per quantity; the independent routes
+that check it live here: the full 3-tensor walks, the group algebra of S_N,
+the two-block universal sum, Lemma 3's exponent bookkeeping, the finite value
+through embedding, the displayed braid products, and the per-term
+``Fraction`` evaluation.  They share no enumeration with the package.
+"""
 
 import itertools
 from fractions import Fraction
 from math import factorial, prod
 
-from cosetalg import Margins, OffDiagonalType
+from cosetalg import (
+    CosetMatrix,
+    EpsPolynomial,
+    EpsRingElement,
+    Margins,
+    MarginOverflow,
+    OffDiagonalType,
+    bracket,
+    commutator,
+    embed_offdiagonal,
+    multiply,
+    r_element,
+    structure_constant,
+)
+from cosetalg.combination import Combination, bilinear
+from cosetalg.oracle import compose, coset_partition
 
 
 def naive_classify(g, n):
@@ -70,7 +92,7 @@ def margins_of(*n):
 
 
 def tensor_sums(a, b, nu):
-    """Return (c_entries, prod t_ijk!) for every tensor with margins a and b.
+    """Return (t_entries, c_entries, prod t_ijk!) for every tensor with margins a and b.
 
     Cells are visited in row-major order of (i, j) and each a_ij is split
     across k under the remaining b-column budgets.
@@ -88,7 +110,7 @@ def tensor_sums(a, b, nu):
                 tuple(sum(t[i][j][k] for j in range(nu)) for k in range(nu))
                 for i in range(nu)
             )
-            results.append((c, denom))
+            results.append((tuple(tuple(map(tuple, plane)) for plane in t), c, denom))
             return
         i, j = cells[ci]
         rem_cols = colrem[j]
@@ -122,7 +144,7 @@ def reference_product_terms(a, b, n):
         prod(factorial(x) for x in n),
     )
     acc = {}
-    for c, denom in tensor_sums(a, b, len(n)):
+    for _, c, denom in tensor_sums(a, b, len(n)):
         acc[c] = acc.get(c, Fraction(0)) + Fraction(1, denom)
     return {c: pref * v for c, v in acc.items() if v}
 
@@ -207,7 +229,6 @@ def reference_universal_terms(a, b):
     Weights are summed as one Fraction per tensor; the polynomial part uses
     the package's per-profile bracket products.
     """
-    from cosetalg import EpsRingElement
     from cosetalg.universal import _profile_poly
 
     nu = len(a)
@@ -256,3 +277,162 @@ def reference_specialize(x, margins):
     for (j, m), mult in x.den.items():
         value /= (1 - Fraction(m, n[j])) ** mult
     return value
+
+
+def lemma3_checks(a, b):
+    """Walk the admissible tensors of the pair of grids (a, b) and check Lemma 3.
+
+    At every j the eps_j exponent a*_jj + b*_jj - t*_jjj must equal the
+    cross-slice sum of t_ijk over i, k != j, hence be nonnegative, and all
+    exponents may vanish only on the target a + b.  Returns the number of
+    tensors walked and the list of (tensor, c) that fail.
+    """
+    nu = len(a)
+    a_stars = [_star(a, j) for j in range(nu)]
+    b_stars = [_star(b, j) for j in range(nu)]
+    target = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    walked = walk_tensors(a, b)
+    failures = []
+    for t, c, _ in walked:
+        exps, cross = [], []
+        for j in range(nu):
+            t_star = a_stars[j] + sum(t[j][j]) - t[j][j][j]
+            exps.append(a_stars[j] + b_stars[j] - t_star)
+            cross.append(sum(t[i][j][k] for i in range(nu) for k in range(nu) if i != j != k))
+        if exps != cross or min(exps) < 0 or (not any(exps) and c != target):
+            failures.append((t, c))
+    return len(walked), failures
+
+
+def finite_constant_via_embedding(a, b, c, margins):
+    """Reference value for ``specialize_constant``: embed and use the finite algebra."""
+    try:
+        mc = embed_offdiagonal(c, margins)
+    except MarginOverflow:
+        return Fraction(0)
+    return structure_constant(embed_offdiagonal(a, margins), embed_offdiagonal(b, margins), mc)
+
+
+def universal_s(a, b, c):
+    """The margin-free two-block structure constant as a ring element.
+
+    Each (sigma, tau) term carries the monomial eps_1^tau eps_2^sigma and the
+    bracket ratio with upper cut a+b-tau on the first variable and a+b-sigma
+    on the second.  Reduces to (a!)^2 eps_1^a eps_2^a / (((0,a)) ((0,a)))
+    at b = a, c = 0.
+    """
+    total = EpsRingElement.zero(2)
+    for sigma in range(0, min(a, b) + 1):
+        tau = a + b - c - sigma
+        if not 0 <= tau <= min(a, b):
+            continue
+        coeff = Fraction(
+            factorial(a) ** 2 * factorial(b) ** 2,
+            factorial(sigma) * factorial(tau) * factorial(a - sigma) * factorial(a - tau)
+            * factorial(b - sigma) * factorial(b - tau),
+        )
+        cut1 = a + b - tau
+        cut2 = a + b - sigma
+        num = EpsPolynomial.monomial(2, (tau, sigma), coeff)
+        num = num * bracket(a, cut1, 0, 2) * bracket(b, cut1, 0, 2)
+        num = num * bracket(a, cut2, 1, 2) * bracket(b, cut2, 1, 2)
+        den = {(0, m): 1 for m in range(1, cut1)}
+        den.update(((1, m), 1) for m in range(1, cut2))
+        total = total + EpsRingElement(2, num, den)
+    return total
+
+
+# Reference route for the oracle: the group algebra of S_N, in which the
+# coset averages multiply by convolution.
+
+
+class GroupAlgebraVector(Combination):
+    """Sparse exact-rational vector in the group algebra of S_N; the space is N."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _space_of(g):
+        return len(g)
+
+    @classmethod
+    def delta(cls, g):
+        return cls.basis(tuple(g))
+
+
+def convolve(x, y):
+    """Group algebra product: mass of x at g and of y at h lands on h o g."""
+    return bilinear(x, y, lambda g, h: ((compose(h, g), 1),))
+
+
+def young_average(yp):
+    """Uniform average over the Young subgroup; an idempotent."""
+    blocks, start = [], 0
+    for size in yp.margins.n:
+        blocks.append(range(start, start + size))
+        start += size
+    weight = Fraction(1, prod(factorial(size) for size in yp.margins.n))
+    terms = {}
+    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        img = [0] * yp.margins.N
+        for block, perm in zip(blocks, parts):
+            for src, dst in zip(block, perm):
+                img[src] = dst
+        terms[tuple(img)] = weight
+    return GroupAlgebraVector(yp.margins.N, terms)
+
+
+def coset_average(m, yp):
+    """The normalized coset sum: weight 1/coset_size on every member."""
+    perms = coset_partition(yp)[m]
+    w = Fraction(1, len(perms))
+    return GroupAlgebraVector(yp.margins.N, {g: w for g in perms})
+
+
+# The displayed products of transposition averages (braid relations).
+
+
+def moved_matrix(margins, moves):
+    """The diagonal matrix of the margins with, for each 1-based (i, j) in
+    ``moves``, one point of block i moved into block j."""
+    nu = margins.nu
+    grid = [[margins.n[i] if i == j else 0 for j in range(nu)] for i in range(nu)]
+    for i, j in moves:
+        grid[i - 1][i - 1] -= 1
+        grid[i - 1][j - 1] += 1
+    return CosetMatrix(tuple(map(tuple, grid)), margins)
+
+
+def cycle_matrices(i, j, k, margins):
+    """The two opposite 3-cycle completions through blocks i, j, k (1-based)."""
+    return (
+        moved_matrix(margins, [(i, j), (j, k), (k, i)]),
+        moved_matrix(margins, [(i, k), (k, j), (j, i)]),
+    )
+
+
+def displayed_product_targets(i, j, k, margins):
+    """The product r_jk * r_ij together with its two predicted basis targets.
+
+    The product is supported on exactly two matrices: the chain matrix, with
+    off-diagonal units at (i, j), (j, i), (j, k), (k, j), carrying coefficient
+    (n_j - 1)/n_j, and the forward 3-cycle matrix, with units at (i, j),
+    (j, k), (k, i), carrying 1/n_j.  Returns (product, chain, cycle); the
+    chain is None when n_j = 1 (its coefficient vanishes and its matrix
+    would need two points in block j).
+    """
+    product = multiply(r_element(j, k, margins), r_element(i, j, margins))
+    chain = None
+    if margins.n[j - 1] >= 2:
+        chain = moved_matrix(margins, [(i, j), (j, i), (j, k), (k, j)])
+    return product, chain, cycle_matrices(i, j, k, margins)[0]
+
+
+def commutator_witness(i, j, k, margins):
+    """The commutator of the (j, k) and (i, j) transposition averages.
+
+    For pairwise distinct indices this is a difference of two basis elements,
+    each weighted 1/n_j: the two targets are the diagonal-minus-one matrix
+    completed by the two opposite 3-cycles through blocks i, j, k.
+    """
+    return commutator(r_element(j, k, margins), r_element(i, j, margins))

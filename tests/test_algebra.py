@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -16,13 +16,12 @@ from cosetalg import (
     oracle_structure_constant,
     product_table,
     structure_constant,
-    triple_tensors,
     verify_associativity,
 )
 from cosetalg import algebra
 from cosetalg.oracle import oracle_product
 
-from helpers import reference_product_terms
+from helpers import reference_product_terms, tensor_sums
 
 
 def basis_elements(margins):
@@ -152,32 +151,33 @@ def test_constants_nonnegative_with_bounded_denominator(n):
 
 
 def test_triple_tensors_match_brute_force():
+    # the reference walk behind test_product_terms_match_tensor_walk, against a scan
     margins = Margins((2, 2))
     matrices = enumerate_coset_matrices(margins)
+    cells = list(itertools.product(range(2), repeat=3))
     for a in matrices:
         for b in matrices:
-            for c in matrices:
-                got = {t.entries for t in triple_tensors(a, b, c)}
-                want = set()
-                cells = list(itertools.product(range(2), repeat=3))
-                for values in itertools.product(range(3), repeat=8):
-                    t = [[[0] * 2 for _ in range(2)] for _ in range(2)]
-                    for (i, j, k), v in zip(cells, values):
-                        t[i][j][k] = v
-                    ok = all(
-                        sum(t[i][j][k] for k in range(2)) == a.entries[i][j]
-                        and sum(t[k][i][j] for k in range(2)) == b.entries[i][j]
-                        and sum(t[i][k][j] for k in range(2)) == c.entries[i][j]
+            walked = tensor_sums(a.entries, b.entries, 2)
+            want = set()
+            for values in itertools.product(range(3), repeat=8):
+                t = [[[0] * 2 for _ in range(2)] for _ in range(2)]
+                for (i, j, k), v in zip(cells, values):
+                    t[i][j][k] = v
+                ok = all(
+                    sum(t[i][j][k] for k in range(2)) == a.entries[i][j]
+                    and sum(t[k][i][j] for k in range(2)) == b.entries[i][j]
+                    for i in range(2)
+                    for j in range(2)
+                )
+                if ok:
+                    c = tuple(
+                        tuple(sum(t[i][k][j] for k in range(2)) for j in range(2))
                         for i in range(2)
-                        for j in range(2)
                     )
-                    if ok:
-                        want.add(tuple(tuple(tuple(col) for col in plane) for plane in t))
-                assert got == want
-                for t in triple_tensors(a, b, c):
-                    assert t.first_margin() == a.entries
-                    assert t.second_margin() == b.entries
-                    assert t.third_margin() == c.entries
+                    denom = prod(factorial(v) for v in values)
+                    want.add((tuple(tuple(map(tuple, plane)) for plane in t), c, denom))
+            assert len(walked) == len(want)
+            assert set(walked) == want
 
 
 def test_margin_mismatch_rejected():

@@ -4,41 +4,24 @@ from fractions import Fraction
 import pytest
 
 from cosetalg import (
-    AlgebraElement,
-    CosetMatrix,
-    GroupAlgebraVector,
     Margins,
     YoungPartition,
     check_relations,
     classify,
     commutator,
+    r_element,
+    scaled_r_element,
+)
+
+from helpers import (
+    GroupAlgebraVector,
     commutator_witness,
     convolve,
     coset_average,
-    multiply,
-    r_element,
-    scaled_r_element,
+    cycle_matrices,
+    displayed_product_targets,
     young_average,
 )
-from cosetalg.braid import displayed_product_targets
-
-
-def cycle_matrices(i, j, k, margins):
-    """The two opposite 3-cycle completions through blocks i, j, k (1-based)."""
-    nu = margins.nu
-    fwd = [[0] * nu for _ in range(nu)]
-    rev = [[0] * nu for _ in range(nu)]
-    for t in range(nu):
-        fwd[t][t] = rev[t][t] = margins.n[t]
-    for m in (fwd, rev):
-        for t in (i - 1, j - 1, k - 1):
-            m[t][t] -= 1
-    fwd[i - 1][j - 1] = fwd[j - 1][k - 1] = fwd[k - 1][i - 1] = 1
-    rev[i - 1][k - 1] = rev[j - 1][i - 1] = rev[k - 1][j - 1] = 1
-    return (
-        CosetMatrix(tuple(map(tuple, fwd)), margins),
-        CosetMatrix(tuple(map(tuple, rev)), margins),
-    )
 
 
 def test_r_element_matrix():

@@ -8,12 +8,13 @@ import pytest
 from cosetalg import (
     AlgebraElement,
     GradedElement,
-    GroupAlgebraVector,
     Margins,
     OffDiagonalType,
     UniversalElement,
     enumerate_coset_matrices,
 )
+
+from helpers import GroupAlgebraVector
 
 
 def _types(nu):

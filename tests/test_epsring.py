@@ -8,8 +8,10 @@ from cosetalg import (
     EpsPolynomial,
     EpsRingElement,
     Margins,
+    OffDiagonalType,
     PoleAtSpecialization,
     bracket,
+    universal_product,
 )
 from helpers import reference_evaluate, reference_specialize
 
@@ -234,3 +236,29 @@ def test_specialize_matches_reference():
         for _ in range(60):
             x = random_element(rng, 2)
             assert x.specialize(margins) == reference_specialize(x, margins), x
+
+
+def test_scaling_and_negation_skip_trial_division(monkeypatch):
+    # a nonzero rational factor cannot change which denominator factors divide
+    # the numerator, so scaling and negation build their result without
+    # dividing again; scaling by zero gives the canonical zero
+    a = OffDiagonalType(((0, 0, 2), (0, 0, 2), (2, 2, 0)))
+    b = OffDiagonalType(((0, 0, 2), (1, 0, 1), (1, 2, 0)))
+    coeffs = list(universal_product(a, b).values())
+    assert len(coeffs) == 98 and all(y.den for y in coeffs)
+    calls = []
+    divide_out = EpsPolynomial.divide_out
+
+    def counted(self, j, factors):
+        calls.append(j)
+        return divide_out(self, j, factors)
+
+    monkeypatch.setattr(EpsPolynomial, "divide_out", counted)
+    results = [((-1) * y, -y, Fraction(2, 3) * y, 0 * y) for y in coeffs]
+    assert calls == []
+    for y, (scaled, negated, third, zero) in zip(coeffs, results):
+        want = EpsRingElement(3, -y.num, dict(y.den))
+        assert (scaled.num, scaled.den) == (negated.num, negated.den) == (want.num, want.den)
+        want = EpsRingElement(3, y.num.scale(Fraction(2, 3)), dict(y.den))
+        assert (third.num, third.den) == (want.num, want.den)
+        assert zero.is_zero() and zero.den == {}

@@ -15,17 +15,10 @@ from cosetalg import (
     s_eq3,
     s_oracle,
     s_sum,
-    universal_s,
     universal_structure_constant,
 )
-from cosetalg.nu2 import pochhammer
 
-
-def test_pochhammer():
-    assert pochhammer(3, 4) == 3 * 4 * 5 * 6
-    assert pochhammer(-2, 3) == 0
-    assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
-    assert pochhammer(5, 0) == 1
+from helpers import universal_s
 
 
 def test_s_sum_identity_row():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -7,24 +8,43 @@ import pytest
 from cosetalg import (
     BruteForceLimitExceeded,
     CosetMatrix,
-    GroupAlgebraVector,
     Margins,
     YoungPartition,
     classify,
     compose,
+    coset_size,
+    enumerate_coset_matrices,
+    oracle_structure_constant,
+)
+from cosetalg.oracle import coset_partition, oracle_product
+
+from helpers import (
+    GroupAlgebraVector,
     convolve,
     coset_average,
-    coset_size,
-    enumerate_coset,
-    enumerate_coset_matrices,
-    inverse,
-    oracle_structure_constant,
-    random_permutation,
+    naive_classify,
     young_average,
 )
-from cosetalg.oracle import oracle_product
 
-from helpers import naive_classify
+
+def inverse(g):
+    inv = [0] * len(g)
+    for x, y in enumerate(g):
+        inv[y] = x
+    return tuple(inv)
+
+
+def random_permutation(n, seed):
+    return tuple(random.Random(seed).sample(range(n), n))
+
+
+def direct_constant(a, b, c, yp):
+    """Reference count: every pair (g, h) of the a- and b-cosets with h o g in
+    the c-coset, divided by both coset sizes."""
+    part = coset_partition(yp)
+    target = set(part[c])
+    count = sum(1 for g in part[a] for h in part[b] if compose(h, g) in target)
+    return Fraction(count, coset_size(a) * coset_size(b))
 
 
 def test_compose_applies_right_factor_first():
@@ -67,21 +87,21 @@ def test_enumerate_coset_full_group():
     margins = Margins((3,))
     yp = YoungPartition(margins)
     (m,) = enumerate_coset_matrices(margins)
-    assert len(enumerate_coset(m, yp)) == 6
+    assert len(coset_partition(yp)[m]) == 6
 
 
 def test_enumerate_coset_single_transposition():
     margins = Margins((1, 1))
     yp = YoungPartition(margins)
     anti = CosetMatrix(((0, 1), (1, 0)), margins)
-    assert enumerate_coset(anti, yp) == [(1, 0)]
+    assert coset_partition(yp)[anti] == [(1, 0)]
 
 
 def test_enumerate_coset_fiber_matches_size():
     margins = Margins((2, 2))
     yp = YoungPartition(margins)
     m = CosetMatrix(((1, 1), (1, 1)), margins)
-    members = enumerate_coset(m, yp)
+    members = coset_partition(yp)[m]
     assert len(members) == coset_size(m) == 16
     # independent recount
     want = {g for g in itertools.permutations(range(4)) if naive_classify(g, (2, 2)) == m.entries}
@@ -105,7 +125,7 @@ def test_limit_exceeded():
     margins = Margins((5, 5))
     yp = YoungPartition(margins)
     with pytest.raises(BruteForceLimitExceeded):
-        enumerate_coset(enumerate_coset_matrices(margins)[0], yp, limit=8)
+        coset_partition(yp, limit=8)
 
 
 def test_oracle_identity_coset_is_unit():
@@ -155,30 +175,25 @@ def test_oracle_modes_agree(n):
     for a in matrices:
         for b in matrices:
             for c in matrices:
-                assert oracle_structure_constant(
-                    a, b, c, yp, mode="direct"
-                ) == oracle_structure_constant(a, b, c, yp, mode="representative")
+                assert direct_constant(a, b, c, yp) == oracle_structure_constant(a, b, c, yp)
 
 
 def test_oracle_representative_independent():
-    # count pairs against every member of the target coset, not just the first
+    # the b-coset sweep gives the same tallies from every member g0 of the
+    # a-coset, not just the first one the oracle uses
     margins = Margins((2, 1))
     yp = YoungPartition(margins)
-    matrices = enumerate_coset_matrices(margins)
-    a, b = matrices[0], matrices[-1]
-    from cosetalg.oracle import coset_partition
-
     part = coset_partition(yp)
-    for c in matrices:
-        values = set()
-        for x0 in part[c]:
-            count = sum(
-                1
-                for g in part[a]
-                if classify(compose(x0, inverse(g)), yp) == b
-            )
-            values.add(Fraction(count * coset_size(c), coset_size(a) * coset_size(b)))
-        assert len(values) == 1
+    for a, a_members in part.items():
+        for b, b_members in part.items():
+            tallies = set()
+            for g0 in a_members:
+                counts = {}
+                for h in b_members:
+                    c = classify(compose(h, g0), yp)
+                    counts[c] = counts.get(c, 0) + 1
+                tallies.add(frozenset(counts.items()))
+            assert len(tallies) == 1
 
 
 def test_oracle_mass_is_one():
@@ -227,7 +242,7 @@ def test_convolution_convention_matches_oracle():
             vec = convolve(coset_average(a, yp), coset_average(b, yp))
             for c in matrices:
                 coeff = oracle_structure_constant(a, b, c, yp)
-                members = enumerate_coset(c, yp)
+                members = coset_partition(yp)[c]
                 for g in members:
                     assert vec.terms.get(g, Fraction(0)) == coeff / len(members)
 
@@ -239,7 +254,5 @@ def test_oracle_product_matches_direct_counts(n):
     matrices = enumerate_coset_matrices(margins)
     for a in matrices:
         for b in matrices:
-            direct = {
-                c: oracle_structure_constant(a, b, c, yp, mode="direct") for c in matrices
-            }
+            direct = {c: direct_constant(a, b, c, yp) for c in matrices}
             assert oracle_product(a, b, yp) == {c: v for c, v in direct.items() if v}

@@ -6,8 +6,6 @@ import pytest
 from cosetalg import (
     GradedElement,
     OffDiagonalType,
-    first_order_shift_formula,
-    first_order_term,
     graded_multiply,
     poisson,
     poisson_bracket,
@@ -20,6 +18,48 @@ from helpers import balanced_types
 
 def tb(v):
     return OffDiagonalType(((0, v), (v, 0)))
+
+
+def first_order_term(a, b):
+    """Coefficient of each eps_j (1-based j) in the product of basis types a, b.
+
+    Computed by expanding every exact product coefficient to total degree
+    one; no transcribed formula is involved.
+    """
+    nu = a.nu
+    out = {j + 1: GradedElement.zero(nu) for j in range(nu)}
+    for target, coeff in universal_product(a, b).items():
+        series = coeff.expand(1)
+        for j in range(nu):
+            v = series.coefficient(tuple(1 if t == j else 0 for t in range(nu)))
+            if v:
+                out[j + 1] = out[j + 1] + GradedElement(nu, {target: v})
+    return out
+
+
+def first_order_shift_formula(a, b):
+    """The pure shifted-target sum, without the diagonal correction on a + b.
+
+    For each variable j this is sum over alpha, gamma != j of
+    a_{alpha j} b_{j gamma} on a + b + E_{alpha gamma} - E_{alpha j} - E_{j gamma}.
+    It differs from the true first-order coefficient by the correction term
+    -a*_jj b*_jj on a + b.
+    """
+    nu = a.nu
+    base = (a + b).entries
+    out = {}
+    for j in range(nu):
+        acc = {}
+        for alpha in range(nu):
+            if alpha == j or a.entries[alpha][j] == 0:
+                continue
+            for gamma in range(nu):
+                if gamma == j or b.entries[j][gamma] == 0:
+                    continue
+                tgt = poisson._shift_target(base, alpha, j, gamma)
+                acc[tgt] = acc.get(tgt, 0) + a.entries[alpha][j] * b.entries[j][gamma]
+        out[j + 1] = GradedElement(nu, acc)
+    return out
 
 
 def test_graded_unit():
