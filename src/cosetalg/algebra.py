@@ -170,15 +170,19 @@ def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return multiply(x, y) - multiply(y, x)
 
 
+def _bounded_basis(margins: Margins, max_basis: int) -> list[CosetMatrix]:
+    """Every coset matrix of the margins; ValueError when there are more than ``max_basis``."""
+    basis = enumerate_coset_matrices(margins)
+    if len(basis) > max_basis:
+        raise ValueError(f"{len(basis)} basis matrices exceed the configured bound {max_basis}")
+    return basis
+
+
 def product_table(
     margins: Margins, max_basis: int = 128
 ) -> list[tuple[CosetMatrix, CosetMatrix, CosetMatrix, Fraction]]:
     """Every nonzero structure constant, ordered by (a, b, c) entries."""
-    basis = enumerate_coset_matrices(margins)
-    if len(basis) > max_basis:
-        raise ValueError(
-            f"{len(basis)} basis matrices exceed the configured bound {max_basis}"
-        )
+    basis = _bounded_basis(margins, max_basis)
     rows = []
     for a in basis:
         for b in basis:
@@ -215,11 +219,7 @@ class AssociativityReport:
 
 def verify_associativity(margins: Margins, max_basis: int = 128) -> AssociativityReport:
     """Exhaustively compare (ab)c with a(bc) over all basis triples."""
-    basis = enumerate_coset_matrices(margins)
-    if len(basis) > max_basis:
-        raise ValueError(
-            f"{len(basis)} basis matrices exceed the configured bound {max_basis}"
-        )
+    basis = _bounded_basis(margins, max_basis)
     violations = []
     checked = 0
     elems = {m: AlgebraElement.basis(m) for m in basis}

@@ -1,16 +1,17 @@
 """Finite combinations of basis keys and the bilinear extension of a basis product.
 
-The finite, graded and universal algebras (and the group algebra of S_N that
-the tests use as a reference) share one shape: an element is a finite
-combination sum_k c_k * k of basis keys that all lie in one space (the
-margins, the block count nu, or the permutation length), and a product
-is the bilinear extension of a product of basis keys.  ``Combination`` holds
-that shape once; each algebra subclasses it with how to read a key's space,
-its unit, its JSON shape and, where the ring is not the rationals, how a
-rational becomes a coefficient.
+Every sparse-term type of the package is a finite combination sum_k c_k * k
+of keys that all lie in one space, held once here as ``Combination``.  Its
+six subclasses say how to read a key's space and, where the ring is not the
+rationals, how a rational becomes a coefficient: ``AlgebraElement`` (coset
+matrices over the margins), ``GradedElement`` and ``UniversalElement``
+(off-diagonal types over nu), ``EpsPolynomial`` (multidegrees over nu),
+``EpsSeries`` (multidegrees over (nu, order)) and, in the tests,
+``GroupAlgebraVector`` (permutations over their length).  The algebras'
+products are the bilinear extension of a product of basis keys.
 
 Coefficient rule: the validating constructor stores a rational coefficient
-through ``epsring._exact``, so it is an ``int`` where integral and a
+through ``rationals._exact``, so it is an ``int`` where integral and a
 ``Fraction`` otherwise, never a ``float``, and it drops zero coefficients.
 Arithmetic keeps whatever the coefficient ring returns: ints stay ints, and a
 sum of ``Fraction`` coefficients that happens to be integral stays a
@@ -19,7 +20,7 @@ sum of ``Fraction`` coefficients that happens to be integral stays a
 
 from __future__ import annotations
 
-from .epsring import _exact
+from .rationals import _exact
 
 
 class Combination:
@@ -88,6 +89,9 @@ class Combination:
             else:
                 del terms[key]
         return self._make(self.space, terms)
+
+    def __neg__(self):
+        return (-1) * self
 
     def __sub__(self, other):
         return self + (-1) * other

@@ -2,22 +2,25 @@
 
 Coefficients are exact rationals, never floats.  An integral coefficient is
 held as a Python ``int`` and a ``Fraction`` appears only where a coefficient
-is truly non-integral (a rational passed in, ``scale``, ``div_by_rational``).
-Everything the universal algebra builds stays in the integers: slice weights
-are integers, the brackets prod (1 - m*eps_j) have integer coefficients, and
-dividing by (1 - m*eps_j) keeps them integral because the divisor's constant
-term is 1.  Specialisation sums integers over one common denominator.
+is truly non-integral (a rational passed in, a rational multiple,
+``div_by_rational``).  Everything the universal algebra builds stays in the
+integers: slice weights are integers, the brackets prod (1 - m*eps_j) have
+integer coefficients, and dividing by (1 - m*eps_j) keeps them integral
+because the divisor's constant term is 1.  Specialisation sums integers over
+one common denominator.
 
-Three layers, all exact:
+Three layers, all exact.  The two sparse ones are ``Combination``s keyed by
+exponent multidegrees, so their sums, scalar multiples, equality and term
+access are the shared ones:
 
 * ``EpsPolynomial``: sparse multivariate polynomials in eps_1, ..., eps_nu
-  over the rationals.
+  over the rationals; a combination whose space is nu.
 * ``EpsRingElement``: a polynomial numerator over a multiset of linear
   denominator factors (1 - m*eps_j), m >= 1.  Denominators are never
   expanded, so deciding whether a substitution eps_j = 1/n_j hits a pole is
   a multiset lookup after cancellation.
 * ``EpsSeries``: truncated power series by total degree, for extracting
-  low-order coefficients.
+  low-order coefficients; a combination whose space is (nu, order).
 
 Canonical form: no factor present in the denominator divides the numerator.
 Because every factor is linear with constant term 1, the canonical
@@ -30,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
+from .combination import Combination
 from .cosets import Margins
 from .errors import PoleAtSpecialization
 from .rationals import format_rational
@@ -39,39 +43,24 @@ Rational = int | Fraction
 Den = dict[tuple[int, int], int]  # {(j, m): multiplicity of (1 - m*eps_j)}
 
 
-def _exact(x) -> Rational:
-    """Any rational as an ``int`` when integral, else as a ``Fraction``."""
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-class EpsPolynomial:
-    """Sparse polynomial: map from exponent multidegrees to exact coefficients.
+class EpsPolynomial(Combination):
+    """Sparse polynomial: a combination of exponent multidegrees in nu variables.
 
     A coefficient is an ``int`` where integral and a ``Fraction`` otherwise,
     never a ``float``; the constructor accepts any rational.
     """
 
-    __slots__ = ("nu", "terms")
+    __slots__ = ()
 
-    def __init__(self, nu: int, terms: dict[Degree, Rational] | None = None):
-        self.nu = nu
-        self.terms: dict[Degree, Rational] = {}
-        if terms:
-            for deg, coeff in terms.items():
-                coeff = _exact(coeff)
-                if coeff:
-                    if len(deg) != nu or any(d < 0 for d in deg):
-                        raise ValueError(f"bad multidegree {deg} for nu={nu}")
-                    self.terms[tuple(deg)] = coeff
+    @staticmethod
+    def _space_of(deg: Degree) -> int:
+        if any(d < 0 for d in deg):
+            raise ValueError(f"negative exponent in multidegree {deg}")
+        return len(deg)
 
-    @classmethod
-    def _make(cls, nu: int, terms: dict[Degree, Rational]) -> "EpsPolynomial":
-        """Trusted constructor: coefficients already exact (int or Fraction), zero-free, valid."""
-        self = object.__new__(cls)
-        self.nu = nu
-        self.terms = terms
-        return self
+    @property
+    def nu(self) -> int:
+        return self.space
 
     @classmethod
     def constant(cls, nu: int, value) -> "EpsPolynomial":
@@ -81,39 +70,6 @@ class EpsPolynomial:
     def monomial(cls, nu: int, deg: Degree, coeff=1) -> "EpsPolynomial":
         return cls(nu, {tuple(deg): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EpsPolynomial)
-            and self.nu == other.nu
-            and self.terms == other.terms
-        )
-
-    def _check(self, other: "EpsPolynomial"):
-        if self.nu != other.nu:
-            raise ValueError("variable count mismatch")
-
-    def __add__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        self._check(other)
-        merged = dict(self.terms)
-        for deg, coeff in other.terms.items():
-            acc = merged.get(deg)
-            if acc is None:
-                merged[deg] = coeff
-            elif acc + coeff:
-                merged[deg] = acc + coeff
-            else:
-                del merged[deg]
-        return EpsPolynomial._make(self.nu, merged)
-
-    def __neg__(self) -> "EpsPolynomial":
-        return EpsPolynomial._make(self.nu, {d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other: "EpsPolynomial") -> "EpsPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "EpsPolynomial") -> "EpsPolynomial":
         self._check(other)
         out: dict[Degree, Rational] = {}
@@ -122,20 +78,14 @@ class EpsPolynomial:
                 d = tuple(map(add, d1, d2))
                 acc = out.get(d)
                 out[d] = c1 * c2 if acc is None else acc + c1 * c2
-        return EpsPolynomial._make(self.nu, {d: c for d, c in out.items() if c})
-
-    def scale(self, scalar) -> "EpsPolynomial":
-        scalar = _exact(scalar)
-        if not scalar:
-            return EpsPolynomial._make(self.nu, {})
-        return EpsPolynomial._make(self.nu, {d: scalar * c for d, c in self.terms.items()})
+        return EpsPolynomial._make(self.space, {d: c for d, c in out.items() if c})
 
     def shift_scale(self, deg: Degree, scalar: Rational) -> "EpsPolynomial":
         """Multiply by scalar * (monomial of multidegree deg); scalar is an int or a Fraction."""
         if not scalar:
-            return EpsPolynomial._make(self.nu, {})
+            return EpsPolynomial._make(self.space, {})
         return EpsPolynomial._make(
-            self.nu, {tuple(map(add, d, deg)): c * scalar for d, c in self.terms.items()}
+            self.space, {tuple(map(add, d, deg)): c * scalar for d, c in self.terms.items()}
         )
 
     def _evaluate_over(self, point: list[tuple[int, int]]) -> tuple[Rational, int]:
@@ -145,7 +95,7 @@ class EpsPolynomial:
         c * prod p_j^e_j q_j^(E_j - e_j) over the common denominator
         d = prod q_j^E_j, so s is an integer sum when every c is an integer.
         """
-        tops = [max(ds) for ds in zip(*self.terms)] or [0] * self.nu
+        tops = [max(ds) for ds in zip(*self.terms)] or [0] * self.space
         tables = []
         den = 1
         for (p, q), top in zip(point, tops):
@@ -201,10 +151,7 @@ class EpsPolynomial:
             for k, coeff in enumerate(chain):
                 if coeff:
                     terms[rest[:j] + (k,) + rest[j + 1 :]] = coeff
-        return EpsPolynomial._make(self.nu, terms), left
-
-    def sorted_terms(self) -> list[tuple[Degree, Rational]]:
-        return sorted(self.terms.items())
+        return EpsPolynomial._make(self.space, terms), left
 
     def __repr__(self):
         if self.is_zero():
@@ -316,7 +263,7 @@ class EpsRingElement:
 
     @classmethod
     def zero(cls, nu: int) -> "EpsRingElement":
-        return cls.from_rational(nu, 0)
+        return cls._make(nu, EpsPolynomial.zero(nu), {})
 
     @classmethod
     def one(cls, nu: int) -> "EpsRingElement":
@@ -357,7 +304,7 @@ class EpsRingElement:
 
     def scale(self, scalar) -> "EpsRingElement":
         """Multiply by a rational; a nonzero factor cannot change which factors divide."""
-        num = self.num.scale(scalar)
+        num = scalar * self.num
         return EpsRingElement._make(self.nu, num, dict(self.den) if num.terms else {})
 
     __rmul__ = scale
@@ -436,7 +383,7 @@ class EpsRingElement:
 def _times_factors(poly: EpsPolynomial, factors: Den) -> EpsPolynomial:
     """poly times prod (1 - m*eps_j)^mult over the factors {(j, m): mult}."""
     for (j, m), mult in sorted(factors.items()):
-        lin = _linear(poly.nu, j, m)
+        lin = _linear(poly.space, j, m)
         for _ in range(mult):
             poly = poly * lin
     return poly
@@ -464,33 +411,26 @@ def _sum_over_lcm(
     return _times_factors(num1, extra1) + _times_factors(num2, extra2), lcm
 
 
-class EpsSeries:
-    """Power series truncated by total degree."""
+class EpsSeries(Combination):
+    """Power series truncated by total degree: a combination whose space is (nu, order).
 
-    __slots__ = ("nu", "order", "terms")
+    Built only by ``from_polynomial`` and ``geometric``, whose terms already
+    lie within the order.
+    """
 
-    def __init__(self, nu: int, order: int, terms: dict[Degree, Rational] | None = None):
-        self.nu = nu
-        self.order = order
-        self.terms: dict[Degree, Rational] = {}
-        if terms:
-            for deg, coeff in terms.items():
-                coeff = _exact(coeff)
-                if coeff and sum(deg) <= order:
-                    self.terms[tuple(deg)] = coeff
+    __slots__ = ()
 
-    @classmethod
-    def _make(cls, nu: int, order: int, terms: dict[Degree, Rational]) -> "EpsSeries":
-        """Trusted constructor: coefficients already exact, zero-free, within the order."""
-        self = object.__new__(cls)
-        self.nu = nu
-        self.order = order
-        self.terms = terms
-        return self
+    @property
+    def nu(self) -> int:
+        return self.space[0]
+
+    @property
+    def order(self) -> int:
+        return self.space[1]
 
     @classmethod
     def from_polynomial(cls, p: EpsPolynomial, order: int) -> "EpsSeries":
-        return cls._make(p.nu, order, {d: c for d, c in p.terms.items() if sum(d) <= order})
+        return cls._make((p.space, order), {d: c for d, c in p.terms.items() if sum(d) <= order})
 
     @classmethod
     def geometric(cls, nu: int, j: int, m: int, order: int) -> "EpsSeries":
@@ -500,51 +440,17 @@ class EpsSeries:
         for k in range(order + 1):
             deg[j] = k
             terms[tuple(deg)] = m**k
-        return cls._make(nu, order, terms)
-
-    def _check(self, other: "EpsSeries"):
-        if self.nu != other.nu or self.order != other.order:
-            raise ValueError("series shape mismatch")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EpsSeries)
-            and self.nu == other.nu
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "EpsSeries") -> "EpsSeries":
-        self._check(other)
-        merged = dict(self.terms)
-        for deg, coeff in other.terms.items():
-            merged[deg] = merged.get(deg, 0) + coeff
-        return EpsSeries._make(self.nu, self.order, {d: c for d, c in merged.items() if c})
-
-    def __sub__(self, other: "EpsSeries") -> "EpsSeries":
-        return self + other.scale(-1)
+        return cls._make((nu, order), terms)
 
     def __mul__(self, other: "EpsSeries") -> "EpsSeries":
         self._check(other)
+        order = self.order
         out: dict[Degree, Rational] = {}
         for d1, c1 in self.terms.items():
             r1 = sum(d1)
             for d2, c2 in other.terms.items():
-                if r1 + sum(d2) > self.order:
+                if r1 + sum(d2) > order:
                     continue
                 d = tuple(map(add, d1, d2))
                 out[d] = out.get(d, 0) + c1 * c2
-        return EpsSeries._make(self.nu, self.order, {d: c for d, c in out.items() if c})
-
-    def scale(self, scalar) -> "EpsSeries":
-        scalar = _exact(scalar)
-        if not scalar:
-            return EpsSeries._make(self.nu, self.order, {})
-        return EpsSeries._make(self.nu, self.order, {d: scalar * c for d, c in self.terms.items()})
-
-    def coefficient(self, deg: Degree) -> Rational:
-        return self.terms.get(tuple(deg), 0)
-
-    def __repr__(self):
-        body = " + ".join(f"{c}*e^{list(d)}" for d, c in sorted(self.terms.items()))
-        return f"EpsSeries(order={self.order}: {body or '0'})"
+        return EpsSeries._make(self.space, {d: c for d, c in out.items() if c})

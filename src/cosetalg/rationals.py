@@ -1,4 +1,4 @@
-"""Formatting of exact rationals for JSON output.
+"""Exact rationals: the stored form of a coefficient, and formatting for JSON output.
 
 Everything user-facing prints as "p/q" in lowest terms with positive q,
 or plain "p" for integers.
@@ -7,6 +7,12 @@ or plain "p" for integers.
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _exact(x) -> int | Fraction:
+    """Any rational as an ``int`` when integral, else as a ``Fraction``."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def format_rational(x: Fraction | int) -> str:

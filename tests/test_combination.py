@@ -1,4 +1,4 @@
-"""The shared sparse-combination behaviour of the four element types."""
+"""The shared sparse-combination behaviour of every combination type."""
 
 import itertools
 from fractions import Fraction
@@ -7,6 +7,7 @@ import pytest
 
 from cosetalg import (
     AlgebraElement,
+    EpsPolynomial,
     GradedElement,
     Margins,
     OffDiagonalType,
@@ -31,6 +32,7 @@ KEYS = {
     GradedElement: (2, _types(2), OffDiagonalType.zero(3)),
     UniversalElement: (2, _types(2), OffDiagonalType.zero(3)),
     GroupAlgebraVector: (3, [(0, 1, 2), (1, 0, 2)], (1, 0)),
+    EpsPolynomial: (2, [(0, 0), (1, 0)], (0, 0, 0)),
 }
 CLASSES = list(KEYS)
 
@@ -49,7 +51,7 @@ def test_zero_coefficients_are_dropped(cls):
     assert cls(space, {k1: Fraction(0)}).is_zero()
 
 
-@pytest.mark.parametrize("cls", [AlgebraElement, GradedElement, GroupAlgebraVector])
+@pytest.mark.parametrize("cls", [AlgebraElement, GradedElement, GroupAlgebraVector, EpsPolynomial])
 def test_rational_coefficients_stored_exactly(cls):
     space, (k1, k2), _ = KEYS[cls]
     x = cls(space, {k1: Fraction(4, 2), k2: Fraction(1, 3)})
@@ -67,6 +69,13 @@ def test_self_difference_and_zero_multiple_vanish(cls):
     assert (Fraction(0) * x).is_zero()
     assert x - x == cls.zero(KEYS[cls][0])
     assert 2 * x == x + x
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_negation_is_the_minus_one_multiple(cls):
+    x = _element(cls)
+    assert -x == (-1) * x
+    assert (x + (-x)).is_zero()
 
 
 @pytest.mark.parametrize("cls", CLASSES)
@@ -102,3 +111,8 @@ def test_other_type_never_equal_nor_added(cls1, cls2):
         x + y
     with pytest.raises(ValueError):
         x - y
+
+
+def test_negative_exponent_is_rejected():
+    with pytest.raises(ValueError):
+        EpsPolynomial(2, {(-1, 0): 1})

@@ -222,7 +222,7 @@ def test_integral_coefficients_are_ints():
     assert type(p.terms[(0,)]) is int
     assert type(p.terms[(1,)]) is Fraction
     assert all(type(c) is int for c in bracket(1, 5, 0, 1).terms.values())
-    q = p.scale(2)
+    q = 2 * p
     assert q.terms == {(0,): 4, (1,): 1}
     assert type(q.terms[(0,)]) is int
     series = EpsRingElement(1, bracket(0, 4, 0, 1), {(0, 2): 2}).expand(3)
@@ -259,6 +259,6 @@ def test_scaling_and_negation_skip_trial_division(monkeypatch):
     for y, (scaled, negated, third, zero) in zip(coeffs, results):
         want = EpsRingElement(3, -y.num, dict(y.den))
         assert (scaled.num, scaled.den) == (negated.num, negated.den) == (want.num, want.den)
-        want = EpsRingElement(3, y.num.scale(Fraction(2, 3)), dict(y.den))
+        want = EpsRingElement(3, Fraction(2, 3) * y.num, dict(y.den))
         assert (third.num, third.den) == (want.num, want.den)
         assert zero.is_zero() and zero.den == {}

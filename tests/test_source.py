@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from graphlib import TopologicalSorter
 
 import cosetalg
 
@@ -53,3 +54,29 @@ def test_no_unused_imports():
         if bound not in used.get(name, set())
     ]
     assert found == []
+
+
+def test_terms_slot_only_in_combination():
+    # every sparse-term type stores its terms through ``Combination``
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in _nodes()
+        if name != "combination.py" and isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+        and any(isinstance(c, ast.Constant) and c.value == "terms" for c in ast.walk(stmt.value))
+    ]
+    assert found == []
+
+
+def test_relative_imports_form_no_cycle():
+    # e.g. ``combination`` must not import ``epsring``, whose types subclass it;
+    # ``prepare`` raises ``CycleError`` naming the cycle
+    modules = {path.stem for path in SRC.glob("*.py")}
+    graph: dict[str, set[str]] = {m: set() for m in modules}
+    for name, node in _nodes():
+        if isinstance(node, ast.ImportFrom) and node.level:
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            graph[name[:-3]] |= {t.split(".")[0] for t in targets} & modules
+    TopologicalSorter(graph).prepare()
