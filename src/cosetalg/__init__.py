@@ -40,7 +40,6 @@ from .errors import (
 )
 from .nu2 import f43_terminating, phi_matrix, s_closed_form, s_eq3, s_oracle, s_sum
 from .oracle import (
-    YoungPartition,
     classify,
     compose,
     oracle_structure_constant,

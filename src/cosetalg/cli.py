@@ -28,7 +28,7 @@ from .errors import (
     MarginOverflow,
     PoleAtSpecialization,
 )
-from .oracle import HARD_CAP, YoungPartition, oracle_product, resolve_limit
+from .oracle import DEFAULT_LIMIT, HARD_CAP, oracle_product, resolve_limit
 from .rationals import format_rational
 
 USAGE_ERROR = 1
@@ -151,7 +151,6 @@ def _cmd_verify_assoc(args) -> int:
 def _cmd_oracle_check(args) -> int:
     margins = _parse_margins(args.n)
     limit = resolve_limit(args.nmax)
-    yp = YoungPartition(margins)
     basis = enumerate_coset_matrices(margins)
     pairs = [(a, b) for a in basis for b in basis]
     if args.sample is not None:
@@ -167,7 +166,7 @@ def _cmd_oracle_check(args) -> int:
                 algebra.AlgebraElement.basis(a), algebra.AlgebraElement.basis(b)
             ).terms.items()
         }
-        want = {c.entries: v for c, v in oracle_product(a, b, yp, limit=limit).items()}
+        want = {c.entries: v for c, v in oracle_product(a, b, limit=limit).items()}
         if got != want:
             disagreements += 1
     triples = len(pairs) * len(basis)
@@ -239,8 +238,6 @@ def _cmd_braid_check(args) -> int:
 
 
 def _cmd_nu2(args) -> int:
-    if args.what != "s":
-        raise ValueError(f"unknown nu2 computation {args.what!r}")
     a, b, c, n1, n2 = args.a, args.b, args.c, args.n1, args.n2
     methods = {
         "sum": lambda: nu2.s_sum(a, b, c, n1, n2),
@@ -289,8 +286,7 @@ def _cmd_graded(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cosetalg", description=__doc__)
     parser.add_argument("--nmax", type=int, default=None,
-                        help=f"brute-force limit (default 8, hard cap {HARD_CAP}; "
-                             "env COSETALG_NMAX)")
+                        help=f"brute-force limit (default {DEFAULT_LIMIT}, hard cap {HARD_CAP})")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized spot-check drivers")
     sub = parser.add_subparsers(dest="command", required=True)

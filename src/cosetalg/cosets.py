@@ -17,7 +17,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 from .errors import InvariantViolation, MarginOverflow
@@ -139,9 +138,6 @@ class OffDiagonalType:
         """a*_jj: the off-diagonal column sum at j (equals the row sum)."""
         return sum(self.entries[i][j] for i in range(self.nu) if i != j)
 
-    def stars(self) -> tuple[int, ...]:
-        return tuple(self.star(j) for j in range(self.nu))
-
     def __add__(self, other: "OffDiagonalType") -> "OffDiagonalType":
         if self.nu != other.nu:
             raise ValueError("size mismatch")
@@ -179,7 +175,6 @@ class OffDiagonalType:
         return {"nu": self.nu, "offdiag": offdiag}
 
 
-@lru_cache(maxsize=None)
 def transport(
     caps: tuple[int, ...], cols: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -194,19 +194,17 @@ def bracket(p: int, q: int, j: int, nu: int) -> EpsPolynomial:
         raise ValueError(f"need 0 <= p <= q, got ({p}, {q})")
     if not 0 <= j < nu:
         raise ValueError(f"variable index {j} out of range for nu={nu}")
-    out = EpsPolynomial._make(nu, {(0,) * nu: 1})
-    for m in range(p, q):
-        if m == 0:
-            continue
-        out = out * _linear(nu, j, m)
-    return out
+    head, tail = (0,) * j, (0,) * (nu - j - 1)
+    return EpsPolynomial._make(nu, {head + (k,) + tail: c for k, c in enumerate(_falling(p, q))})
 
 
-def _linear(nu: int, j: int, m: int) -> EpsPolynomial:
-    """The factor 1 - m*eps_j, with integer coefficients."""
-    deg = [0] * nu
-    deg[j] = 1
-    return EpsPolynomial._make(nu, {(0,) * nu: 1, tuple(deg): -m})
+def _falling(p: int, q: int) -> list[int]:
+    """Coefficients of (1 - p*x) ... (1 - (q-1)*x) by ascending power of x; none is 0,
+    since the roots 1/m are positive and the signs alternate."""
+    coeffs = [1]
+    for m in range(max(p, 1), q):
+        coeffs = [c - m * d for c, d in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
 
 class EpsRingElement:
@@ -302,12 +300,10 @@ class EpsRingElement:
             raise ValueError("variable count mismatch")
         return EpsRingElement(self.nu, self.num * other.num, _den_product(self.den, other.den))
 
-    def scale(self, scalar) -> "EpsRingElement":
+    def __rmul__(self, scalar) -> "EpsRingElement":
         """Multiply by a rational; a nonzero factor cannot change which factors divide."""
         num = scalar * self.num
         return EpsRingElement._make(self.nu, num, dict(self.den) if num.terms else {})
-
-    __rmul__ = scale
 
     def div_by_bracket(self, p: int, q: int, j: int) -> "EpsRingElement":
         """Divide by the factor product (1 - m*eps_j) for m = p, ..., q-1."""
@@ -324,7 +320,7 @@ class EpsRingElement:
         scalar = Fraction(scalar)
         if not scalar:
             raise ZeroDivisionError("division by zero rational")
-        return self.scale(1 / scalar)
+        return (1 / scalar) * self
 
     def specialize(self, margins: Margins) -> Fraction:
         """Evaluate at eps_j = 1/n_j; fails exactly on surviving factors with m = n_j.
@@ -383,7 +379,7 @@ class EpsRingElement:
 def _times_factors(poly: EpsPolynomial, factors: Den) -> EpsPolynomial:
     """poly times prod (1 - m*eps_j)^mult over the factors {(j, m): mult}."""
     for (j, m), mult in sorted(factors.items()):
-        lin = _linear(poly.space, j, m)
+        lin = bracket(m, m + 1, j, poly.space)
         for _ in range(mult):
             poly = poly * lin
     return poly
@@ -419,6 +415,11 @@ class EpsSeries(Combination):
     """
 
     __slots__ = ()
+
+    @staticmethod
+    def _space_of(deg: Degree):
+        """A multidegree does not carry the truncation order, so no term places itself."""
+        raise ValueError("an EpsSeries is built by from_polynomial or geometric")
 
     @property
     def nu(self) -> int:

@@ -22,7 +22,7 @@ from math import factorial
 from .algebra import structure_constant
 from .cosets import CosetMatrix, Margins
 from .errors import HypergeometricParameterError, InvariantViolation
-from .oracle import YoungPartition, oracle_structure_constant
+from .oracle import oracle_structure_constant
 
 
 def _check_domain(a: int, b: int, c: int, n1: int, n2: int):
@@ -152,8 +152,6 @@ def s_eq3(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:
 def s_oracle(a: int, b: int, c: int, n1: int, n2: int, limit: int | None = None) -> Fraction:
     """Same constant by counting permutation pairs (brute force)."""
     _check_domain(a, b, c, n1, n2)
-    yp = YoungPartition(Margins((n1, n2)))
     return oracle_structure_constant(
-        phi_matrix(a, n1, n2), phi_matrix(b, n1, n2), phi_matrix(c, n1, n2), yp,
-        limit=limit,
+        phi_matrix(a, n1, n2), phi_matrix(b, n1, n2), phi_matrix(c, n1, n2), limit=limit
     )

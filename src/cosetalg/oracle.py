@@ -12,16 +12,15 @@ supported on B is supported on {h o g : g in A, h in B}.  The classification
 of h o g is what the triple-count formula predicts from the classifications
 of g and h; flipping either choice transposes every product.
 
-Brute force is capped: the default limit is N <= 8 (40320 permutations),
-overridable through the ``COSETALG_NMAX`` environment variable but never
-above the hard cap of 9.
+Brute force is capped: the default limit is N <= 8 (40320 permutations).
+The ``limit`` argument (the CLI's ``--nmax``) moves it, but never above the
+hard cap of 9.  The blocks of the Young subgroup are the consecutive runs
+[0, n_1), [n_1, n_1 + n_2), ... of {0, ..., N-1}.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,15 +32,11 @@ Grid = tuple[tuple[int, ...], ...]
 
 DEFAULT_LIMIT = 8
 HARD_CAP = 9
-NMAX_ENV_VAR = "COSETALG_NMAX"
 
 
 def resolve_limit(limit: int | None = None) -> int:
-    """Effective brute-force limit: explicit argument, else env var, else default."""
-    if limit is None:
-        raw = os.environ.get(NMAX_ENV_VAR)
-        limit = int(raw) if raw else DEFAULT_LIMIT
-    return min(limit, HARD_CAP)
+    """Effective brute-force limit: the argument, else the default, never above the cap."""
+    return min(DEFAULT_LIMIT if limit is None else limit, HARD_CAP)
 
 
 def compose(h: Perm, g: Perm) -> Perm:
@@ -49,18 +44,9 @@ def compose(h: Perm, g: Perm) -> Perm:
     return tuple(h[g[x]] for x in range(len(g)))
 
 
-@dataclass(frozen=True)
-class YoungPartition:
-    """Consecutive blocks [0, n_1), [n_1, n_1+n_2), ... of {0, ..., N-1}."""
-
-    margins: Margins
-    block_of: tuple[int, ...] = field(init=False, compare=False)
-
-    def __post_init__(self):
-        owner = []
-        for j, size in enumerate(self.margins.n):
-            owner.extend([j] * size)
-        object.__setattr__(self, "block_of", tuple(owner))
+def _block_of(n: tuple[int, ...]) -> tuple[int, ...]:
+    """The block index of each of the N points."""
+    return tuple(j for j, size in enumerate(n) for _ in range(size))
 
 
 def _block_counts(g: Perm, block_of: tuple[int, ...], nu: int) -> Grid:
@@ -71,14 +57,16 @@ def _block_counts(g: Perm, block_of: tuple[int, ...], nu: int) -> Grid:
     return tuple(map(tuple, counts))
 
 
-def classify(g: Perm, yp: YoungPartition) -> CosetMatrix:
+def classify(g: Perm, margins: Margins) -> CosetMatrix:
     """Coset matrix of g: entry (i, j) counts points of block i sent into block j."""
-    return CosetMatrix(_block_counts(g, yp.block_of, yp.margins.nu), yp.margins)
+    if len(g) != margins.N:
+        raise ValueError(f"a permutation of {len(g)} points, margins {margins.n} need {margins.N}")
+    return CosetMatrix(_block_counts(g, _block_of(margins.n), margins.nu), margins)
 
 
 @lru_cache(maxsize=None)
 def _partition_by_matrix(n: tuple[int, ...]) -> dict[Grid, list[Perm]]:
-    block_of = YoungPartition(Margins(n)).block_of
+    block_of = _block_of(n)
     out: dict[Grid, list[Perm]] = {}
     for g in itertools.permutations(range(sum(n))):
         out.setdefault(_block_counts(g, block_of, len(n)), []).append(g)
@@ -93,16 +81,15 @@ def _partition(margins: Margins, limit: int | None) -> dict[Grid, list[Perm]]:
     return _partition_by_matrix(margins.n)
 
 
-def coset_partition(yp: YoungPartition, limit: int | None = None) -> dict[CosetMatrix, list[Perm]]:
+def coset_partition(margins: Margins, limit: int | None = None) -> dict[CosetMatrix, list[Perm]]:
     """The whole group, grouped by coset matrix.  Cached per margins."""
-    margins = yp.margins
     return {
         CosetMatrix._make(e, margins): list(perms)
         for e, perms in _partition(margins, limit).items()
     }
 
 
-def _sweep(a: CosetMatrix, b: CosetMatrix, yp: YoungPartition, limit: int | None):
+def _sweep(a: CosetMatrix, b: CosetMatrix, limit: int | None):
     """Fix g0 in the a-coset and tally the coset matrix entries of h o g0 over
     every h in the b-coset.  Returns the tallies and the b-coset size.
 
@@ -110,11 +97,12 @@ def _sweep(a: CosetMatrix, b: CosetMatrix, yp: YoungPartition, limit: int | None
     not depend on g0, because the b-coset is invariant under right
     multiplication by the Young subgroup, so one sweep gives every target.
     """
-    if not (a.margins == b.margins == yp.margins):
-        raise ValueError("all matrices must share the partition margins")
-    part = _partition(yp.margins, limit)
+    margins = a.margins
+    if b.margins != margins:
+        raise ValueError("all matrices must share their margins")
+    part = _partition(margins, limit)
     g0 = part[a.entries][0]
-    block_of, nu = yp.block_of, yp.margins.nu
+    block_of, nu = _block_of(margins.n), margins.nu
     counts: dict[Grid, int] = {}
     members = part[b.entries]
     for h in members:
@@ -124,11 +112,7 @@ def _sweep(a: CosetMatrix, b: CosetMatrix, yp: YoungPartition, limit: int | None
 
 
 def oracle_structure_constant(
-    a: CosetMatrix,
-    b: CosetMatrix,
-    c: CosetMatrix,
-    yp: YoungPartition,
-    limit: int | None = None,
+    a: CosetMatrix, b: CosetMatrix, c: CosetMatrix, limit: int | None = None
 ) -> Fraction:
     """Coefficient of the c-coset average in the product of the a- and b-averages.
 
@@ -136,15 +120,15 @@ def oracle_structure_constant(
     of h in the b-coset with h o g0 in the c-coset, for one fixed g0 in the
     a-coset.
     """
-    if c.margins != yp.margins:
-        raise ValueError("all matrices must share the partition margins")
-    counts, mu_b = _sweep(a, b, yp, limit)
+    if c.margins != a.margins:
+        raise ValueError("all matrices must share their margins")
+    counts, mu_b = _sweep(a, b, limit)
     return Fraction(counts.get(c.entries, 0), mu_b)
 
 
-def oracle_product(a: CosetMatrix, b: CosetMatrix, yp: YoungPartition,
-                   limit: int | None = None) -> dict[CosetMatrix, Fraction]:
+def oracle_product(
+    a: CosetMatrix, b: CosetMatrix, limit: int | None = None
+) -> dict[CosetMatrix, Fraction]:
     """All nonzero oracle structure constants with first factor a, second b."""
-    counts, mu_b = _sweep(a, b, yp, limit)
-    margins = yp.margins
-    return {CosetMatrix._make(c, margins): Fraction(k, mu_b) for c, k in counts.items()}
+    counts, mu_b = _sweep(a, b, limit)
+    return {CosetMatrix._make(c, a.margins): Fraction(k, mu_b) for c, k in counts.items()}

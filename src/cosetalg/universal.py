@@ -31,10 +31,12 @@ weight factorises into integer slice weights
 
     prod_{k != j} b_jk! / prod_i t_ijk!  *  prod_{i != j} a_ij! / t_ijj!,
 
-and t*_jjj = a*_jj + sum_{k != j} t_jjk depends on slice j alone.  So the
-integer weight of every (c, t*-profile) is a convolution over j keyed on the
-partial c and the t*-profile (packed into one integer), and the balanced c
-are kept at the end.  Polynomials are touched once per profile.
+and t*_jjj = a*_jj + sum_{k != j} t_jjk depends on slice j alone.  Each
+table is read once into a packed integer key (the partial c and the row-j
+total) and its weight.  The integer weight of every (c, t*-profile) is then
+a convolution of those keys over j, and the balanced c are kept at the end.
+Polynomials are touched once per profile, and the bracket product of a
+profile is cancelled before it is built (``_profile_poly``).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from math import factorial, prod
 from .algebra import _column, _convolve, _field_bits, _unpack
 from .combination import Combination
 from .cosets import Margins, OffDiagonalType, transport
-from .epsring import EpsPolynomial, EpsRingElement, _den_product, _sum_over_lcm, bracket
+from .epsring import EpsPolynomial, EpsRingElement, _den_product, _falling, _sum_over_lcm
 from .errors import InvariantViolation, MarginOverflow
 
 Grid = tuple[tuple[int, ...], ...]
@@ -61,38 +63,33 @@ def _balanced(c: Grid) -> bool:
     return all(sum(col) == sum(row) for col, row in zip(zip(*c), c))
 
 
-def _slice_planes(j: int, a_col: tuple[int, ...], b_row: tuple[int, ...]) -> tuple[Grid, ...]:
-    """Every slice t_{.j.} as a grid p[i][k] = t_ijk, with p[j][j] = 0."""
+@lru_cache(maxsize=None)
+def _slice_terms(j: int, a_col: tuple[int, ...], b_row: tuple[int, ...], shift: int):
+    """(packed key, integer weight) for every slice j, one per transportation table.
+
+    The table has rows i and columns k != j: column sums b_jk, row i != j
+    capped by a_ij and row j uncapped.  The key holds the slice's share of
+    c_ik (i != k): t_ijk for k != j and the remainder t_ijj = a_ij - (row
+    sum) at (i, j), in field i*nu + k; and the row-j total sum_{k != j} t_jjk
+    in field nu*nu + j.  Every t_ijk, the remainders included, divides the
+    weight by its factorial.
+    """
     nu = len(a_col)
     ks = [k for k in range(nu) if k != j]
     caps = tuple(sum(b_row) if i == j else a_col[i] for i in range(nu))
-    planes = []
-    for table in transport(caps, tuple(b_row[k] for k in ks)):
-        plane = [[0] * nu for _ in range(nu)]
-        for i, row in enumerate(table):
-            for k, v in zip(ks, row):
-                plane[i][k] = v
-            if i != j:
-                plane[i][j] = a_col[i] - sum(row)
-        planes.append(tuple(map(tuple, plane)))
-    return tuple(planes)
-
-
-@lru_cache(maxsize=None)
-def _slice_terms(j: int, a_col: tuple[int, ...], b_row: tuple[int, ...], shift: int):
-    """(packed key, integer weight) for every slice j.
-
-    The key holds the slice's share of c_ik (i != k) in field i*nu + k and
-    the row-j total sum_{k != j} t_jjk in field nu*nu + j.
-    """
-    nu = len(a_col)
     top = prod(map(factorial, a_col)) * prod(map(factorial, b_row))
     out = []
-    for plane in _slice_planes(j, a_col, b_row):
-        packed = sum(plane[j]) << (shift * (nu * nu + j))
+    for table in transport(caps, tuple(b_row[k] for k in ks)):
+        packed = 0
         den = 1
-        for i, row in enumerate(plane):
-            for k, v in enumerate(row):
+        for i, row in enumerate(table):
+            if i == j:
+                packed += sum(row) << (shift * (nu * nu + j))
+            else:
+                rest = a_col[i] - sum(row)
+                packed += rest << (shift * (i * nu + j))
+                den *= factorial(rest)
+            for k, v in zip(ks, row):
                 if i != k:
                     packed += v << (shift * (i * nu + k))
                 den *= factorial(v)
@@ -117,28 +114,23 @@ def _profile_weights(a: Grid, b: Grid) -> dict[tuple[Grid, tuple[int, ...]], int
 
 
 @lru_cache(maxsize=None)
-def _reduced_bracket_product(
-    j: int, a_star: int, b_star: int, t_star: int, nu: int
-) -> EpsPolynomial:
-    """Numerator left by ((a*, t*)) ((b*, t*)) / ((0, t*)) after full cancellation.
-
-    The factor (1 - m*eps_j) appears in the numerator for m in [a*, t*) and
-    again for m in [b*, t*), and once in the denominator for m in [1, t*).
-    Cancelling leaves one numerator copy on [max(a*, b*), t*) and a leftover
-    denominator on [1, min(a*, b*)), which is independent of t*; the leftover
-    is supplied by the caller as the pair-wide common denominator.
-    """
-    return bracket(max(a_star, b_star), t_star, j, nu)
-
-
-@lru_cache(maxsize=None)
 def _profile_poly(
     a_stars: tuple[int, ...], b_stars: tuple[int, ...], t_stars: tuple[int, ...], nu: int
 ) -> EpsPolynomial:
-    out = EpsPolynomial._make(nu, {(0,) * nu: 1})
+    """Numerator left by prod_j ((a*_j, t*_j)) ((b*_j, t*_j)) / ((0, t*_j)) after cancellation.
+
+    In variable j the factor (1 - m*eps_j) appears in the numerator for m in
+    [a*, t*) and again for m in [b*, t*), and once in the denominator for m
+    in [1, t*).  Cancelling leaves one numerator copy on [max(a*, b*), t*)
+    and a leftover denominator on [1, min(a*, b*)), which is independent of
+    t*; the caller supplies the leftover as the pair-wide common denominator.
+    Brackets in distinct variables multiply as an outer product of coefficients.
+    """
+    terms: dict[tuple[int, ...], int] = {(): 1}
     for j in range(nu):
-        out = out * _reduced_bracket_product(j, a_stars[j], b_stars[j], t_stars[j], nu)
-    return out
+        coeffs = _falling(max(a_stars[j], b_stars[j]), t_stars[j])
+        terms = {d + (k,): c * v for d, c in terms.items() for k, v in enumerate(coeffs)}
+    return EpsPolynomial._make(nu, terms)
 
 
 @lru_cache(maxsize=None)

@@ -365,28 +365,28 @@ def convolve(x, y):
     return bilinear(x, y, lambda g, h: ((compose(h, g), 1),))
 
 
-def young_average(yp):
+def young_average(margins):
     """Uniform average over the Young subgroup; an idempotent."""
     blocks, start = [], 0
-    for size in yp.margins.n:
+    for size in margins.n:
         blocks.append(range(start, start + size))
         start += size
-    weight = Fraction(1, prod(factorial(size) for size in yp.margins.n))
+    weight = Fraction(1, prod(factorial(size) for size in margins.n))
     terms = {}
     for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        img = [0] * yp.margins.N
+        img = [0] * margins.N
         for block, perm in zip(blocks, parts):
             for src, dst in zip(block, perm):
                 img[src] = dst
         terms[tuple(img)] = weight
-    return GroupAlgebraVector(yp.margins.N, terms)
+    return GroupAlgebraVector(margins.N, terms)
 
 
-def coset_average(m, yp):
+def coset_average(m):
     """The normalized coset sum: weight 1/coset_size on every member."""
-    perms = coset_partition(yp)[m]
+    perms = coset_partition(m.margins)[m]
     w = Fraction(1, len(perms))
-    return GroupAlgebraVector(yp.margins.N, {g: w for g in perms})
+    return GroupAlgebraVector(m.margins.N, {g: w for g in perms})
 
 
 # The displayed products of transposition averages (braid relations).

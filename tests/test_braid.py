@@ -5,7 +5,6 @@ import pytest
 
 from cosetalg import (
     Margins,
-    YoungPartition,
     check_relations,
     classify,
     commutator,
@@ -32,10 +31,9 @@ def test_r_element_matrix():
 
 def test_r_element_matches_classified_transposition():
     margins = Margins((2, 3, 1))
-    yp = YoungPartition(margins)
     g = (2, 1, 0, 3, 4, 5)  # swap a point of block 1 with one of block 2
     ((m, _),) = r_element(1, 2, margins).sorted_terms()
-    assert classify(g, yp) == m
+    assert classify(g, margins) == m
 
 
 def test_r_element_rejects_bad_indices():
@@ -48,12 +46,11 @@ def test_r_element_rejects_bad_indices():
 
 def test_sandwiched_transposition_is_coset_average():
     margins = Margins((2, 2))
-    yp = YoungPartition(margins)
-    pi = young_average(yp)
+    pi = young_average(margins)
     g = (2, 1, 0, 3)
     sandwiched = convolve(convolve(pi, GroupAlgebraVector.delta(g)), pi)
     ((m, _),) = r_element(1, 2, margins).sorted_terms()
-    assert sandwiched == coset_average(m, yp)
+    assert sandwiched == coset_average(m)
 
 
 @pytest.mark.parametrize("n", [(2, 2, 2), (1, 2, 3), (1, 1, 2)])
@@ -127,11 +124,10 @@ def test_r_symmetric_in_indices():
 def test_relations_against_oracle():
     # replay one relation instance entirely inside the group algebra
     margins = Margins((1, 1, 2))
-    yp = YoungPartition(margins)
 
     def avg(i, j):
         ((m, _),) = r_element(i, j, margins).sorted_terms()
-        return coset_average(m, yp)
+        return coset_average(m)
 
     def scaled(v, x):
         return Fraction(v) * x

@@ -7,6 +7,7 @@ import pytest
 from cosetalg import (
     EpsPolynomial,
     EpsRingElement,
+    EpsSeries,
     Margins,
     OffDiagonalType,
     PoleAtSpecialization,
@@ -121,6 +122,13 @@ def random_element(rng, nu):
     return EpsRingElement(nu, num, den)
 
 
+def test_series_constructor_names_its_builders():
+    # a multidegree does not carry the truncation order, so terms cannot be placed
+    with pytest.raises(ValueError, match="from_polynomial or geometric"):
+        EpsSeries((1, 2), {(0,): 1})
+    assert EpsSeries((1, 2)) == EpsSeries.from_polynomial(EpsPolynomial.zero(1), 2)
+
+
 def test_expand_is_multiplicative_and_additive():
     rng = random.Random(12345)
     for _ in range(40):
@@ -146,7 +154,7 @@ def test_equality_via_cross_multiplication():
     lhs = EpsRingElement.from_polynomial(poly1({0: 1, 1: -2})).div_by_bracket(1, 2, 0)
     rhs = EpsRingElement.from_polynomial(bracket(0, 3, 0, 1)).div_by_bracket(0, 2, 0).div_by_bracket(1, 2, 0)
     assert lhs == rhs
-    assert not (lhs == rhs.scale(2))
+    assert not (lhs == 2 * rhs)
 
 
 def test_canonical_form_cancels_hidden_factors():

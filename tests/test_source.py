@@ -56,6 +56,20 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_no_environment_reads():
+    # a result depends on the call's arguments, never on the process environment:
+    # no ``os.environ`` / ``os.getenv`` access and no import of either name
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+    ]
+    assert found == []
+
+
 def test_terms_slot_only_in_combination():
     # every sparse-term type stores its terms through ``Combination``
     found = [
