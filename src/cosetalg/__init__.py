@@ -30,7 +30,7 @@ from .cosets import (
     enumerate_coset_matrices,
     strip_diagonal,
 )
-from .epsring import EpsPolynomial, EpsRingElement, EpsSeries, bracket
+from .epsring import EpsPolynomial, EpsRingElement, bracket
 from .errors import (
     BruteForceLimitExceeded,
     CosetAlgError,

@@ -74,11 +74,13 @@ def _parse_offdiag(text: str, nu: int) -> OffDiagonalType:
 
 
 def _check_counts(args) -> None:
-    """Refuse a block count or sample size below 1 before any work starts."""
-    for name in ("nu", "sample"):
+    """Refuse a count below 1 before any work starts: the block count ``--nu``,
+    the sample size ``--sample``, the brute-force limit ``--nmax`` and the basis
+    bound ``--max-basis``."""
+    for name in ("nu", "sample", "nmax", "max_basis"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
-            raise ValueError(f"--{name} must be at least 1, got {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
 
 
 def _emit(payload) -> None:

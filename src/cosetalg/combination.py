@@ -2,12 +2,11 @@
 
 Every sparse-term type of the package is a finite combination sum_k c_k * k
 of keys that all lie in one space, held once here as ``Combination``.  Its
-six subclasses say how to read a key's space and, where the ring is not the
+five subclasses say how to read a key's space and, where the ring is not the
 rationals, how a rational becomes a coefficient: ``AlgebraElement`` (coset
 matrices over the margins), ``GradedElement`` and ``UniversalElement``
-(off-diagonal types over nu), ``EpsPolynomial`` (multidegrees over nu),
-``EpsSeries`` (multidegrees over (nu, order)) and, in the tests,
-``GroupAlgebraVector`` (permutations over their length).  The algebras'
+(off-diagonal types over nu), ``EpsPolynomial`` (multidegrees over nu) and,
+in the tests, ``GroupAlgebraVector`` (permutations over their length).  The algebras'
 products are the bilinear extension of a product of basis keys.
 
 Coefficient rule: the validating constructor stores a rational coefficient

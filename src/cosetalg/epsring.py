@@ -2,25 +2,29 @@
 
 Coefficients are exact rationals, never floats.  An integral coefficient is
 held as a Python ``int`` and a ``Fraction`` appears only where a coefficient
-is truly non-integral (a rational passed in, a rational multiple,
-``div_by_rational``).  Everything the universal algebra builds stays in the
-integers: slice weights are integers, the brackets prod (1 - m*eps_j) have
-integer coefficients, and dividing by (1 - m*eps_j) keeps them integral
-because the divisor's constant term is 1.  Specialisation sums integers over
-one common denominator.
+is truly non-integral (a rational passed in, a rational multiple).  Everything
+the universal algebra builds stays in the integers: slice weights are
+integers, the brackets prod (1 - m*eps_j) have integer coefficients, and
+dividing by (1 - m*eps_j) keeps them integral because the divisor's constant
+term is 1.  Specialisation sums integers over one common denominator.
 
-Three layers, all exact.  The two sparse ones are ``Combination``s keyed by
-exponent multidegrees, so their sums, scalar multiples, equality and term
-access are the shared ones:
+Two layers, both exact:
 
 * ``EpsPolynomial``: sparse multivariate polynomials in eps_1, ..., eps_nu
-  over the rationals; a combination whose space is nu.
+  over the rationals; a ``Combination`` of exponent multidegrees whose space
+  is nu, so sums, scalar multiples, equality and term access are the shared
+  ones.
 * ``EpsRingElement``: a polynomial numerator over a multiset of linear
   denominator factors (1 - m*eps_j), m >= 1.  Denominators are never
   expanded, so deciding whether a substitution eps_j = 1/n_j hits a pole is
   a multiset lookup after cancellation.
-* ``EpsSeries``: truncated power series by total degree, for extracting
-  low-order coefficients; a combination whose space is (nu, order).
+
+Division by (1 - m*eps_j) runs on eps_j-chains: the terms that share their
+exponents in the other variables form a dense list p_0, p_1, ... of
+coefficients of eps_j^k, and the quotient satisfies q_k = p_k + m*q_(k-1).
+Run over the whole chain the recurrence is exact division (it divides iff the
+last q vanishes); cut at a length it is the power series of the quotient, which
+is how ``EpsRingElement.expand`` reads low-order Taylor coefficients.
 
 Canonical form: no factor present in the denominator divides the numerator.
 Because every factor is linear with constant term 1, the canonical
@@ -117,23 +121,14 @@ class EpsPolynomial(Combination):
     def divide_out(self, j: int, factors: dict[int, int]) -> tuple["EpsPolynomial", dict[int, int]]:
         """Divide by each (1 - m*eps_j)^mult of ``factors`` as far as it divides exactly.
 
-        Returns the quotient and the multiplicities {m: mult} left over.
-        Grouping the terms into chains sum_k p_k eps_j^k that share their
-        exponents in the other variables, each chain divides on its own: the
-        quotient satisfies q_k = p_k + m q_{k-1}, and one division is exact
-        iff the final carry vanishes in every chain.  The chains are built
-        once and divided as dense coefficient lists.
+        Returns the quotient and the multiplicities {m: mult} left over.  The
+        eps_j-chains are built once and each chain divides on its own; one
+        division is exact iff it is exact in every chain.
         """
         left = {m: mult for m, mult in factors.items() if mult}
         if self.is_zero() or not left:
             return self, left
-        chains: dict[Degree, list[Rational]] = {}
-        for deg, coeff in self.terms.items():
-            k = deg[j]
-            chain = chains.setdefault(deg[:j] + (0,) + deg[j + 1 :], [])
-            if len(chain) <= k:
-                chain.extend([0] * (k + 1 - len(chain)))
-            chain[k] = coeff
+        chains = _chains(self, j)
         divided = False
         for m in sorted(left):
             while left[m]:
@@ -146,12 +141,7 @@ class EpsPolynomial(Combination):
         left = {m: mult for m, mult in left.items() if mult}
         if not divided:
             return self, left
-        terms: dict[Degree, Rational] = {}
-        for rest, chain in chains.items():
-            for k, coeff in enumerate(chain):
-                if coeff:
-                    terms[rest[:j] + (k,) + rest[j + 1 :]] = coeff
-        return EpsPolynomial._make(self.space, terms), left
+        return _unchain(chains, j, self.space), left
 
     def __repr__(self):
         if self.is_zero():
@@ -167,18 +157,51 @@ class EpsPolynomial(Combination):
         return " + ".join(bits)
 
 
+def _chains(poly: EpsPolynomial, j: int) -> dict[Degree, list[Rational]]:
+    """The terms as eps_j-chains: {multidegree with eps_j exponent 0: [p_0, ..., p_top]}."""
+    chains: dict[Degree, list[Rational]] = {}
+    for deg, coeff in poly.terms.items():
+        k = deg[j]
+        chain = chains.setdefault(deg[:j] + (0,) + deg[j + 1 :], [])
+        if len(chain) <= k:
+            chain.extend([0] * (k + 1 - len(chain)))
+        chain[k] = coeff
+    return chains
+
+
+def _unchain(chains: dict[Degree, list[Rational]], j: int, nu: int) -> EpsPolynomial:
+    """The polynomial whose eps_j-chains are ``chains``; zero coefficients are dropped."""
+    terms: dict[Degree, Rational] = {}
+    for rest, chain in chains.items():
+        for k, coeff in enumerate(chain):
+            if coeff:
+                terms[rest[:j] + (k,) + rest[j + 1 :]] = coeff
+    return EpsPolynomial._make(nu, terms)
+
+
+def _quotient(chain: list[Rational], m: int, length: int) -> list[Rational]:
+    """The first ``length`` >= len(chain) coefficients of chain / (1 - m*x) as a
+    power series in x: q_k = p_k + m*q_(k-1), with p_k = 0 past the chain's top.
+    """
+    out = []
+    carry = 0
+    for p in chain + [0] * (length - len(chain)):
+        carry = p + m * carry
+        out.append(carry)
+    return out
+
+
 def _divide_chains(
     chains: dict[Degree, list[Rational]], m: int
 ) -> dict[Degree, list[Rational]] | None:
-    """Every dense chain [p_0, ..., p_top] divided by (1 - m*x), or None if one does not divide."""
+    """Every chain [p_0, ..., p_top] divided by (1 - m*x), or None if one does not divide.
+
+    The series quotient over the full chain is exact iff its last coefficient is 0.
+    """
     out = {}
     for rest, chain in chains.items():
-        carry = 0
-        quotient = []
-        for p in chain[:-1]:
-            carry = p + m * carry
-            quotient.append(carry)
-        if chain[-1] + m * carry:
+        quotient = _quotient(chain, m, len(chain))
+        if quotient.pop():
             return None
         out[rest] = quotient
     return out
@@ -277,12 +300,10 @@ class EpsRingElement:
         return _times_factors(EpsPolynomial._make(self.nu, {(0,) * self.nu: 1}), self.den)
 
     def __eq__(self, other) -> bool:
-        """Cross-multiplied comparison; canonical forms make it cheap in the common case."""
-        if not isinstance(other, EpsRingElement) or self.nu != other.nu:
-            return NotImplemented if not isinstance(other, EpsRingElement) else False
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * other.den_polynomial() == other.num * self.den_polynomial()
+        """The canonical form of a rational function is unique, so compare it directly."""
+        return (
+            isinstance(other, EpsRingElement) and self.den == other.den and self.num == other.num
+        )
 
     def __add__(self, other: "EpsRingElement") -> "EpsRingElement":
         if self.nu != other.nu:
@@ -316,12 +337,6 @@ class EpsRingElement:
             den[(j, m)] = den.get((j, m), 0) + 1
         return EpsRingElement(self.nu, self.num, den)
 
-    def div_by_rational(self, scalar) -> "EpsRingElement":
-        scalar = Fraction(scalar)
-        if not scalar:
-            raise ZeroDivisionError("division by zero rational")
-        return (1 / scalar) * self
-
     def specialize(self, margins: Margins) -> Fraction:
         """Evaluate at eps_j = 1/n_j; fails exactly on surviving factors with m = n_j.
 
@@ -340,15 +355,28 @@ class EpsRingElement:
             den *= (n[j] - m) ** mult
         return Fraction(total, den)
 
-    def expand(self, order: int) -> "EpsSeries":
-        """Truncated power series to total degree ``order`` (geometric expansion)."""
+    def expand(self, order: int) -> EpsPolynomial:
+        """The power series to total degree ``order``, as a polynomial.
+
+        Each factor 1/(1 - m*eps_j) is a series in eps_j alone, so the
+        truncated numerator is divided chain by chain along every variable of
+        the denominator; a chain whose other exponents sum to r is cut at
+        length order + 1 - r.
+        """
         if order < 0:
             raise ValueError("order must be nonnegative")
-        series = EpsSeries.from_polynomial(self.num, order)
-        for (j, m), mult in sorted(self.den.items()):
-            inv = EpsSeries.geometric(self.nu, j, m, order)
-            for _ in range(mult):
-                series = series * inv
+        series = EpsPolynomial._make(
+            self.nu, {d: c for d, c in self.num.terms.items() if sum(d) <= order}
+        )
+        for j in sorted({j for j, _ in self.den}):
+            factors = [m for (i, m), mult in self.den.items() if i == j for _ in range(mult)]
+            chains = _chains(series, j)
+            for rest, chain in chains.items():
+                length = order + 1 - sum(rest)
+                for m in factors:
+                    chain = _quotient(chain, m, length)
+                chains[rest] = chain
+            series = _unchain(chains, j, self.nu)
         return series
 
     def sorted_den(self) -> list[tuple[tuple[int, int], int]]:
@@ -406,52 +434,3 @@ def _sum_over_lcm(
     extra2 = {k: v - den2.get(k, 0) for k, v in lcm.items() if v != den2.get(k, 0)}
     return _times_factors(num1, extra1) + _times_factors(num2, extra2), lcm
 
-
-class EpsSeries(Combination):
-    """Power series truncated by total degree: a combination whose space is (nu, order).
-
-    Built only by ``from_polynomial`` and ``geometric``, whose terms already
-    lie within the order.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _space_of(deg: Degree):
-        """A multidegree does not carry the truncation order, so no term places itself."""
-        raise ValueError("an EpsSeries is built by from_polynomial or geometric")
-
-    @property
-    def nu(self) -> int:
-        return self.space[0]
-
-    @property
-    def order(self) -> int:
-        return self.space[1]
-
-    @classmethod
-    def from_polynomial(cls, p: EpsPolynomial, order: int) -> "EpsSeries":
-        return cls._make((p.space, order), {d: c for d, c in p.terms.items() if sum(d) <= order})
-
-    @classmethod
-    def geometric(cls, nu: int, j: int, m: int, order: int) -> "EpsSeries":
-        """1 / (1 - m*eps_j) up to the truncation order; m is an integer."""
-        terms = {}
-        deg = [0] * nu
-        for k in range(order + 1):
-            deg[j] = k
-            terms[tuple(deg)] = m**k
-        return cls._make((nu, order), terms)
-
-    def __mul__(self, other: "EpsSeries") -> "EpsSeries":
-        self._check(other)
-        order = self.order
-        out: dict[Degree, Rational] = {}
-        for d1, c1 in self.terms.items():
-            r1 = sum(d1)
-            for d2, c2 in other.terms.items():
-                if r1 + sum(d2) > order:
-                    continue
-                d = tuple(map(add, d1, d2))
-                out[d] = out.get(d, 0) + c1 * c2
-        return EpsSeries._make(self.space, {d: c for d, c in out.items() if c})

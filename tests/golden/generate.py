@@ -80,6 +80,9 @@ CASES = [
     ("error-graded-nu-neg", ["graded", "--nu", "-1", "--a", "", "--b", ""]),
     ("error-sample0", ["oracle-check", "--n", "2,2", "--sample", "0"]),
     ("error-sample-neg", ["oracle-check", "--n", "2,2", "--sample", "-3"]),
+    ("error-nmax0", ["--nmax", "0", "nu2", "s", "--a", "0", "--b", "0", "--c", "0", "--n1", "1",
+                     "--n2", "1"]),
+    ("error-max-basis-neg", ["verify-assoc", "--n", "1,1,2", "--max-basis", "-5"]),
 ]
 
 

@@ -3,8 +3,9 @@
 The package keeps one production route per quantity; the independent routes
 that check it live here: the full 3-tensor walks, the group algebra of S_N,
 the two-block universal sum, Lemma 3's exponent bookkeeping, the finite value
-through embedding, the displayed braid products, and the per-term
-``Fraction`` evaluation.  They share no enumeration with the package.
+through embedding, the displayed braid products, the per-term ``Fraction``
+evaluation and the multiplied-out series expansion.  They share no
+enumeration with the package.
 """
 
 import itertools
@@ -154,7 +155,7 @@ def _star(entries, j):
 
 
 def walk_tensors(a, b):
-    """Return (t_entries, c_entries, prod t_ijk!) over the admissible universal tensors.
+    """Return (t_entries, c_entries) over the admissible universal tensors.
 
     Free cells t_ijk (j != k) are placed under the column sums b_jk, t_ijj
     is derived from the row sums, and tensors whose c-slice is unbalanced
@@ -167,7 +168,6 @@ def walk_tensors(a, b):
     results = []
 
     def finish():
-        denom = 1
         for i in range(nu):
             for j in range(nu):
                 if i != j:
@@ -175,11 +175,6 @@ def walk_tensors(a, b):
                     if v < 0:
                         return
                     t[i][j][j] = v
-        for i in range(nu):
-            for j in range(nu):
-                for k in range(nu):
-                    if not (i == j == k):
-                        denom *= factorial(t[i][j][k])
         c = tuple(
             tuple(
                 sum(t[i][m][k] for m in range(nu)) if i != k else 0
@@ -191,7 +186,7 @@ def walk_tensors(a, b):
             if _star(c, j) != sum(c[j][i] for i in range(nu) if i != j):
                 return
         snapshot = tuple(tuple(tuple(col) for col in plane) for plane in t)
-        results.append((snapshot, c, denom))
+        results.append((snapshot, c))
 
     def place(pi):
         if pi == len(free_pairs):
@@ -239,7 +234,8 @@ def reference_universal_terms(a, b):
         (j, m): 1 for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))
     }
     weights = {}
-    for t, c, denom in walk_tensors(a, b):
+    for t, c in walk_tensors(a, b):
+        denom = prod(factorial(v) for plane in t for col in plane for v in col)
         t_stars = tuple(
             a_stars[j] + sum(t[j][j][k] for k in range(nu) if k != j) for j in range(nu)
         )
@@ -279,6 +275,28 @@ def reference_specialize(x, margins):
     return value
 
 
+# Reference route for ``EpsRingElement.expand``: the numerator times one explicit
+# geometric polynomial sum_k m^k eps_j^k per factor and multiplicity, multiplied
+# out in full and truncated once at the end.
+
+
+def truncate(poly, order):
+    """The terms of poly of total degree at most order."""
+    return EpsPolynomial(poly.nu, {d: c for d, c in poly.terms.items() if sum(d) <= order})
+
+
+def reference_expand(x, order):
+    nu = x.nu
+    series = x.num
+    for (j, m), mult in x.den.items():
+        geometric = EpsPolynomial(
+            nu, {tuple(k if i == j else 0 for i in range(nu)): m**k for k in range(order + 1)}
+        )
+        for _ in range(mult):
+            series = series * geometric
+    return truncate(series, order)
+
+
 def lemma3_checks(a, b):
     """Walk the admissible tensors of the pair of grids (a, b) and check Lemma 3.
 
@@ -293,7 +311,7 @@ def lemma3_checks(a, b):
     target = tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
     walked = walk_tensors(a, b)
     failures = []
-    for t, c, _ in walked:
+    for t, c in walked:
         exps, cross = [], []
         for j in range(nu):
             t_star = a_stars[j] + sum(t[j][j]) - t[j][j][j]

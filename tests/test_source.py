@@ -2,11 +2,13 @@
 
 import ast
 import pathlib
+import re
 from graphlib import TopologicalSorter
 
 import cosetalg
 
 SRC = pathlib.Path(cosetalg.__file__).resolve().parent
+NUMBERS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
 
 
 def _nodes():
@@ -94,3 +96,25 @@ def test_relative_imports_form_no_cycle():
             targets = [node.module] if node.module else [a.name for a in node.names]
             graph[name[:-3]] |= {t.split(".")[0] for t in targets} & modules
     TopologicalSorter(graph).prepare()
+
+
+def test_combination_docstring_lists_every_subclass():
+    # ``combination``'s module docstring names its subclasses and their number:
+    # every subclass in the package is named, and every name is a subclass in
+    # the package or in the tests
+    defined: dict[pathlib.Path, set[str]] = {}
+    for root in (SRC, pathlib.Path(__file__).resolve().parent):
+        defined[root] = {
+            node.name
+            for path in sorted(root.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(base, ast.Name) and base.id == "Combination" for base in node.bases)
+        }
+    doc = ast.get_docstring(ast.parse((SRC / "combination.py").read_text()))
+    found = re.search(r"Its\s+(\w+)\s+subclasses(.*?)\.\s", doc, re.DOTALL)
+    assert found, "combination.py's docstring has no sentence 'Its <number> subclasses ...'"
+    listed = re.findall(r"``(\w+)``", found.group(2))
+    assert defined[SRC] <= set(listed)
+    assert set(listed) <= set().union(*defined.values())
+    assert NUMBERS.index(found.group(1)) == len(listed)

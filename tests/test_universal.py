@@ -24,6 +24,7 @@ from helpers import (
     balanced_types,
     finite_constant_via_embedding,
     lemma3_checks,
+    reference_expand,
     reference_specialize,
     reference_universal_terms,
     walk_tensors,
@@ -36,7 +37,7 @@ def two_block(a):
 
 def walked(a, b, c):
     """The tensors of the reference walk over the pair (a, b) that land on c."""
-    return {t for t, got, _ in walk_tensors(a.entries, b.entries) if got == c.entries}
+    return {t for t, got in walk_tensors(a.entries, b.entries) if got == c.entries}
 
 
 def brute_tensor_scan(a, b, c):
@@ -315,6 +316,14 @@ def test_coefficients_are_exact_nu3():
             assert all(type(v) is int for v in coeff.num.terms.values()), (a, b)
             assert all(type(v) is int for v in coeff.expand(1).terms.values()), (a, b)
             assert type(coeff.specialize(margins)) in (int, Fraction), (a, b)
+
+
+def test_expand_matches_reference_nu3():
+    # chain-by-chain series division against the multiplied-out geometric series
+    for a, b in itertools.product(balanced_types(3, 1), repeat=2):
+        for c, coeff in universal_product(a, b).items():
+            for order in range(4):
+                assert coeff.expand(order) == reference_expand(coeff, order), (a, b, c, order)
 
 
 def test_rebuild_over_cubed_denominator_nu3():
