@@ -27,7 +27,6 @@ per target; no tensor is ever materialised on this route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -194,12 +193,18 @@ def product_table(
     return rows
 
 
-@dataclass
 class AssociativityReport:
-    margins: Margins
-    basis_size: int
-    triples_checked: int
-    violations: list[tuple[CosetMatrix, CosetMatrix, CosetMatrix]]
+    def __init__(
+        self,
+        margins: Margins,
+        basis_size: int,
+        triples_checked: int,
+        violations: list[tuple[CosetMatrix, CosetMatrix, CosetMatrix]],
+    ):
+        self.margins = margins
+        self.basis_size = basis_size
+        self.triples_checked = triples_checked
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

@@ -16,7 +16,6 @@ equal block sizes.  Relation (9) is a single commutator and holds unscaled.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, commutator
@@ -50,12 +49,14 @@ def scaled_r_element(i: int, j: int, margins: Margins) -> AlgebraElement:
     return Fraction(margins.n[i - 1] * margins.n[j - 1]) * base
 
 
-@dataclass
 class RelationCheck:
-    relation: str  # "(8)" or "(9)"
-    indices: tuple[int, ...]
-    holds: bool
-    commutator: AlgebraElement
+    def __init__(
+        self, relation: str, indices: tuple[int, ...], holds: bool, commutator: AlgebraElement
+    ):
+        self.relation = relation  # "(8)" or "(9)"
+        self.indices = indices
+        self.holds = holds
+        self.commutator = commutator
 
     def to_json_dict(self):
         return {
@@ -66,10 +67,10 @@ class RelationCheck:
         }
 
 
-@dataclass
 class BraidReport:
-    margins: Margins
-    checks: list[RelationCheck]
+    def __init__(self, margins: Margins, checks: list[RelationCheck]):
+        self.margins = margins
+        self.checks = checks
 
     @property
     def ok(self) -> bool:

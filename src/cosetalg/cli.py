@@ -5,6 +5,9 @@ Matrices are passed as flat comma-separated row-major entries, off-diagonal
 types as flat comma-separated (i, j, value) triples with 1-based indices.
 Exit status: 0 on success or a verified check, 2 on a failed verification or
 a reported pole, 1 on usage errors.
+
+Each subcommand imports the layers it runs when it runs, so a call loads only
+what it uses; the module level holds what parsing and error reports need.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import argparse
 import json
 import sys
 
-from . import algebra, braid, nu2, poisson, universal
 from .cosets import (
     CosetMatrix,
     Margins,
@@ -28,7 +30,7 @@ from .errors import (
     MarginOverflow,
     PoleAtSpecialization,
 )
-from .oracle import DEFAULT_LIMIT, HARD_CAP, oracle_product, resolve_limit
+from .oracle import DEFAULT_LIMIT, HARD_CAP, resolve_limit
 from .rationals import format_rational
 
 USAGE_ERROR = 1
@@ -108,6 +110,8 @@ def _cmd_mu(args) -> int:
 
 
 def _cmd_product(args) -> int:
+    from . import algebra
+
     margins = _parse_margins(args.n)
     a = _parse_matrix(args.a, margins)
     b = _parse_matrix(args.b, margins)
@@ -127,6 +131,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import algebra
+
     margins = _parse_margins(args.n)
     rows = algebra.product_table(margins, max_basis=args.max_basis)
     for a, b, c, coeff in rows:
@@ -144,6 +150,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify_assoc(args) -> int:
+    from . import algebra
+
     margins = _parse_margins(args.n)
     report = algebra.verify_associativity(margins, max_basis=args.max_basis)
     _emit(report.to_json_dict())
@@ -151,6 +159,9 @@ def _cmd_verify_assoc(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    from . import algebra
+    from .oracle import oracle_product
+
     margins = _parse_margins(args.n)
     limit = resolve_limit(args.nmax)
     basis = enumerate_coset_matrices(margins)
@@ -188,6 +199,8 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_universal(args) -> int:
+    from . import universal
+
     nu = args.nu
     a = _parse_offdiag(args.a, nu)
     b = _parse_offdiag(args.b, nu)
@@ -212,6 +225,8 @@ def _cmd_universal(args) -> int:
 
 
 def _cmd_specialize(args) -> int:
+    from . import universal
+
     margins = _parse_margins(args.n)
     nu = margins.nu
     a = _parse_offdiag(args.a, nu)
@@ -233,6 +248,8 @@ def _cmd_specialize(args) -> int:
 
 
 def _cmd_braid_check(args) -> int:
+    from . import braid
+
     margins = _parse_margins(args.n)
     report = braid.check_relations(margins)
     _emit(report.to_json_dict())
@@ -240,6 +257,8 @@ def _cmd_braid_check(args) -> int:
 
 
 def _cmd_nu2(args) -> int:
+    from . import nu2
+
     a, b, c, n1, n2 = args.a, args.b, args.c, args.n1, args.n2
     methods = {
         "sum": lambda: nu2.s_sum(a, b, c, n1, n2),
@@ -266,6 +285,8 @@ def _cmd_nu2(args) -> int:
 
 
 def _cmd_poisson(args) -> int:
+    from . import poisson
+
     nu = args.nu
     a = _parse_offdiag(args.a, nu)
     b = _parse_offdiag(args.b, nu)
@@ -275,6 +296,8 @@ def _cmd_poisson(args) -> int:
 
 
 def _cmd_graded(args) -> int:
+    from . import poisson
+
     nu = args.nu
     a = _parse_offdiag(args.a, nu)
     b = _parse_offdiag(args.b, nu)

@@ -16,24 +16,43 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+from operator import index
 
 from .errors import InvariantViolation, MarginOverflow
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+
+
 class Margins:
     """Block sizes (n_1, ..., n_nu) of a Young subgroup."""
 
-    n: tuple[int, ...]
+    __slots__ = ("n",)
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(x) for x in self.n))
-        if len(self.n) < 1:
+    def __init__(self, n: tuple[int, ...]):
+        n = tuple(map(index, n))
+        if len(n) < 1:
             raise ValueError("at least one block required")
-        if any(x < 1 for x in self.n):
-            raise ValueError(f"block sizes must be positive: {self.n}")
+        if any(x < 1 for x in n):
+            raise ValueError(f"block sizes must be positive: {n}")
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash((self.n,))
+
+    def __repr__(self):
+        return f"Margins(n={self.n!r})"
+
+    def __reduce__(self):
+        return Margins, (self.n,)
 
     @property
     def nu(self) -> int:
@@ -47,31 +66,30 @@ class Margins:
         return {"n": list(self.n)}
 
 
-@dataclass(frozen=True)
 class CosetMatrix:
     """A nu x nu nonnegative integer matrix with row and column sums n_i, n_j."""
 
-    entries: tuple[tuple[int, ...], ...]
-    margins: Margins
+    __slots__ = ("entries", "margins")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(v) for v in row) for row in self.entries)
-        )
-        n = self.margins.n
-        nu = self.margins.nu
-        if len(self.entries) != nu or any(len(row) != nu for row in self.entries):
+    def __init__(self, entries: tuple[tuple[int, ...], ...], margins: Margins):
+        entries = tuple(tuple(map(index, row)) for row in entries)
+        n = margins.n
+        nu = margins.nu
+        if len(entries) != nu or any(len(row) != nu for row in entries):
             raise ValueError(f"expected a {nu}x{nu} matrix")
-        for row in self.entries:
+        for row in entries:
             if any(v < 0 for v in row):
                 raise ValueError("entries must be nonnegative")
-        for i, row in enumerate(self.entries):
+        for i, row in enumerate(entries):
             if sum(row) != n[i]:
                 raise ValueError(f"row {i + 1} sums to {sum(row)}, expected {n[i]}")
         for j in range(nu):
-            col = sum(self.entries[i][j] for i in range(nu))
+            col = sum(entries[i][j] for i in range(nu))
             if col != n[j]:
                 raise ValueError(f"column {j + 1} sums to {col}, expected {n[j]}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "margins", margins)
 
     @classmethod
     def _make(cls, entries: tuple[tuple[int, ...], ...], margins: Margins) -> "CosetMatrix":
@@ -80,6 +98,20 @@ class CosetMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "margins", margins)
         return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.margins) == (other.entries, other.margins)
+
+    def __hash__(self):
+        return hash((self.entries, self.margins))
+
+    def __repr__(self):
+        return f"CosetMatrix(entries={self.entries!r}, margins={self.margins!r})"
+
+    def __reduce__(self):
+        return CosetMatrix, (self.entries, self.margins)
 
     def __lt__(self, other: "CosetMatrix") -> bool:
         return self.entries < other.entries
@@ -95,7 +127,6 @@ class CosetMatrix:
         return {"n": list(self.margins.n), "entries": [list(row) for row in self.entries]}
 
 
-@dataclass(frozen=True)
 class OffDiagonalType:
     """The off-diagonal part {a_ij : i != j} of a coset matrix, margins forgotten.
 
@@ -105,12 +136,11 @@ class OffDiagonalType:
     of points that leave (equivalently, enter) block j.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(v) for v in row) for row in self.entries)
-        )
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "entries", tuple(tuple(map(index, row)) for row in entries))
         nu = len(self.entries)
         if any(len(row) != nu for row in self.entries):
             raise ValueError("entries must form a square grid")
@@ -129,6 +159,20 @@ class OffDiagonalType:
         self = object.__new__(cls)
         object.__setattr__(self, "entries", entries)
         return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
+
+    def __repr__(self):
+        return f"OffDiagonalType(entries={self.entries!r})"
+
+    def __reduce__(self):
+        return OffDiagonalType, (self.entries,)
 
     @property
     def nu(self) -> int:

@@ -131,6 +131,12 @@ def test_associativity(n):
     report = verify_associativity(Margins(n))
     assert report.ok
     assert report.triples_checked == report.basis_size**3
+    assert report.to_json_dict() == {
+        "n": list(n),
+        "basis_size": report.basis_size,
+        "triples_checked": report.triples_checked,
+        "violations": [],
+    }
 
 
 @pytest.mark.parametrize("n", [(2, 2), (1, 1, 2)])

@@ -62,10 +62,14 @@ def test_bench_caches_and_tracing_install(monkeypatch):
         name: getattr(cosetalg.oracle, name)
         for name in ("coset_partition", "oracle_product", "oracle_structure_constant")
     }
+    product = cosetalg.universal.universal_product
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
         assert all(getattr(cosetalg.oracle, name) is not f for name, f in originals.items())
+        # the package's lazy export reaches the wrapper while it is installed
+        assert cosetalg.universal_product is cosetalg.universal.universal_product is not product
     finally:
         tracer.unwrap_all()
     assert all(getattr(cosetalg.oracle, name) is f for name, f in originals.items())
+    assert cosetalg.universal_product is cosetalg.universal.universal_product is product

@@ -143,5 +143,5 @@ def test_relations_against_oracle():
 def test_report_json_shape():
     report = check_relations(Margins((1, 1, 2)))
     payload = report.to_json_dict()
-    assert payload["all_hold"] is True
+    assert report.ok and payload["all_hold"] is True
     assert {c["relation"] for c in payload["checks"]} == {"(8)"}

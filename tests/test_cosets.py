@@ -1,5 +1,8 @@
+import inspect
 import itertools
 import json
+import pickle
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -27,6 +30,13 @@ def test_margins_validation():
     assert m.nu == 2 and m.N == 5
 
 
+@pytest.mark.parametrize("bad", [2.7, Fraction(5, 2), Fraction(2), "2"])
+def test_margins_reject_non_integers(bad):
+    # a non-integer block size is refused, not truncated to an int
+    with pytest.raises(TypeError):
+        Margins((bad, 3))
+
+
 def test_matrix_validation():
     m = Margins((2, 2))
     with pytest.raises(ValueError):
@@ -34,6 +44,12 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         CosetMatrix(((2, 0), (1, 1)), m)  # bad column sum
     CosetMatrix(((1, 1), (1, 1)), m)
+
+
+@pytest.mark.parametrize("bad", [2.2, Fraction(2), "2"])
+def test_matrix_rejects_non_integers(bad):
+    with pytest.raises(TypeError):
+        CosetMatrix(((bad, 0), (0, 2)), Margins((2, 2)))
 
 
 def test_enumerate_single_block():
@@ -106,6 +122,12 @@ def test_offdiagonal_balance_required():
     assert t.star(0) == t.star(1) == 1
 
 
+@pytest.mark.parametrize("bad", [0.9, Fraction(1), "1"])
+def test_offdiagonal_rejects_non_integers(bad):
+    with pytest.raises(TypeError):
+        OffDiagonalType(((0, bad), (bad, 0)))
+
+
 def test_embed_all_zero_gives_diagonal():
     margins = Margins((2, 3, 1))
     m = embed_offdiagonal(OffDiagonalType.zero(3), margins)
@@ -155,3 +177,35 @@ def test_json_shapes():
 def test_offdiagonal_addition():
     t = OffDiagonalType(((0, 1), (1, 0)))
     assert (t + t).entries == ((0, 2), (2, 0))
+
+
+# the three value types, their fields, and the text a dataclass would print;
+# the CosetMatrix and the OffDiagonalType share their entries
+VALUE_TYPES = [
+    (Margins, ((1, 1),), "Margins(n=(1, 1))"),
+    (
+        CosetMatrix,
+        (((0, 1), (1, 0)), Margins((1, 1))),
+        "CosetMatrix(entries=((0, 1), (1, 0)), margins=Margins(n=(1, 1)))",
+    ),
+    (OffDiagonalType, (((0, 1), (1, 0)),), "OffDiagonalType(entries=((0, 1), (1, 0)))"),
+]
+
+
+@pytest.mark.parametrize("cls,fields,text", VALUE_TYPES, ids=[v[0].__name__ for v in VALUE_TYPES])
+def test_value_type_contract(cls, fields, text):
+    x = cls(*fields)
+    for name in inspect.signature(cls).parameters:
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    # hashing a value hashes its field tuple, as a frozen dataclass does, so set
+    # and dict orders stay the same
+    assert hash(x) == hash(fields)
+    assert repr(x) == text
+    assert x == cls(*fields) and not x != cls(*fields)
+    others = [other(*f) for other, f, _ in VALUE_TYPES if other is not cls]
+    assert all(x != y and not x == y for y in [fields, fields[0], *others])
+    assert getattr(cls, "_make", cls)(*fields) == x
+    assert pickle.loads(pickle.dumps(x)) == x

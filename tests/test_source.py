@@ -72,6 +72,18 @@ def test_no_environment_reads():
     assert found == []
 
 
+def test_no_dataclasses():
+    # every CLI process imports the value types, and ``dataclasses`` costs each
+    # one the import of ``dataclasses`` and ``inspect``; the types are plain classes
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
+
+
 def test_terms_slot_only_in_combination():
     # every sparse-term type stores its terms through ``Combination``
     found = [
