@@ -22,7 +22,9 @@ is an integer (a product of multinomials), so
 W_c is computed for every target at once by a convolution over j: a dict
 from the partial c, packed into one integer with a fixed bit width per
 entry, to the integer weight accumulated so far.  One ``Fraction`` is built
-per target; no tensor is ever materialised on this route.
+per target; no tensor is ever materialised on this route.  The packing
+layer (slice tables, keys, convolution) lives in ``cosets``, where the
+universal product uses it too.
 """
 
 from __future__ import annotations
@@ -32,74 +34,26 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .combination import Combination, bilinear
-from .cosets import CosetMatrix, Margins, enumerate_coset_matrices, transport
+from .cosets import (
+    CosetMatrix,
+    Grid,
+    Margins,
+    _column,
+    _convolve,
+    _field_bits,
+    _slice_terms,
+    _unpack,
+    enumerate_coset_matrices,
+)
 from .rationals import format_rational
-
-Grid = tuple[tuple[int, ...], ...]
-
-
-def _convolve(slices) -> dict[int, int]:
-    """Sum the weight products of every choice of one term per slice.
-
-    Each slice is a sequence of (packed key, integer weight).  The result maps
-    each sum of packed keys to its total weight.
-    """
-    states = {0: 1}
-    for terms in slices:
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, w in states.items():
-            for d, v in terms:
-                k = key + d
-                nxt[k] = get(k, 0) + w * v
-        states = nxt
-    return states
-
-
-def _field_bits(bound: int) -> int:
-    """Bits per packed field that hold every value up to ``bound``: whole bytes."""
-    return 8 * max(1, (bound.bit_length() + 7) // 8)
-
-
-def _unpack(key: int, rows: int, width: int, shift: int) -> Grid:
-    """Read a packed key back as ``rows`` rows of ``width`` fields of ``shift`` bits."""
-    size = shift // 8
-    raw = key.to_bytes(rows * width * size, "little")
-    if size > 1:
-        raw = [int.from_bytes(raw[p : p + size], "little") for p in range(0, len(raw), size)]
-    return tuple(zip(*[iter(raw)] * width))
-
-
-def _column(grid: Grid, j: int) -> tuple[int, ...]:
-    return tuple(row[j] for row in grid)
-
-
-@lru_cache(maxsize=None)
-def _slice_terms(caps: tuple[int, ...], cols: tuple[int, ...], shift: int):
-    """(packed table, integer weight) for each slice with margins caps and cols.
-
-    Entry (i, k) sits in field i*nu + k; the weight is
-    prod_i caps_i! / prod_ik t_ik!, a product of multinomials.
-    """
-    nu = len(caps)
-    top = prod(map(factorial, caps))
-    out = []
-    for table in transport(caps, cols):
-        packed = 0
-        den = 1
-        for i, row in enumerate(table):
-            for k, v in enumerate(row):
-                packed += v << (shift * (i * nu + k))
-                den *= factorial(v)
-        out.append((packed, top // den))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _product_terms(a: Grid, b: Grid, n: tuple[int, ...]) -> dict[Grid, Fraction]:
     nu = len(n)
     shift = _field_bits(max(n))  # every partial c_ik is at most n_i
-    weights = _convolve(_slice_terms(_column(a, j), b[j], shift) for j in range(nu))
+    cells = tuple(range(nu * nu))  # cell (i, k) packs into field i*nu + k
+    weights = _convolve(_slice_terms(_column(a, j), b[j], shift, cells) for j in range(nu))
     num = prod(factorial(v) for row in b for v in row)
     den = prod(map(factorial, n))
     return {_unpack(key, nu, nu, shift): Fraction(num * w, den) for key, w in weights.items()}

@@ -7,6 +7,11 @@ its row sums and column sums both equal the block sizes.  This module
 enumerates those matrices, computes the exact size of the coset each one
 labels, and converts between full matrices and their off-diagonal part.
 
+It also holds the packing layer that both products build on: ``transport``
+walks the transportation tables of one slice, ``_slice_terms`` reads each
+table into a packed integer key and an integer weight, ``_convolve`` sums
+over the slices and ``_unpack`` reads a key back as a grid.
+
 Conventions fixed here and relied on everywhere else:
 
 * indices are 0-based internally and 1-based in all JSON output;
@@ -16,10 +21,14 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from math import factorial
+from functools import lru_cache
+from itertools import chain
+from math import factorial, prod
 from operator import index
 
 from .errors import InvariantViolation, MarginOverflow
+
+Grid = tuple[tuple[int, ...], ...]
 
 
 def _frozen(self, name, *value):
@@ -219,16 +228,15 @@ class OffDiagonalType:
         return {"nu": self.nu, "offdiag": offdiag}
 
 
-def transport(
-    caps: tuple[int, ...], cols: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def transport(caps: tuple[int, ...], cols: tuple[int, ...]) -> tuple[Grid, ...]:
     """Every nonnegative integer table with column sums ``cols`` and row i
     summing to at most ``caps[i]``, in row-major lexicographic order.
 
     When the caps add up to the column total every row meets its cap
     exactly.  Each cell's range is cut to the values that still leave a
-    completion (the rows below must absorb what this row leaves), so no
-    branch is abandoned.
+    completion (the rows below must absorb what the columns up to this cell
+    still lack), so no branch is abandoned.  The walk is an odometer over the
+    cells, not a recursion, so a table may have any number of cells.
     """
     rows, width = len(caps), len(cols)
     room = [0] * (rows + 1)  # room[i]: what rows i.. can absorb together
@@ -236,37 +244,99 @@ def transport(
         room[i] = room[i + 1] + caps[i]
     if sum(cols) > room[0]:
         return ()
-    out: list[tuple[tuple[int, ...], ...]] = []
+    size = rows * width
+    if not size:
+        return (((),) * rows,)
+    out: list[Grid] = []
     colrem = list(cols)
-    table: list[tuple[int, ...]] = []
+    cell = [0] * size  # the table, row-major
+    top = [0] * size  # top[p]: the largest value cell p may take
+    taken = [0] * (size + 1)  # taken[p]: the sum of the cells left of p in its row
+    done: list[tuple[int, ...]] = [()] * rows  # the finished rows
+    p = 0
+    while True:
+        if p < size:
+            # enter cell p at the least value that still leaves a completion
+            i, k = divmod(p, width)
+            cell[p] = max(0, sum(colrem[: k + 1]) - room[i + 1])
+            top[p] = min(colrem[k], caps[i] - taken[p])
+            colrem[k] -= cell[p]
+        else:
+            out.append(tuple(done))
+            # step back to the last cell below its top, releasing the cells after it
+            p -= 1
+            while cell[p] == top[p]:
+                colrem[p % width] += cell[p]
+                p -= 1
+                if p < 0:
+                    return tuple(out)
+            cell[p] += 1
+            colrem[p % width] -= 1
+        p += 1
+        if p % width:
+            taken[p] = taken[p - 1] + cell[p - 1]
+        else:
+            done[p // width - 1] = tuple(cell[p - width : p])
 
-    def fill_row(i: int, total: int):
-        if i == rows:
-            out.append(tuple(table))
-            return
-        need = total - room[i + 1]
-        cap = caps[i]
-        row = [0] * width
-        after = [0] * (width + 1)  # after[k]: column budget left in cells k..width-1
-        for k in range(width - 1, -1, -1):
-            after[k] = after[k + 1] + colrem[k]
 
-        def fill_cell(k: int, taken: int):
-            if k == width:
-                table.append(tuple(row))
-                fill_row(i + 1, total - taken)
-                table.pop()
-                return
-            for v in range(max(0, need - taken - after[k + 1]), min(colrem[k], cap - taken) + 1):
-                row[k] = v
-                colrem[k] -= v
-                fill_cell(k + 1, taken + v)
-                colrem[k] += v
+def _column(grid: Grid, j: int) -> tuple[int, ...]:
+    return tuple(row[j] for row in grid)
 
-        fill_cell(0, 0)
 
-    fill_row(0, sum(cols))
+def _field_bits(bound: int) -> int:
+    """Bits per packed field that hold every value up to ``bound``: whole bytes."""
+    return 8 * max(1, (bound.bit_length() + 7) // 8)
+
+
+def _unpack(key: int, rows: int, width: int, shift: int) -> Grid:
+    """Read a packed key back as ``rows`` rows of ``width`` fields of ``shift`` bits."""
+    size = shift // 8
+    raw = key.to_bytes(rows * width * size, "little")
+    if size > 1:
+        raw = [int.from_bytes(raw[p : p + size], "little") for p in range(0, len(raw), size)]
+    return tuple(zip(*[iter(raw)] * width))
+
+
+@lru_cache(maxsize=None)
+def _slice_terms(
+    caps: tuple[int, ...], cols: tuple[int, ...], shift: int, fields: tuple[int | None, ...]
+) -> tuple[tuple[int, int], ...]:
+    """(packed key, integer weight) for each table of ``transport(caps, cols)``.
+
+    Cell (i, k) adds its value to field ``fields[i*len(cols) + k]`` of the
+    key, fields being ``shift`` bits wide; a cell whose field is None stays
+    out of the key.  The weight is prod_i caps_i! / prod_ik t_ik! over every
+    cell, a product of multinomials when each row meets its cap.
+    """
+    units = [0 if f is None else 1 << shift * f for f in fields]
+    top = prod(map(factorial, caps))
+    out = []
+    for table in transport(caps, cols):
+        packed = 0
+        den = 1
+        for v, unit in zip(chain.from_iterable(table), units):
+            packed += v * unit
+            den *= factorial(v)
+        out.append((packed, top // den))
     return tuple(out)
+
+
+def _convolve(slices) -> dict[int, int]:
+    """Sum the weight products of every choice of one term per slice.
+
+    Each slice is a sequence of (packed key, integer weight).  The result maps
+    each sum of packed keys to its total weight.
+    """
+    states = {0: 1}
+    for terms in slices:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, w in states.items():
+            for d, v in terms:
+                k = key + d
+                nxt[k] = get(k, 0) + w * v
+        states = nxt
+    return states
 
 
 def enumerate_coset_matrices(margins: Margins) -> list[CosetMatrix]:

@@ -1,42 +1,33 @@
 """The margin-free algebra with deformation-ring coefficients.
 
-Basis elements are indexed by balanced off-diagonal types.  The coefficient
-of a type c in the product of types a and b is a sum over 3-tensors
-t_ijk >= 0 (cells with all three indices equal are excluded) subject to
-
-* column sums: sum_i t_ijk = b_jk for j != k;
-* row sums:    sum_k t_ijk = a_ij for i != j;
-* the c-slice: sum_j t_ijk = c_ik for i != k;
-* a coupled diagonal condition tying the three star sums together:
-  a*_jj + sum_{k != j} t_jjk  =  b*_jj + sum_{i != j} t_ijj
-                              =  c*_jj + sum_{m != j} t_jmj  =:  t*_jjj.
-
-Given the first two margin families and balanced a, b, the first equality is
-automatic and the remaining one holds exactly when the derived c-slice is
-itself balanced.  Each admissible tensor contributes
+Basis elements are indexed by balanced off-diagonal types.  The product of
+types a and b extrapolates the finite algebra (``algebra``) at the margins
+n_j = a*_jj + b*_jj.  Embed a and b there as coset matrices, so that
+a_jj = b*_jj and b_jj = a*_jj.  The 3-tensors of the universal product are
+then exactly the finite tensors t of the embedded pair with their corner
+cells t_jjj left out, and the type c of a tensor is the off-diagonal part of
+its finite target, so c is balanced as every coset matrix is.  The corner
+t_jjj is the exponent of eps_j, and with t*_jjj = n_j - t_jjj each tensor
+contributes
 
     (prod a_ij! prod b_jk! / prod t_ijk!)
-      * prod_j eps_j^(a*_jj + b*_jj - t*_jjj)
+      * prod_j eps_j^t_jjj
       * prod_j ((a*_jj, t*_jjj)) ((b*_jj, t*_jjj)) / ((0, t*_jjj))
 
-with ((p, q)) the falling bracket in eps_j.  The exponents are nonnegative,
-all constants live in the localized polynomial ring, and substituting
+with the products over off-diagonal a_ij and b_jk and over the cells t_ijk
+whose indices are not all equal, and ((p, q)) the falling bracket in eps_j.
+All constants live in the localized polynomial ring, and substituting
 eps_j = 1/n_j recovers the finite algebra whenever the star sums of a and b
 fit under the margins.
 
-The constraints separate by the middle index j.  Slice j is a
-transportation table over rows i and columns k != j with column sums b_jk,
-row i != j capped by a_ij (the remainder is t_ijj) and row j uncapped.  The
-weight factorises into integer slice weights
-
-    prod_{k != j} b_jk! / prod_i t_ijk!  *  prod_{i != j} a_ij! / t_ijj!,
-
-and t*_jjj = a*_jj + sum_{k != j} t_jjk depends on slice j alone.  Each
-table is read once into a packed integer key (the partial c and the row-j
-total) and its weight.  The integer weight of every (c, t*-profile) is then
-a convolution of those keys over j, and the balanced c are kept at the end.
-Polynomials are touched once per profile, and the bracket product of a
-profile is cancelled before it is built (``_profile_poly``).
+The tensors are enumerated by the finite product's slice builder
+(``cosets._slice_terms``).  The key of slice j holds its share of c_ik
+(i != k) and, in one more field, its corner t_jjj; the other diagonal cells
+stay out of the key.  The convolution over j gives the finite weight w of
+every (c, corner vector), and w * prod_j t_jjj! * prod b_jk! / prod_j b*_jj!
+is the universal one.  Polynomials are touched once per profile, and the
+bracket product of a profile is cancelled before it is built
+(``_profile_poly``).
 """
 
 from __future__ import annotations
@@ -45,71 +36,42 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .algebra import _column, _convolve, _field_bits, _unpack
 from .combination import Combination
-from .cosets import Margins, OffDiagonalType, transport
+from .cosets import Grid, Margins, OffDiagonalType, _convolve, _field_bits, _slice_terms, _unpack
 from .epsring import EpsPolynomial, EpsRingElement, _den_product, _falling, _sum_over_lcm
-from .errors import InvariantViolation, MarginOverflow
-
-Grid = tuple[tuple[int, ...], ...]
+from .errors import MarginOverflow
 
 
 def _star(entries: Grid, j: int) -> int:
     return sum(entries[i][j] for i in range(len(entries)) if i != j)
 
 
-def _balanced(c: Grid) -> bool:
-    """Column sum equals row sum at every index (c has a zero diagonal)."""
-    return all(sum(col) == sum(row) for col, row in zip(zip(*c), c))
-
-
-@lru_cache(maxsize=None)
-def _slice_terms(j: int, a_col: tuple[int, ...], b_row: tuple[int, ...], shift: int):
-    """(packed key, integer weight) for every slice j, one per transportation table.
-
-    The table has rows i and columns k != j: column sums b_jk, row i != j
-    capped by a_ij and row j uncapped.  The key holds the slice's share of
-    c_ik (i != k): t_ijk for k != j and the remainder t_ijj = a_ij - (row
-    sum) at (i, j), in field i*nu + k; and the row-j total sum_{k != j} t_jjk
-    in field nu*nu + j.  Every t_ijk, the remainders included, divides the
-    weight by its factorial.
-    """
-    nu = len(a_col)
-    ks = [k for k in range(nu) if k != j]
-    caps = tuple(sum(b_row) if i == j else a_col[i] for i in range(nu))
-    top = prod(map(factorial, a_col)) * prod(map(factorial, b_row))
-    out = []
-    for table in transport(caps, tuple(b_row[k] for k in ks)):
-        packed = 0
-        den = 1
-        for i, row in enumerate(table):
-            if i == j:
-                packed += sum(row) << (shift * (nu * nu + j))
-            else:
-                rest = a_col[i] - sum(row)
-                packed += rest << (shift * (i * nu + j))
-                den *= factorial(rest)
-            for k, v in zip(ks, row):
-                if i != k:
-                    packed += v << (shift * (i * nu + k))
-                den *= factorial(v)
-        out.append((packed, top // den))
-    return tuple(out)
-
-
 def _profile_weights(a: Grid, b: Grid) -> dict[tuple[Grid, tuple[int, ...]], int]:
-    """Integer weight sum_t prod a! prod b! / prod t! per balanced (c, t*-profile)."""
+    """Integer weight sum_t prod a! prod b! / prod t! per (c, eps exponent vector)."""
     nu = len(a)
-    shift = _field_bits(sum(map(sum, a)) + sum(map(sum, b)))  # bounds every field
-    states = _convolve(_slice_terms(j, _column(a, j), b[j], shift) for j in range(nu))
     a_stars = [_star(a, j) for j in range(nu)]
+    b_stars = [_star(b, j) for j in range(nu)]
+    shift = _field_bits(max(a_stars[j] + b_stars[j] for j in range(nu)))  # bounds every field
+    slices = []
+    for j in range(nu):
+        # slice j of the pair embedded at n_j = a*_j + b*_j, where a_jj = b*_j
+        # and b_jj = a*_j; the corner (j, j) keys the eps_j exponent
+        caps = tuple(b_stars[j] if i == j else a[i][j] for i in range(nu))
+        cols = tuple(a_stars[j] if k == j else b[j][k] for k in range(nu))
+        fields = tuple(
+            nu * nu + j if i == k == j else None if i == k else i * nu + k
+            for i in range(nu)
+            for k in range(nu)
+        )
+        slices.append(_slice_terms(caps, cols, shift, fields))
+    # the finite weight divides by the corners' factorials and multiplies by
+    # a_jj! = b*_j!; the universal one divides by neither and has b's factorials
+    num = prod(factorial(v) for row in b for v in row)
+    den = prod(map(factorial, b_stars))
     out = {}
-    for key, w in states.items():
-        *c, row_sums = _unpack(key, nu + 1, nu, shift)
-        c = tuple(c)
-        if _balanced(c):
-            t_stars = tuple(s + r for s, r in zip(a_stars, row_sums))
-            out[(c, t_stars)] = w
+    for key, w in _convolve(slices).items():
+        *c, exps = _unpack(key, nu + 1, nu, shift)
+        out[(tuple(c), exps)] = w * prod(map(factorial, exps)) * num // den
     return out
 
 
@@ -143,10 +105,8 @@ def _product_terms(a: Grid, b: Grid) -> dict[Grid, EpsRingElement]:
         for m in range(1, min(a_stars[j], b_stars[j])):
             common_den[(j, m)] = 1
     numerators: dict[Grid, EpsPolynomial] = {}
-    for (c, t_stars), w in _profile_weights(a, b).items():
-        exps = tuple(a_stars[j] + b_stars[j] - t_stars[j] for j in range(nu))
-        if min(exps) < 0:
-            raise InvariantViolation(f"negative eps exponent {exps} for {a} * {b}")
+    for (c, exps), w in _profile_weights(a, b).items():
+        t_stars = tuple(a_stars[j] + b_stars[j] - exps[j] for j in range(nu))
         num = _profile_poly(a_stars, b_stars, t_stars, nu).shift_scale(exps, w)
         acc = numerators.get(c)
         numerators[c] = num if acc is None else acc + num

@@ -28,6 +28,10 @@ NU4_C = "1,2,1,2,1,1"
 P2222_A = "1,1,0,0,1,1,0,0,0,0,1,1,0,0,1,1"
 P2222_B = "0,1,1,0,1,0,0,1,1,0,0,1,0,1,1,0"
 
+# 31 blocks of one point: every slice is a 31 x 31 table of 961 cells
+ONES_31 = ",".join(["1"] * 31)
+IDENTITY_31 = ",".join(str(int(i == j)) for i in range(31) for j in range(31))
+
 CASES = [
     ("cosets-122", ["cosets", "--n", "1,2,2"]),
     ("mu-222", ["mu", "--n", "2,2,2", "--matrix", "0,1,1,1,0,1,1,1,0"]),
@@ -36,6 +40,7 @@ CASES = [
     ("product-123", ["product", "--n", "1,2,3", "--a", "0,0,1,0,1,1,1,1,1", "--b",
                      "1,0,0,0,1,1,0,1,2"]),
     ("product-2222-rev", ["product", "--n", "2,2,2,2", "--a", P2222_B, "--b", P2222_A]),
+    ("product-identity-31", ["product", "--n", ONES_31, "--a", IDENTITY_31, "--b", IDENTITY_31]),
     ("verify-assoc-112", ["verify-assoc", "--n", "1,1,2"]),
     ("oracle-check-22", ["oracle-check", "--n", "2,2"]),
     ("oracle-check-122-sample", ["--seed", "3", "oracle-check", "--n", "1,2,2", "--sample", "4"]),
@@ -45,6 +50,7 @@ CASES = [
     ("universal-nu3-const", ["universal", "--nu", "3", "--a", NU3_C, "--b", NU3_C, "--c", ""]),
     ("universal-nu4", ["universal", "--nu", "4", "--a", NU4_A, "--b", NU4_B]),
     ("universal-nu4-c", ["universal", "--nu", "4", "--a", NU4_B, "--b", NU4_C]),
+    ("universal-nu40-zero", ["universal", "--nu", "40", "--a", "", "--b", ""]),
     ("specialize-nu3", ["specialize", "--n", "2,2,3", "--a", NU3_A, "--b", NU3_C]),
     ("specialize-nu3-const", ["specialize", "--n", "2,3,2", "--a", NU3_B, "--b", NU3_A,
                               "--c", NU3_C]),

@@ -17,7 +17,7 @@ from cosetalg import (
     structure_constant,
     verify_associativity,
 )
-from cosetalg import algebra
+from cosetalg import algebra, cosets
 from cosetalg.oracle import oracle_product
 
 from helpers import reference_product_terms, tensor_sums
@@ -225,8 +225,8 @@ def test_product_terms_match_tensor_walk_sampled():
 
 
 def test_unpack_multibyte_fields():
-    shift = algebra._field_bits(300)
-    assert shift == 16 and algebra._field_bits(255) == 8 and algebra._field_bits(0) == 8
+    shift = cosets._field_bits(300)
+    assert shift == 16 and cosets._field_bits(255) == 8 and cosets._field_bits(0) == 8
     grid = ((0, 300), (65535, 1))
     key = sum(v << (shift * (2 * i + k)) for i, row in enumerate(grid) for k, v in enumerate(row))
-    assert algebra._unpack(key, 2, 2, shift) == grid
+    assert cosets._unpack(key, 2, 2, shift) == grid

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import pickle
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -17,6 +18,7 @@ from cosetalg import (
     enumerate_coset_matrices,
     strip_diagonal,
 )
+from cosetalg.cosets import transport
 
 from helpers import naive_tables
 
@@ -77,6 +79,45 @@ def test_enumerate_matches_naive_filter(n):
     assert sorted(got) == sorted(naive_tables(n))
     assert got == sorted(got)  # lexicographic row-major order
     assert len(set(got)) == len(got)
+
+
+def _brute_transport(caps, cols):
+    """Every table with column sums cols and row i at most caps[i], in sorted order."""
+    rows, width = len(caps), len(cols)
+    found = []
+    for flat in itertools.product(range(max(cols, default=0) + 1), repeat=rows * width):
+        table = tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(rows))
+        if (
+            sum(flat) == sum(cols)
+            and all(sum(row) <= cap for row, cap in zip(table, caps))
+            and all(sum(col) == want for col, want in zip(zip(*table), cols))
+        ):
+            found.append(table)
+    return sorted(found, key=lambda t: [v for row in t for v in row])
+
+
+def test_transport_matches_brute_force():
+    # empty shapes, slack caps and caps that add up to the column total
+    rng = random.Random(0)
+    shapes = [((), ()), ((), (0,)), ((), (1,)), ((0,), ()), ((2, 1), ()), ((0, 0), (0, 0, 0))]
+    for _ in range(150):
+        rows, width = rng.randint(1, 3), rng.randint(1, 3)
+        cols = tuple(rng.randint(0, 2) for _ in range(width))
+        shapes.append((tuple(rng.randint(0, 3) for _ in range(rows)), cols))
+        caps = [0] * rows
+        for _ in range(sum(cols)):
+            caps[rng.randrange(rows)] += 1
+        shapes.append((tuple(caps), cols))
+    for caps, cols in shapes:
+        assert list(transport(caps, cols)) == _brute_transport(caps, cols), (caps, cols)
+
+
+def test_transport_wide_table():
+    # the walk keeps no frame per cell, so a 40 x 40 table is no harder than a small one
+    assert transport((0,) * 40, (0,) * 40) == (((0,) * 40,) * 40,)
+    tables = transport((1,) * 40, (0,) * 39 + (1,))
+    assert len(tables) == 40
+    assert tables[0][-1][-1] == 1 and tables[-1][0][-1] == 1
 
 
 def test_enumerate_deterministic_rerun():

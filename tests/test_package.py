@@ -59,17 +59,25 @@ def test_fresh_import_loads_no_submodule():
     assert {m for m in loaded if m.startswith("cosetalg.")} == {"cosetalg.cosets", "cosetalg.errors"}
 
 
-def test_fresh_cli_call_loads_only_its_layers():
-    # run as ``python -m cosetalg.cli mu ...`` runs it, then read sys.modules
-    loaded = _loaded(
+def _cli_loaded(*argv):
+    """The modules loaded after ``python -m cosetalg.cli *argv`` runs, read from sys.modules."""
+    return _loaded(
         "import runpy, sys\n"
-        "sys.argv = ['cosetalg', 'mu', '--n', '2,2', '--matrix', '1,1,1,1']\n"
+        f"sys.argv = ['cosetalg', *{list(argv)!r}]\n"
         "try:\n"
         "    runpy.run_module('cosetalg.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0"
     )
+
+
+def test_fresh_cli_call_loads_only_its_layers():
+    loaded = _cli_loaded("mu", "--n", "2,2", "--matrix", "1,1,1,1")
     assert "cosetalg.cosets" in loaded
     heavy = {"algebra", "epsring", "universal", "poisson", "braid", "nu2"}
     assert {f"cosetalg.{m}" for m in heavy} & loaded == set()
     assert "dataclasses" not in loaded
+    # the universal product shares the slice builder in ``cosets``, not the finite algebra
+    loaded = _cli_loaded("universal", "--nu", "3", "--a", "1,2,1,2,3,1,3,1,1", "--b", "")
+    assert {"cosetalg.universal", "cosetalg.epsring"} <= loaded
+    assert "cosetalg.algebra" not in loaded

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from cosetalg import (
+    AlgebraElement,
     EpsPolynomial,
     EpsRingElement,
     Margins,
@@ -13,7 +14,10 @@ from cosetalg import (
     OffDiagonalType,
     UniversalElement,
     candidate_outputs,
+    embed_offdiagonal,
+    multiply,
     specialize_constant,
+    strip_diagonal,
     universal_multiply,
     universal_product,
     universal_structure_constant,
@@ -229,8 +233,6 @@ def test_specialization_matches_finite_algebra(n):
                 else:
                     fin_targets.add(c)
             # every finite product target is covered by a universal candidate
-            from cosetalg import AlgebraElement, embed_offdiagonal, multiply, strip_diagonal
-
             fin = multiply(
                 AlgebraElement.basis(embed_offdiagonal(a, margins)),
                 AlgebraElement.basis(embed_offdiagonal(b, margins)),
@@ -238,6 +240,23 @@ def test_specialization_matches_finite_algebra(n):
             assert {strip_diagonal(m) for m in fin.terms} <= set(
                 universal_product(a, b)
             )
+
+
+@pytest.mark.parametrize("nu,entry_max", [(2, 3), (3, 1)])
+def test_universal_tensors_are_finite_tensors_at_star_margins(nu, entry_max):
+    # at margins n_j = a*_j + b*_j every universal tensor of (a, b) is a finite
+    # tensor of the embedded pair, so the finite product reaches exactly the
+    # candidate types, with the universal constants specialised at n
+    for a, b in itertools.product(balanced_types(nu, entry_max), repeat=2):
+        margins = Margins(tuple(max(1, a.star(j) + b.star(j)) for j in range(nu)))
+        fin = multiply(
+            AlgebraElement.basis(embed_offdiagonal(a, margins)),
+            AlgebraElement.basis(embed_offdiagonal(b, margins)),
+        )
+        stripped = {strip_diagonal(m): v for m, v in fin.terms.items()}
+        assert sorted(stripped) == candidate_outputs(a, b), (a, b)
+        for c, value in stripped.items():
+            assert specialize_constant(a, b, c, margins) == value, (a, b, c)
 
 
 def test_specialize_constant_zero_on_overflowing_target():
