@@ -4,7 +4,8 @@ All output is JSON on stdout (the ``table`` subcommand emits JSON lines).
 Matrices are passed as flat comma-separated row-major entries, off-diagonal
 types as flat comma-separated (i, j, value) triples with 1-based indices.
 Exit status: 0 on success or a verified check, 2 on a failed verification or
-a reported pole, 1 on usage errors.
+a reported pole, 1 on usage errors and, with nothing on stderr, when the reader
+closes stdout before the output is written.
 
 Each subcommand imports the layers it runs when it runs, so a call loads only
 what it uses; the module level holds what parsing and error reports need.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cosets import (
@@ -392,6 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a reader gone early shows here, not in the exit flush
+    except BrokenPipeError:
+        # nothing more can reach the reader; stdout goes to devnull so that the
+        # interpreter's exit flush of what is still buffered stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_ERROR
+    return code
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -28,6 +28,21 @@ every (c, corner vector), and w * prod_j t_jjj! * prod b_jk! / prod_j b*_jj!
 is the universal one.  Polynomials are touched once per profile, and the
 bracket product of a profile is cancelled before it is built
 (``_profile_poly``).
+
+What is left over is the pair-wide common denominator, (1 - m*eps_j) for m in
+[1, min(a*_j, b*_j)), and almost none of its factors divides a target's
+numerator N_c.  A factor that divides N_c makes it vanish on the whole
+hyperplane eps_j = 1/m, so N_c is tested at one point of it, with eps_i = z_i
+(the primes 2, 3, 5, ...) for i != j, and only a factor whose value is 0 goes
+on to the real trial division.  A nonzero value proves that the factor does
+not divide; a zero may be false, and the division settles it, so no
+probability enters.  The value is an integer read off the profiles.  A
+candidate needs min(a*_j, b*_j) >= 2, and a profile's corner t_jjj is at most
+min(a*_j, b*_j), so t*_j >= lo_j = max(a*_j, b*_j) and every profile has
+eps_j-degree exactly d_j = min(a*_j, b*_j).  Hence m^d_j N_c(eps_j = 1/m) is
+the sum over c's profiles of w * prod_(i != j) h_i * g_j(m), with h_i the
+profile's bracket and monomial in variable i at z_i and g_j(m) =
+prod_(q in [lo_j, t*_j)) (m - q) (``_hyperplane_terms``).
 """
 
 from __future__ import annotations
@@ -95,26 +110,90 @@ def _profile_poly(
     return EpsPolynomial._make(nu, terms)
 
 
-@lru_cache(maxsize=None)
-def _product_terms(a: Grid, b: Grid) -> dict[Grid, EpsRingElement]:
+def _test_point(nu: int) -> list[int]:
+    """The first nu primes z = (2, 3, 5, ...), where the hyperplane test fixes the
+    variables it does not test."""
+    z: list[int] = []
+    k = 2
+    while len(z) < nu:
+        if all(k % p for p in z):
+            z.append(k)
+        k += 1
+    return z
+
+
+def _hyperplane_terms(
+    candidates: list[tuple[int, int]], lows: list[int], exps: tuple[int, ...],
+    t_stars: tuple[int, ...], z: list[int],
+) -> list[int]:
+    """prod_(i != j) h_i * g_j(m) of one profile, per candidate (j, m).
+
+    h_i = z_i^exps_i * prod_(q in [max(lo_i, 1), t*_i)) (1 - q*z_i) is the
+    profile's factor in a variable held at z_i, never 0; g_j(m) =
+    prod_(q in [lo_j, t*_j)) (m - q) is m^d_j times its factor in eps_j at 1/m.
+    """
+    hs = [
+        z[i] ** e * prod(1 - q * z[i] for q in range(max(low, 1), t))
+        for i, (low, e, t) in enumerate(zip(lows, exps, t_stars))
+    ]
+    return [
+        prod(hs[:j] + hs[j + 1 :]) * prod(m - q for q in range(lows[j], t_stars[j]))
+        for j, m in candidates
+    ]
+
+
+def _numerators(
+    a: Grid, b: Grid
+) -> tuple[list[tuple[int, int]], dict[Grid, EpsPolynomial], dict[Grid, list[int]]]:
+    """The candidate factors, the numerator N_c of every target c over them, and
+    the hyperplane values of N_c.
+
+    The candidates are the pair-wide common denominator, (j, m) for m in
+    [1, min(a*_j, b*_j)), in that order; values[c][k] is the integer
+    m^d_j * N_c(eps_j = 1/m, eps_i = z_i for i != j) of candidates[k] = (j, m),
+    summed over c's profiles as w * prod_(i != j) h_i * g_j(m).
+    """
     nu = len(a)
     a_stars = tuple(_star(a, j) for j in range(nu))
     b_stars = tuple(_star(b, j) for j in range(nu))
-    common_den: dict[tuple[int, int], int] = {}
-    for j in range(nu):
-        for m in range(1, min(a_stars[j], b_stars[j])):
-            common_den[(j, m)] = 1
+    lows = [max(x, y) for x, y in zip(a_stars, b_stars)]
+    candidates = [(j, m) for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))]
+    z = _test_point(nu) if candidates else []
+    terms: dict[tuple[int, ...], list[int]] = {}  # t* -> _hyperplane_terms
     numerators: dict[Grid, EpsPolynomial] = {}
+    values: dict[Grid, list[int]] = {}
     for (c, exps), w in _profile_weights(a, b).items():
         t_stars = tuple(a_stars[j] + b_stars[j] - exps[j] for j in range(nu))
         num = _profile_poly(a_stars, b_stars, t_stars, nu).shift_scale(exps, w)
         acc = numerators.get(c)
         numerators[c] = num if acc is None else acc + num
+        if not candidates:
+            continue
+        ts = terms.get(t_stars)
+        if ts is None:
+            ts = terms[t_stars] = _hyperplane_terms(candidates, lows, exps, t_stars, z)
+        row = values.get(c)
+        values[c] = [w * v for v in ts] if row is None else [r + w * v for r, v in zip(row, ts)]
+    return candidates, numerators, values
+
+
+@lru_cache(maxsize=None)
+def _product_terms(a: Grid, b: Grid) -> dict[Grid, EpsRingElement]:
+    nu = len(a)
+    candidates, numerators, values = _numerators(a, b)
     out: dict[Grid, EpsRingElement] = {}
     for c, num in numerators.items():
         if num.is_zero():
             continue
-        out[c] = EpsRingElement(nu, num, dict(common_den))
+        row = values.get(c, ())
+        # only a factor whose value is 0 may divide; the others stay as they are
+        zeros = {f: 1 for f, v in zip(candidates, row) if not v}
+        left: dict[tuple[int, int], int] = {}
+        if zeros:
+            divided = EpsRingElement(nu, num, zeros)
+            num, left = divided.num, divided.den
+        den = {f: 1 for f, v in zip(candidates, row) if v or f in left}
+        out[c] = EpsRingElement._make(nu, num, den)
     return out
 
 

@@ -5,7 +5,9 @@ that check it live here: the full 3-tensor walks, the group algebra of S_N,
 the two-block universal sum, Lemma 3's exponent bookkeeping, the finite value
 through embedding, the displayed braid products, the per-term ``Fraction``
 evaluation and the multiplied-out series expansion.  They share no
-enumeration with the package.
+enumeration with the package, except the generic cancellation of the
+universal numerators, which checks only the cancellation and so sums the
+package's own profiles.
 """
 
 import itertools
@@ -247,6 +249,40 @@ def reference_universal_terms(a, b):
         numerators[c] = numerators[c] + num if c in numerators else num
     return {
         c: EpsRingElement(nu, num, dict(common_den))
+        for c, num in numerators.items()
+        if not num.is_zero()
+    }
+
+
+# Reference route for the cancellation in ``universal._product_terms``: the raw
+# numerator of every target over the pair's common denominator, cancelled by the
+# generic trial division of ``EpsRingElement``, which tries every factor.
+
+
+def raw_universal_numerators(a, b):
+    """(common_den, {c: numerator}) summed from the package's profile weights and polynomials."""
+    from cosetalg.universal import _profile_poly, _profile_weights
+
+    nu = len(a)
+    a_stars = tuple(_star(a, j) for j in range(nu))
+    b_stars = tuple(_star(b, j) for j in range(nu))
+    common_den = {
+        (j, m): 1 for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))
+    }
+    numerators = {}
+    for (c, exps), w in _profile_weights(a, b).items():
+        t_stars = tuple(a_stars[j] + b_stars[j] - exps[j] for j in range(nu))
+        num = _profile_poly(a_stars, b_stars, t_stars, nu).shift_scale(exps, w)
+        numerators[c] = numerators[c] + num if c in numerators else num
+    return common_den, numerators
+
+
+def generic_universal_terms(a, b):
+    """Universal constants {c: EpsRingElement} of the pair (a, b), each raw
+    numerator cancelled against the whole common denominator."""
+    common_den, numerators = raw_universal_numerators(a, b)
+    return {
+        c: EpsRingElement(len(a), num, dict(common_den))
         for c, num in numerators.items()
         if not num.is_zero()
     }

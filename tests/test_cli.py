@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import cosetalg
 from cosetalg.cli import main
 
 
@@ -159,3 +164,19 @@ def test_bad_margins_matrix(capsys):
     code, out = run(capsys, "mu", "--n", "2,2", "--matrix", "2,1,0,1")
     assert code == 1
     assert json.loads(out)["error"] == "usage"
+
+
+def test_reader_closing_early_exits_1_quietly():
+    # the (3,3,3) table is 4.5 MB of JSON lines, far more than a pipe holds, so
+    # the process is still writing when the reader closes its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cosetalg.cli", "table", "--n", "3,3,3"],
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(cosetalg.__file__).resolve().parents[1])},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(100).startswith(b'{"a": ')
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""

@@ -130,3 +130,59 @@ def test_combination_docstring_lists_every_subclass():
     assert defined[SRC] <= set(listed)
     assert set(listed) <= set().union(*defined.values())
     assert NUMBERS.index(found.group(1)) == len(listed)
+
+
+# the unbounded caches the package has; a new one needs its own case, since
+# each grows with every distinct argument a long-lived process sees
+UNBOUNDED_CACHES = {
+    "algebra._product_terms",
+    "cosets._slice_terms",
+    "oracle._partition_by_matrix",
+    "poisson._bracket_basis",
+    "poisson._order_one_linear",
+    "universal._product_terms",
+    "universal._profile_poly",
+}
+
+
+def _is_unbounded_cache(node):
+    # ``lru_cache(maxsize=None)``, ``functools.lru_cache(None)`` and ``functools.cache``
+    if not isinstance(node, (ast.Call, ast.Name, ast.Attribute)):
+        return False
+    func = node.func if isinstance(node, ast.Call) else node
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "cache":
+        return not isinstance(node, ast.Call)
+    if name != "lru_cache" or not isinstance(node, ast.Call):
+        return False
+    sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def _unbounded_cache_sites(nodes):
+    owner: dict[int, str] = {}  # id of a decorator -> the function it decorates
+    found = set()
+    for name, node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(d), node.name) for d in node.decorator_list)
+        elif _is_unbounded_cache(node):
+            found.add(f"{name[:-3]}.{owner.get(id(node), f'line {node.lineno}')}")
+    return found
+
+
+def test_no_new_unbounded_caches():
+    assert _unbounded_cache_sites(_nodes()) - UNBOUNDED_CACHES == set()
+
+
+def test_unbounded_cache_sites_are_recognised():
+    source = (
+        "import functools\n"
+        "@lru_cache(maxsize=None)\ndef f(): pass\n"
+        "@functools.lru_cache(None)\ndef g(): pass\n"
+        "@functools.cache\ndef h(): pass\n"
+        "@lru_cache(maxsize=64)\ndef bounded(): pass\n"
+        "@lru_cache\ndef default(): pass\n"
+        "k = lru_cache(maxsize=None)(len)\n"
+    )
+    nodes = (("m.py", node) for node in ast.walk(ast.parse(source)))
+    assert _unbounded_cache_sites(nodes) == {"m.f", "m.g", "m.h", "m.line 12"}

@@ -27,7 +27,9 @@ from cosetalg import universal
 from helpers import (
     balanced_types,
     finite_constant_via_embedding,
+    generic_universal_terms,
     lemma3_checks,
+    raw_universal_numerators,
     reference_expand,
     reference_specialize,
     reference_universal_terms,
@@ -295,14 +297,16 @@ def test_universal_element_equality_and_sum():
     assert (two_x - x) == x
 
 
+def _canonical_forms(terms):
+    return {c: (v.num.terms, v.den) for c, v in terms.items()}
+
+
 def _check_against_tensor_walk(pairs):
     product_terms = universal._product_terms.__wrapped__
     for a, b in pairs:
         got = product_terms(a.entries, b.entries)
         want = reference_universal_terms(a.entries, b.entries)
-        assert {c: (v.num.terms, v.den) for c, v in got.items()} == {
-            c: (v.num.terms, v.den) for c, v in want.items()
-        }, (a, b)
+        assert _canonical_forms(got) == _canonical_forms(want), (a, b)
 
 
 def test_constants_match_tensor_walk_nu3():
@@ -314,6 +318,69 @@ def test_constants_match_tensor_walk_nu4_sampled():
     types = balanced_types(4, 1)
     rng = random.Random(0)
     _check_against_tensor_walk([(rng.choice(types), rng.choice(types)) for _ in range(100)])
+
+
+def _check_against_generic(pairs):
+    product_terms = universal._product_terms.__wrapped__
+    for a, b in pairs:
+        got = product_terms(a.entries, b.entries)
+        want = generic_universal_terms(a.entries, b.entries)
+        assert _canonical_forms(got) == _canonical_forms(want), (a, b)
+
+
+def test_cancellation_matches_generic_nu2():
+    _check_against_generic(itertools.product(balanced_types(2, 5), repeat=2))
+
+
+def test_cancellation_matches_generic_nu3_sampled():
+    # a seeded third of the 2,025 pairs; the whole grid takes about 20 s
+    pairs = list(itertools.product(balanced_types(3, 2), repeat=2))
+    _check_against_generic(random.Random(0).sample(pairs, 675))
+
+
+def test_cancellation_matches_generic_nu4_first():
+    _check_against_generic(itertools.islice(itertools.product(balanced_types(4, 1), repeat=2), 1500))
+
+
+def _has_candidate(a, b):
+    return any(min(a.star(j), b.star(j)) >= 2 for j in range(a.nu))
+
+
+@pytest.mark.parametrize("nu,entry_max,sample", [(2, 5, 60), (3, 2, 60), (4, 1, 20)])
+def test_hyperplane_values_are_the_numerator_on_the_hyperplane(nu, entry_max, sample):
+    # values[c][k] = m^d_j * N_c at eps_j = 1/m and eps_i = z_i, with
+    # d_j = min(a*_j, b*_j), evaluated here term by term on the built numerator
+    types = balanced_types(nu, entry_max)
+    pairs = [(a, b) for a in types for b in types if _has_candidate(a, b)]
+    z = universal._test_point(nu)
+    for a, b in random.Random(nu).sample(pairs, min(len(pairs), sample)):
+        candidates, _, values = universal._numerators(a.entries, b.entries)
+        common_den, numerators = raw_universal_numerators(a.entries, b.entries)
+        assert candidates == list(common_den)
+        assert values.keys() == numerators.keys()
+        for c, num in numerators.items():
+            for (j, m), value in zip(candidates, values[c], strict=True):
+                point = [(1, m) if i == j else (z[i], 1) for i in range(nu)]
+                total, den = num._evaluate_over(point)
+                assert value == Fraction(total * m ** min(a.star(j), b.star(j)), den), (a, b, c)
+
+
+def test_false_zero_falls_back_to_division():
+    # at z = (2, 3, 5) one target of this pair is 0 at the candidate (1 - eps_3),
+    # which does not divide it: the trial division must keep the factor
+    a = ((0, 0, 2), (0, 0, 0), (2, 0, 0))
+    b = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+    assert universal._test_point(3) == [2, 3, 5]
+    candidates, _, values = universal._numerators(a, b)
+    want = generic_universal_terms(a, b)
+    false_zeros = [
+        (c, f)
+        for c, row in values.items()
+        for f, value in zip(candidates, row)
+        if not value and f in want[c].den
+    ]
+    assert false_zeros == [(b, (2, 1))]
+    assert _canonical_forms(universal._product_terms.__wrapped__(a, b)) == _canonical_forms(want)
 
 
 def _fitted(a, b):
