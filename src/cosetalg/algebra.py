@@ -25,12 +25,23 @@ entry, to the integer weight accumulated so far.  One ``Fraction`` is built
 per target; no tensor is ever materialised on this route.  The packing
 layer (slice tables, keys, convolution) lives in ``cosets``, where the
 universal product uses it too.
+
+Two symmetries leave the coefficients unchanged: renaming blocks of equal
+size (a permutation p of the block indices with n[p[i]] == n[i]), and the
+anti-involution g -> g^-1 of S_N, which maps a coset matrix to its
+transpose and reverses products.  ``product_table`` computes one product
+per orbit of basis pairs and carries it to the rest of the orbit; at
+(3,3,3) that is 301 products for 3,025 pairs.  Single products
+(``multiply``, ``structure_constant``) take the direct route: a run of
+products almost never meets the same orbit twice, so a canonical form
+would cost more than it saves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
 from math import factorial, prod
 
 from .combination import Combination, bilinear
@@ -131,19 +142,72 @@ def _bounded_basis(margins: Margins, max_basis: int) -> list[CosetMatrix]:
     return basis
 
 
+def _stabiliser(n: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every permutation p of the block indices with n[p[i]] == n[i].
+
+    It is the product of the symmetric groups on the blocks of each size.
+    Each p gives a different coset matrix, with n_i at (i, p[i]), so there
+    are never more of them than basis elements.
+    """
+    blocks: dict[int, list[int]] = {}
+    for i, size in enumerate(n):
+        blocks.setdefault(size, []).append(i)
+    perms = []
+    for images in product(*(permutations(b) for b in blocks.values())):
+        p = [0] * len(n)
+        for b, image in zip(blocks.values(), images):
+            for i, k in zip(b, image):
+                p[i] = k
+        perms.append(tuple(p))
+    return perms
+
+
 def product_table(
     margins: Margins, max_basis: int = 128
 ) -> list[tuple[CosetMatrix, CosetMatrix, CosetMatrix, Fraction]]:
-    """Every nonzero structure constant, ordered by (a, b, c) entries."""
+    """Every nonzero structure constant, ordered by (a, b, c) entries.
+
+    One product is computed per orbit of basis pairs under two symmetries of
+    the structure constants, and carried to the rest of its orbit:
+
+    - renaming blocks of equal size, m -> (m[p[i]][p[k]])_ik for p in
+      ``_stabiliser(n)``: conjugating by a permutation of S_N that moves
+      block i onto block p[i] maps the Young subgroup to itself and each
+      double coset to the one of the renamed matrix;
+    - the anti-involution g -> g^-1 of S_N: it maps the double coset of m to
+      that of m^T and reverses products, so the coefficient of c in a*b is
+      that of c^T in b^T * a^T.
+
+    Each symmetry is a permutation of basis indices, so carrying a product
+    over re-keys its targets and shares its ``Fraction`` values.  Only the
+    table does this: a single product has no orbit mates to share with.
+    """
     basis = _bounded_basis(margins, max_basis)
+    n = margins.n
+    entries = [m.entries for m in basis]
+    index = {e: k for k, e in enumerate(entries)}
+    transposed = [tuple(zip(*e)) for e in entries]
+    maps = []  # (reverses the product, basis index -> index of its image)
+    for p in _stabiliser(n):
+        for flip, grids in ((False, entries), (True, transposed)):
+            images = [index[tuple(tuple(g[i][k] for k in p) for i in p)] for g in grids]
+            maps.append((flip, images))
+    size = len(basis)
+    table: list[list] = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if table[i][j] is not None:
+                continue
+            terms = [(index[c], v) for c, v in _product_terms(entries[i], entries[j], n).items()]
+            for flip, m in maps:
+                x, y = (m[j], m[i]) if flip else (m[i], m[j])
+                if table[x][y] is None:
+                    table[x][y] = [(m[c], v) for c, v in terms]
+    # basis order is entry order, so sorting target indices sorts targets
     rows = []
-    for a in basis:
-        for b in basis:
-            terms = _product_terms(a.entries, b.entries, margins.n)
-            for c_entries in sorted(terms):
-                rows.append(
-                    (a, b, CosetMatrix._make(c_entries, margins), terms[c_entries])
-                )
+    for a, row in zip(basis, table):
+        for b, terms in zip(basis, row):
+            rows.extend((a, b, basis[c], v) for c, v in sorted(terms))
     return rows
 
 

@@ -122,12 +122,15 @@ def bilinear(x: Combination, y: Combination, basis_product) -> Combination:
     ``basis_product`` yields (key, nonzero coefficient) pairs in the same
     space, each key once.  Contributions are summed per target, and zeros are
     dropped once at the end.  A product of two single terms has one
-    contribution and is built directly.
+    contribution and is built directly; under the int weight 1 its values
+    are taken as they are, since 1 * v is v of the same type.
     """
     x._check(y)
     if len(x.terms) == len(y.terms) == 1:
         ((a, ca),), ((b, cb),) = x.terms.items(), y.terms.items()
         w = ca * cb
+        if type(w) is int and w == 1:
+            return x._make(x.space, dict(basis_product(a, b)))
         return x._make(x.space, {c: w * v for c, v in basis_product(a, b)})
     acc: dict = {}
     get = acc.get

@@ -36,6 +36,8 @@ CASES = [
     ("cosets-122", ["cosets", "--n", "1,2,2"]),
     ("mu-222", ["mu", "--n", "2,2,2", "--matrix", "0,1,1,1,0,1,1,1,0"]),
     ("table-222", ["table", "--n", "2,2,2"]),
+    ("table-123", ["table", "--n", "1,2,3"]),          # only the flip fixes n
+    ("table-1111", ["table", "--n", "1,1,1,1"]),      # all of S_4 fixes n
     ("product-2222", ["product", "--n", "2,2,2,2", "--a", P2222_A, "--b", P2222_B]),
     ("product-123", ["product", "--n", "1,2,3", "--a", "0,0,1,0,1,1,1,1,1", "--b",
                      "1,0,0,0,1,1,0,1,2"]),

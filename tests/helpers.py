@@ -152,6 +152,43 @@ def reference_product_terms(a, b, n):
     return {c: pref * v for c, v in acc.items() if v}
 
 
+# The symmetries of the finite structure constants, written out from their
+# definitions: renaming blocks of equal size by a permutation p, and the
+# inverse map g -> g^-1 of S_N, which transposes every coset matrix and
+# reverses products.  The coefficient of c in a * b equals that of the image
+# of c in the product of the images of (a, b), taken in reverse order under
+# the inverse map.
+
+
+def margin_symmetries(n):
+    """(p, flip) for every permutation p of S_nu with n[p[i]] == n[i], and either flip."""
+    return [
+        (p, flip)
+        for p in itertools.permutations(range(len(n)))
+        if all(n[k] == n[i] for i, k in enumerate(p))
+        for flip in (False, True)
+    ]
+
+
+def relabel(grid, p, flip):
+    """The image of a coset matrix: transposed when ``flip``, then renamed by p."""
+    if flip:
+        grid = tuple(zip(*grid))
+    return tuple(tuple(grid[i][k] for k in p) for i in p)
+
+
+def relabel_pair(a, b, p, flip):
+    """The image of the factor pair (a, b)."""
+    if flip:
+        a, b = b, a
+    return relabel(a, p, flip), relabel(b, p, flip)
+
+
+def relabel_terms(terms, p, flip):
+    """The image of a product {c: coefficient}."""
+    return {relabel(c, p, flip): v for c, v in terms.items()}
+
+
 def _star(entries, j):
     return sum(entries[i][j] for i in range(len(entries)) if i != j)
 

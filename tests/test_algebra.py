@@ -20,7 +20,14 @@ from cosetalg import (
 from cosetalg import algebra, cosets
 from cosetalg.oracle import oracle_product
 
-from helpers import reference_product_terms, tensor_sums
+from helpers import (
+    margin_symmetries,
+    reference_product_terms,
+    relabel,
+    relabel_pair,
+    relabel_terms,
+    tensor_sums,
+)
 
 
 def basis_elements(margins):
@@ -213,8 +220,24 @@ def _check_against_tensor_walk(pairs, n):
 # (256, 1) needs two bytes per packed field
 @pytest.mark.parametrize("n", [(2, 2, 2), (1, 2, 3), (2, 2, 2, 2), (256, 1)])
 def test_product_terms_match_tensor_walk(n):
+    # The reference walk runs once per orbit of pairs under the symmetries
+    # that test_product_terms_equivariant checks, and the symmetries carry it
+    # to the rest of the orbit: every pair's production product is still
+    # compared with an exact value of the walk.
+    product_terms = algebra._product_terms.__wrapped__
     basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
-    _check_against_tensor_walk(itertools.product(basis, repeat=2), n)
+    images = [(flip, {m: relabel(m, p, flip) for m in basis}) for p, flip in margin_symmetries(n)]
+    checked = set()
+    for a, b in itertools.product(basis, repeat=2):
+        if (a, b) in checked:
+            continue
+        want = reference_product_terms(a, b, n)
+        for flip, image in images:
+            pair = (image[b], image[a]) if flip else (image[a], image[b])
+            if pair not in checked:
+                checked.add(pair)
+                assert product_terms(*pair, n) == {image[c]: v for c, v in want.items()}, pair
+    assert len(checked) == len(basis) ** 2
 
 
 def test_product_terms_match_tensor_walk_sampled():
@@ -222,6 +245,61 @@ def test_product_terms_match_tensor_walk_sampled():
     basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
     rng = random.Random(0)
     _check_against_tensor_walk([(rng.choice(basis), rng.choice(basis)) for _ in range(200)], n)
+
+
+def _check_equivariance(pairs, n):
+    # production against itself: the image of a product is the product of the images
+    product_terms = algebra._product_terms.__wrapped__
+    symmetries = margin_symmetries(n)
+    for a, b in pairs:
+        terms = product_terms(a, b, n)
+        for p, flip in symmetries:
+            want = relabel_terms(terms, p, flip)
+            assert product_terms(*relabel_pair(a, b, p, flip), n) == want, (a, b, p, flip)
+
+
+@pytest.mark.parametrize("n", [(2, 2, 2), (1, 2, 3)])
+def test_product_terms_equivariant(n):
+    basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
+    _check_equivariance(itertools.product(basis, repeat=2), n)
+
+
+def test_product_terms_equivariant_sampled():
+    n = (3, 3, 3, 3)
+    basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
+    rng = random.Random(0)
+    _check_equivariance([(rng.choice(basis), rng.choice(basis)) for _ in range(100)], n)
+
+
+@pytest.mark.parametrize(
+    "n", [(1,), (1, 1), (1, 2, 3), (2, 2, 2), (2, 2, 3), (1, 1, 1, 1), (3, 3, 3), (256, 1)]
+)
+def test_product_table_matches_all_pairs(n):
+    margins = Margins(n)
+    basis = enumerate_coset_matrices(margins)
+    product_terms = algebra._product_terms.__wrapped__
+    want = [
+        (a, b, CosetMatrix(c, margins), v)
+        for a in basis
+        for b in basis
+        for c, v in sorted(product_terms(a.entries, b.entries, n).items())
+    ]
+    assert product_table(margins) == want
+
+
+def test_product_table_computes_one_product_per_orbit():
+    n = (3, 3, 3)
+    basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
+    symmetries = margin_symmetries(n)
+    orbits = {
+        min(relabel_pair(a, b, p, flip) for p, flip in symmetries)
+        for a in basis
+        for b in basis
+    }
+    algebra._product_terms.cache_clear()
+    product_table(Margins(n))
+    info = algebra._product_terms.cache_info()
+    assert info.misses == info.currsize == len(orbits) == 301
 
 
 def test_unpack_multibyte_fields():

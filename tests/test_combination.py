@@ -13,9 +13,11 @@ from cosetalg import (
     OffDiagonalType,
     UniversalElement,
     enumerate_coset_matrices,
+    graded_multiply,
+    multiply,
 )
 
-from helpers import GroupAlgebraVector
+from helpers import GroupAlgebraVector, convolve
 
 
 def _types(nu):
@@ -116,3 +118,26 @@ def test_other_type_never_equal_nor_added(cls1, cls2):
 def test_negative_exponent_is_rejected():
     with pytest.raises(ValueError):
         EpsPolynomial(2, {(-1, 0): 1})
+
+
+@pytest.mark.parametrize(
+    "x_cls, product",
+    [(AlgebraElement, multiply), (GradedElement, graded_multiply), (GroupAlgebraVector, convolve)],
+)
+def test_single_term_product_keeps_coefficient_types(x_cls, product):
+    # a unit int weight takes the basis product's values as they are; an
+    # integral Fraction weight still scales them, so an int value becomes a
+    # Fraction exactly as w * v does
+    space, (k1, k2), _ = KEYS[x_cls]
+    one = x_cls.basis(k1)
+    half = x_cls(space, {k1: Fraction(1, 2)})
+    whole = half + half
+    assert type(whole.terms[k1]) is Fraction
+    y = x_cls.basis(k2)
+    unit = product(one, y)
+    for w, x in ((1, one), (Fraction(1), whole), (Fraction(1, 2), half)):
+        got = product(x, y)
+        assert got.terms == {c: w * v for c, v in unit.terms.items()}
+        assert [type(v) for v in got.terms.values()] == [
+            type(w * v) for v in unit.terms.values()
+        ]
