@@ -3,9 +3,9 @@
 All output is JSON on stdout (the ``table`` subcommand emits JSON lines).
 Matrices are passed as flat comma-separated row-major entries, off-diagonal
 types as flat comma-separated (i, j, value) triples with 1-based indices.
-Exit status: 0 on success or a verified check, 2 on a failed verification or
-a reported pole, 1 on usage errors and, with nothing on stderr, when the reader
-closes stdout before the output is written.
+Exit status: 0 on success or a verified check, 2 on a failed verification, 1
+on usage errors and, with nothing on stderr, when the reader closes stdout
+before the output is written.
 
 Each subcommand imports the layers it runs when it runs, so a call loads only
 what it uses; the module level holds what parsing and error reports need.
@@ -25,13 +25,7 @@ from .cosets import (
     coset_size,
     enumerate_coset_matrices,
 )
-from .errors import (
-    BruteForceLimitExceeded,
-    CosetAlgError,
-    HypergeometricParameterError,
-    MarginOverflow,
-    PoleAtSpecialization,
-)
+from .errors import BruteForceLimitExceeded, CosetAlgError, MarginOverflow
 from .oracle import DEFAULT_LIMIT, HARD_CAP, resolve_limit
 from .rationals import format_rational
 
@@ -138,16 +132,8 @@ def _cmd_table(args) -> int:
     margins = _parse_margins(args.n)
     rows = algebra.product_table(margins, max_basis=args.max_basis)
     for a, b, c, coeff in rows:
-        print(
-            json.dumps(
-                {
-                    "a": a.to_json_dict(),
-                    "b": b.to_json_dict(),
-                    "c": c.to_json_dict(),
-                    "coeff": format_rational(coeff),
-                }
-            )
-        )
+        _emit({"a": a.to_json_dict(), "b": b.to_json_dict(), "c": c.to_json_dict(),
+               "coeff": format_rational(coeff)})
     return 0
 
 
@@ -165,7 +151,6 @@ def _cmd_oracle_check(args) -> int:
     from .oracle import oracle_product
 
     margins = _parse_margins(args.n)
-    limit = resolve_limit(args.nmax)
     basis = enumerate_coset_matrices(margins)
     pairs = [(a, b) for a in basis for b in basis]
     if args.sample is not None:
@@ -181,7 +166,7 @@ def _cmd_oracle_check(args) -> int:
                 algebra.AlgebraElement.basis(a), algebra.AlgebraElement.basis(b)
             ).terms.items()
         }
-        want = {c.entries: v for c, v in oracle_product(a, b, limit=limit).items()}
+        want = {c.entries: v for c, v in oracle_product(a, b, limit=args.nmax).items()}
         if got != want:
             disagreements += 1
     triples = len(pairs) * len(basis)
@@ -266,7 +251,7 @@ def _cmd_nu2(args) -> int:
         "sum": lambda: nu2.s_sum(a, b, c, n1, n2),
         "closed": lambda: nu2.s_closed_form(a, b, c, n1, n2),
         "eq3": lambda: nu2.s_eq3(a, b, c, n1, n2),
-        "oracle": lambda: nu2.s_oracle(a, b, c, n1, n2, limit=resolve_limit(args.nmax)),
+        "oracle": lambda: nu2.s_oracle(a, b, c, n1, n2, limit=args.nmax),
     }
     if args.method != "all":
         _emit(format_rational(methods[args.method]()))
@@ -286,27 +271,13 @@ def _cmd_nu2(args) -> int:
     return 0 if agree else CHECK_FAILED
 
 
-def _cmd_poisson(args) -> int:
-    from . import poisson
-
-    nu = args.nu
-    a = _parse_offdiag(args.a, nu)
-    b = _parse_offdiag(args.b, nu)
-    result = poisson.poisson_bracket(poisson.GradedElement.basis(a), poisson.GradedElement.basis(b))
-    _emit(result.to_json_dict())
-    return 0
-
-
 def _cmd_graded(args) -> int:
+    """``poisson`` and ``graded``: ``args.op`` names the function of two basis types."""
     from . import poisson
 
-    nu = args.nu
-    a = _parse_offdiag(args.a, nu)
-    b = _parse_offdiag(args.b, nu)
-    result = poisson.graded_multiply(
-        poisson.GradedElement.basis(a), poisson.GradedElement.basis(b)
-    )
-    _emit(result.to_json_dict())
+    a = poisson.GradedElement.basis(_parse_offdiag(args.a, args.nu))
+    b = poisson.GradedElement.basis(_parse_offdiag(args.b, args.nu))
+    _emit(getattr(poisson, args.op)(a, b).to_json_dict())
     return 0
 
 
@@ -382,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(fn=_cmd_poisson)
+    p.set_defaults(fn=_cmd_graded, op="poisson_bracket")
 
     p = sub.add_parser("graded", help="graded (order-zero) product of two basis types")
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(fn=_cmd_graded)
+    p.set_defaults(fn=_cmd_graded, op="graded_multiply")
 
     return parser
 
@@ -411,21 +382,15 @@ def _main(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    # no pole: specialize runs check_fit first; no 4F3 error: lower parameters >= 1 (criteria 5, 8)
     try:
         _check_counts(args)
         return args.fn(args)
-    except PoleAtSpecialization as exc:
-        _emit({"error": "pole-at-specialization", "j": exc.j, "m": exc.m,
-               "factor": f"1 - {exc.m}*eps_{exc.j}"})
-        return CHECK_FAILED
     except MarginOverflow as exc:
         _emit({"error": "margin-overflow", "j": exc.j, "star": exc.star, "n_j": exc.n_j})
         return USAGE_ERROR
     except BruteForceLimitExceeded as exc:
         _emit({"error": "limit-exceeded", "N": exc.N, "limit": exc.limit})
-        return USAGE_ERROR
-    except HypergeometricParameterError as exc:
-        _emit({"error": "invalid-parameters", "detail": str(exc)})
         return USAGE_ERROR
     except (ValueError, CosetAlgError) as exc:
         _emit({"error": "usage", "detail": str(exc)})

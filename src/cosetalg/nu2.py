@@ -39,17 +39,21 @@ def phi_matrix(a: int, n1: int, n2: int) -> CosetMatrix:
     return CosetMatrix(((n1 - a, a), (a, n2 - a)), Margins((n1, n2)))
 
 
+def _prefactor(a: int, b: int, n1: int, n2: int) -> Fraction:
+    """The factor a!^2 b!^2 (n1-a)! (n2-a)! (n1-b)! (n2-b)! / (n1! n2!) of every term."""
+    return Fraction(
+        factorial(a) ** 2 * factorial(b) ** 2
+        * factorial(n1 - a) * factorial(n2 - a) * factorial(n1 - b) * factorial(n2 - b),
+        factorial(n1) * factorial(n2),
+    )
+
+
 def s_sum(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:
     """Structure constant as the explicit double sum over (sigma, tau).
 
     Terms where any factorial argument would go negative contribute zero.
     """
     _check_domain(a, b, c, n1, n2)
-    pref = Fraction(
-        factorial(a) ** 2 * factorial(b) ** 2
-        * factorial(n1 - a) * factorial(n2 - a) * factorial(n1 - b) * factorial(n2 - b),
-        factorial(n1) * factorial(n2),
-    )
     total = Fraction(0)
     for sigma in range(0, min(a, b) + 1):
         tau = a + b - c - sigma
@@ -65,7 +69,7 @@ def s_sum(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:
         for x in args:
             den *= factorial(x)
         total += Fraction(1, den)
-    return pref * total
+    return _prefactor(a, b, n1, n2) * total
 
 
 def f43_terminating(upper, lower) -> Fraction:
@@ -130,15 +134,10 @@ def s_closed_form(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:
     den = 1
     for x in base_args:
         den *= factorial(x)
-    prefactor = Fraction(
-        factorial(a) ** 2 * factorial(b) ** 2
-        * factorial(n1 - a) * factorial(n2 - a) * factorial(n1 - b) * factorial(n2 - b),
-        factorial(n1) * factorial(n2) * den,
-    )
     upper = (s0 - a, s0 - b, s0 + c - a - b, s0 + c - n1)
     lowers = [s0 + 1, c - b + s0 + 1, c - a + s0 + 1, n2 - a - b + s0 + 1]
     lowers.remove(1)  # the slot realizing s0 supplies the series k!
-    return prefactor * f43_terminating(upper, tuple(lowers))
+    return _prefactor(a, b, n1, n2) / den * f43_terminating(upper, tuple(lowers))
 
 
 def s_eq3(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:

@@ -24,12 +24,10 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .cosets import CosetMatrix, Margins
+from .cosets import CosetMatrix, Grid, Margins
 from .errors import BruteForceLimitExceeded
 
 Perm = tuple[int, ...]
-Grid = tuple[tuple[int, ...], ...]
-
 DEFAULT_LIMIT = 8
 HARD_CAP = 9
 

@@ -25,12 +25,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .combination import Combination, bilinear
-from .cosets import OffDiagonalType
-from .epsring import EpsRingElement
+from .cosets import Grid, OffDiagonalType
 from .rationals import format_rational
-from .universal import universal_product
-
-Grid = tuple[tuple[int, ...], ...]
 
 
 class GradedElement(Combination):
@@ -132,6 +128,9 @@ def poisson_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
 
 def poisson_bracket_via_ring(a: OffDiagonalType, b: OffDiagonalType) -> GradedElement:
     """Reference route for basis types: full ring commutator, identify, divide, evaluate."""
+    from .epsring import EpsRingElement
+    from .universal import universal_product
+
     if a.nu != b.nu:
         raise ValueError("size mismatch")
     nu = a.nu
@@ -148,7 +147,7 @@ def poisson_bracket_via_ring(a: OffDiagonalType, b: OffDiagonalType) -> GradedEl
     return GradedElement(nu, acc)
 
 
-def _identified_linear_value(x: EpsRingElement):
+def _identified_linear_value(x):
     """(x / eps) at eps = 0 with every variable set to eps.
 
     Needs the identified constant term to vanish; the denominator factors all

@@ -251,15 +251,6 @@ class UniversalElement(Combination):
     def __mul__(self, other: "UniversalElement") -> "UniversalElement":
         return universal_multiply(self, other)
 
-    def to_json_dict(self):
-        return {
-            "nu": self.nu,
-            "terms": [
-                {"type": tp.to_json_dict(), "coeff": coeff.to_json_dict()}
-                for tp, coeff in self.sorted_terms()
-            ],
-        }
-
 
 def universal_multiply(x: UniversalElement, y: UniversalElement) -> UniversalElement:
     """Bilinear extension over ring-element coefficients.

@@ -5,7 +5,8 @@ Run from the repository root with the package on the path:
     PYTHONPATH=src python tests/golden/generate.py
 
 Each case writes ``<name>.out`` (the exact stdout) and its entry in
-``cases.json`` (argv and exit code).  ``tests/test_golden.py`` replays every
+``cases.json`` (argv and exit code); no file is written until every case has
+run.  ``tests/test_golden.py`` replays every
 case and asserts byte equality.  Regenerate only when a change to the
 output is intended, and say which cases changed and why.
 """
@@ -105,12 +106,16 @@ def run_case(argv):
 
 
 def main():
-    cases = []
+    # run every case before writing any file, so that an interrupted run
+    # leaves the corpus as it was
+    cases, outs = [], []
     for name, argv in CASES:
         code, out = run_case(argv)
-        (HERE / f"{name}.out").write_bytes(out.encode())
+        outs.append(out)
         cases.append({"name": name, "argv": argv, "exit": code})
         print(f"{name}: exit {code}, {len(out)} bytes", file=sys.stderr)
+    for case, out in zip(cases, outs):
+        (HERE / f"{case['name']}.out").write_bytes(out.encode())
     lines = ",\n".join(json.dumps(case) for case in cases)
     (HERE / "cases.json").write_text(f"[\n{lines}\n]\n")
 

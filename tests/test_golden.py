@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from golden import generate
 from golden.generate import run_case
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -60,3 +61,20 @@ def test_golden_case_fresh_process(case):
     )
     assert proc.returncode == case["exit"]
     assert proc.stdout == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+def test_generate_writes_nothing_when_a_case_fails(monkeypatch, tmp_path):
+    calls = []
+
+    def run(argv):
+        calls.append(argv)
+        if len(calls) == 2:
+            raise BrokenPipeError
+        return 0, "{}\n"
+
+    monkeypatch.setattr(generate, "HERE", tmp_path)
+    monkeypatch.setattr(generate, "run_case", run)
+    with pytest.raises(BrokenPipeError):
+        generate.main()
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []

@@ -81,3 +81,8 @@ def test_fresh_cli_call_loads_only_its_layers():
     loaded = _cli_loaded("universal", "--nu", "3", "--a", "1,2,1,2,3,1,3,1,1", "--b", "")
     assert {"cosetalg.universal", "cosetalg.epsring"} <= loaded
     assert "cosetalg.algebra" not in loaded
+    # the graded layer computes without the ring; only its reference route needs it
+    for command in ("poisson", "graded"):
+        loaded = _cli_loaded(command, "--nu", "3", "--a", "1,2,1,2,3,1,3,1,1", "--b", "1,2,2,2,1,2")
+        assert "cosetalg.poisson" in loaded
+        assert {"cosetalg.universal", "cosetalg.epsring"} & loaded == set()
