@@ -105,9 +105,6 @@ class Combination:
         coeff = self.terms.get(key)
         return self._coefficient(0) if coeff is None else coeff
 
-    def mass(self):
-        return sum(self.terms.values(), self._coefficient(0))
-
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 

@@ -23,8 +23,9 @@ Division by (1 - m*eps_j) runs on eps_j-chains: the terms that share their
 exponents in the other variables form a dense list p_0, p_1, ... of
 coefficients of eps_j^k, and the quotient satisfies q_k = p_k + m*q_(k-1).
 Run over the whole chain the recurrence is exact division (it divides iff the
-last q vanishes); cut at a length it is the power series of the quotient, which
-is how ``EpsRingElement.expand`` reads low-order Taylor coefficients.
+last q vanishes).  The chains serve only ``divide_out``: ``expand`` runs the
+same recurrence once per variable on the series of prod_m 1/(1 - m*eps_j) and
+multiplies it in, and ``specialize`` evaluates the numerator term by term.
 
 Canonical form: no factor present in the denominator divides the numerator.
 Because every factor is linear with constant term 1, the canonical
@@ -84,39 +85,28 @@ class EpsPolynomial(Combination):
                 out[d] = c1 * c2 if acc is None else acc + c1 * c2
         return EpsPolynomial._make(self.space, {d: c for d, c in out.items() if c})
 
-    def shift_scale(self, deg: Degree, scalar: Rational) -> "EpsPolynomial":
-        """Multiply by scalar * (monomial of multidegree deg); scalar is an int or a Fraction."""
-        if not scalar:
-            return EpsPolynomial._make(self.space, {})
-        return EpsPolynomial._make(
-            self.space, {tuple(map(add, d, deg)): c * scalar for d, c in self.terms.items()}
-        )
-
     def _evaluate_over(self, point: list[tuple[int, int]]) -> tuple[Rational, int]:
         """(s, d) with the value at x_j = p_j / q_j equal to s / d; point holds (p_j, q_j).
 
         With E_j the top degree in variable j, each term c * prod x_j^e_j is
         c * prod p_j^e_j q_j^(E_j - e_j) over the common denominator
         d = prod q_j^E_j, so s is an integer sum when every c is an integer.
+        A power is taken only where it is not 1: q_j where e_j < E_j, p_j
+        where p_j != 1 and e_j > 0.
         """
-        tops = [max(ds) for ds in zip(*self.terms)] or [0] * self.space
-        tables = []
-        den = 1
-        for (p, q), top in zip(point, tops):
-            tables.append([p**e * q ** (top - e) for e in range(top + 1)])
-            den *= q**top
+        tops = list(map(max, zip(*self.terms))) or [0] * self.space
         total = 0
         for deg, coeff in self.terms.items():
-            for table, e in zip(tables, deg):
-                coeff *= table[e]
+            for e, top, (p, q) in zip(deg, tops, point):
+                if e != top:
+                    coeff *= q ** (top - e)
+                if e and p != 1:
+                    coeff *= p**e
             total += coeff
+        den = 1
+        for top, (_, q) in zip(tops, point):
+            den *= q**top
         return total, den
-
-    def evaluate(self, point: tuple[Fraction, ...]) -> Fraction:
-        if len(point) != self.nu:
-            raise ValueError("point dimension mismatch")
-        xs = [Fraction(x) for x in point]
-        return Fraction(*self._evaluate_over([(x.numerator, x.denominator) for x in xs]))
 
     def divide_out(self, j: int, factors: dict[int, int]) -> tuple["EpsPolynomial", dict[int, int]]:
         """Divide by each (1 - m*eps_j)^mult of ``factors`` as far as it divides exactly.
@@ -179,28 +169,21 @@ def _unchain(chains: dict[Degree, list[Rational]], j: int, nu: int) -> EpsPolyno
     return EpsPolynomial._make(nu, terms)
 
 
-def _quotient(chain: list[Rational], m: int, length: int) -> list[Rational]:
-    """The first ``length`` >= len(chain) coefficients of chain / (1 - m*x) as a
-    power series in x: q_k = p_k + m*q_(k-1), with p_k = 0 past the chain's top.
-    """
-    out = []
-    carry = 0
-    for p in chain + [0] * (length - len(chain)):
-        carry = p + m * carry
-        out.append(carry)
-    return out
-
-
 def _divide_chains(
     chains: dict[Degree, list[Rational]], m: int
 ) -> dict[Degree, list[Rational]] | None:
     """Every chain [p_0, ..., p_top] divided by (1 - m*x), or None if one does not divide.
 
-    The series quotient over the full chain is exact iff its last coefficient is 0.
+    The quotient q_k = p_k + m*q_(k-1), run over the whole chain, is exact iff
+    its last coefficient is 0.
     """
     out = {}
     for rest, chain in chains.items():
-        quotient = _quotient(chain, m, len(chain))
+        quotient = []
+        carry = 0
+        for p in chain:
+            carry = p + m * carry
+            quotient.append(carry)
         if quotient.pop():
             return None
         out[rest] = quotient
@@ -279,10 +262,6 @@ class EpsRingElement:
         return cls(nu, EpsPolynomial.constant(nu, value))
 
     @classmethod
-    def from_polynomial(cls, num: EpsPolynomial) -> "EpsRingElement":
-        return cls(num.nu, num)
-
-    @classmethod
     def zero(cls, nu: int) -> "EpsRingElement":
         return cls._make(nu, EpsPolynomial.zero(nu), {})
 
@@ -326,17 +305,6 @@ class EpsRingElement:
         num = scalar * self.num
         return EpsRingElement._make(self.nu, num, dict(self.den) if num.terms else {})
 
-    def div_by_bracket(self, p: int, q: int, j: int) -> "EpsRingElement":
-        """Divide by the factor product (1 - m*eps_j) for m = p, ..., q-1."""
-        if not 0 <= p <= q:
-            raise ValueError(f"need 0 <= p <= q, got ({p}, {q})")
-        den = dict(self.den)
-        for m in range(p, q):
-            if m == 0:
-                continue
-            den[(j, m)] = den.get((j, m), 0) + 1
-        return EpsRingElement(self.nu, self.num, den)
-
     def specialize(self, margins: Margins) -> Fraction:
         """Evaluate at eps_j = 1/n_j; fails exactly on surviving factors with m = n_j.
 
@@ -358,26 +326,33 @@ class EpsRingElement:
     def expand(self, order: int) -> EpsPolynomial:
         """The power series to total degree ``order``, as a polynomial.
 
-        Each factor 1/(1 - m*eps_j) is a series in eps_j alone, so the
-        truncated numerator is divided chain by chain along every variable of
-        the denominator; a chain whose other exponents sum to r is cut at
-        length order + 1 - r.
+        Each variable's factors prod_m 1/(1 - m*eps_j) form one series
+        g_0 + g_1 eps_j + ... in eps_j alone, built by g_k += m*g_(k-1) per
+        factor; the truncated numerator is multiplied by it one variable at a
+        time, a term of total degree r taking g_0 .. g_(order - r).  No
+        eps_j-chains are built: they serve only ``divide_out``.
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
-        series = EpsPolynomial._make(
-            self.nu, {d: c for d, c in self.num.terms.items() if sum(d) <= order}
-        )
-        for j in sorted({j for j, _ in self.den}):
-            factors = [m for (i, m), mult in self.den.items() if i == j for _ in range(mult)]
-            chains = _chains(series, j)
-            for rest, chain in chains.items():
-                length = order + 1 - sum(rest)
-                for m in factors:
-                    chain = _quotient(chain, m, length)
-                chains[rest] = chain
-            series = _unchain(chains, j, self.nu)
-        return series
+        series: dict[int, list[int]] = {}  # j -> [g_0, ..., g_order]
+        for (j, m), mult in self.den.items():
+            g = series.get(j)
+            if g is None:
+                g = series[j] = [1] + [0] * order
+            for _ in range(mult):
+                for k in range(1, order + 1):
+                    g[k] += m * g[k - 1]
+        terms = {d: c for d, c in self.num.terms.items() if sum(d) <= order}
+        for j, g in series.items():
+            out: dict[Degree, Rational] = {}
+            get = out.get
+            for d, c in terms.items():
+                head, e, tail = d[:j], d[j], d[j + 1 :]
+                for k in range(order + 1 - sum(d)):
+                    key = head + (e + k,) + tail
+                    out[key] = get(key, 0) + c * g[k]
+            terms = out
+        return EpsPolynomial._make(self.nu, {d: c for d, c in terms.items() if c})
 
     def sorted_den(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.den.items())

@@ -25,9 +25,11 @@ The tensors are enumerated by the finite product's slice builder
 (i != k) and, in one more field, its corner t_jjj; the other diagonal cells
 stay out of the key.  The convolution over j gives the finite weight w of
 every (c, corner vector), and w * prod_j t_jjj! * prod b_jk! / prod_j b*_jj!
-is the universal one.  Polynomials are touched once per profile, and the
-bracket product of a profile is cancelled before it is built
-(``_profile_poly``).
+is the universal one.  A profile's polynomial and its hyperplane values
+depend on its exponent vector alone, so they are built once per distinct
+exponent vector of the pair, already multiplied by the profile's monomial,
+and each target's numerator is summed from them in one pass; the bracket
+product of a profile is cancelled before it is built (``_profile_poly``).
 
 What is left over is the pair-wide common denominator, (1 - m*eps_j) for m in
 [1, min(a*_j, b*_j)), and almost none of its factors divides a target's
@@ -61,8 +63,14 @@ def _star(entries: Grid, j: int) -> int:
     return sum(entries[i][j] for i in range(len(entries)) if i != j)
 
 
-def _profile_weights(a: Grid, b: Grid) -> dict[tuple[Grid, tuple[int, ...]], int]:
-    """Integer weight sum_t prod a! prod b! / prod t! per (c, eps exponent vector)."""
+def _profile_weights(a: Grid, b: Grid) -> dict[Grid, dict[tuple[int, ...], int]]:
+    """Integer weight sum_t prod a! prod b! / prod t! per target c and eps exponent vector,
+    as {c: {exps: w}}.
+
+    A convolution key holds c in its low nu*nu fields and the corner vector,
+    which is the exponent vector, in the field row above them; each distinct
+    target and each distinct corner is decoded once.
+    """
     nu = len(a)
     a_stars = [_star(a, j) for j in range(nu)]
     b_stars = [_star(b, j) for j in range(nu)]
@@ -83,19 +91,31 @@ def _profile_weights(a: Grid, b: Grid) -> dict[tuple[Grid, tuple[int, ...]], int
     # a_jj! = b*_j!; the universal one divides by neither and has b's factorials
     num = prod(factorial(v) for row in b for v in row)
     den = prod(map(factorial, b_stars))
-    out = {}
+    top = nu * nu * shift
+    mask = (1 << top) - 1
+    corners: dict[int, tuple[tuple[int, ...], int]] = {}  # corner key -> (exps, prod exps!)
+    groups: dict[int, dict[tuple[int, ...], int]] = {}
     for key, w in _convolve(slices).items():
-        *c, exps = _unpack(key, nu + 1, nu, shift)
-        out[(tuple(c), exps)] = w * prod(map(factorial, exps)) * num // den
-    return out
+        corner = corners.get(key >> top)
+        if corner is None:
+            (exps,) = _unpack(key >> top, 1, nu, shift)
+            corner = corners[key >> top] = (exps, prod(map(factorial, exps)))
+        exps, scale = corner
+        group = groups.get(key & mask)
+        if group is None:
+            group = groups[key & mask] = {}
+        group[exps] = w * scale * num // den
+    return {_unpack(c, nu, nu, shift): group for c, group in groups.items()}
 
 
 @lru_cache(maxsize=None)
 def _profile_poly(
-    a_stars: tuple[int, ...], b_stars: tuple[int, ...], t_stars: tuple[int, ...], nu: int
+    a_stars: tuple[int, ...], b_stars: tuple[int, ...], t_stars: tuple[int, ...]
 ) -> EpsPolynomial:
-    """Numerator left by prod_j ((a*_j, t*_j)) ((b*_j, t*_j)) / ((0, t*_j)) after cancellation.
+    """prod_j eps_j^(a*_j + b*_j - t*_j) times the numerator left by
+    prod_j ((a*_j, t*_j)) ((b*_j, t*_j)) / ((0, t*_j)) after cancellation.
 
+    The monomial is the profile's, since its exponent vector is a* + b* - t*.
     In variable j the factor (1 - m*eps_j) appears in the numerator for m in
     [a*, t*) and again for m in [b*, t*), and once in the denominator for m
     in [1, t*).  Cancelling leaves one numerator copy on [max(a*, b*), t*)
@@ -104,10 +124,11 @@ def _profile_poly(
     Brackets in distinct variables multiply as an outer product of coefficients.
     """
     terms: dict[tuple[int, ...], int] = {(): 1}
-    for j in range(nu):
-        coeffs = _falling(max(a_stars[j], b_stars[j]), t_stars[j])
-        terms = {d + (k,): c * v for d, c in terms.items() for k, v in enumerate(coeffs)}
-    return EpsPolynomial._make(nu, terms)
+    for x, y, t in zip(a_stars, b_stars, t_stars):
+        e = x + y - t
+        coeffs = _falling(max(x, y), t)
+        terms = {d + (e + k,): c * v for d, c in terms.items() for k, v in enumerate(coeffs)}
+    return EpsPolynomial._make(len(t_stars), terms)
 
 
 def _test_point(nu: int) -> list[int]:
@@ -159,21 +180,31 @@ def _numerators(
     lows = [max(x, y) for x, y in zip(a_stars, b_stars)]
     candidates = [(j, m) for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))]
     z = _test_point(nu) if candidates else []
-    terms: dict[tuple[int, ...], list[int]] = {}  # t* -> _hyperplane_terms
+    # exps -> (terms of the shifted profile polynomial, _hyperplane_terms)
+    profiles: dict[tuple[int, ...], tuple[dict, list[int]]] = {}
     numerators: dict[Grid, EpsPolynomial] = {}
     values: dict[Grid, list[int]] = {}
-    for (c, exps), w in _profile_weights(a, b).items():
-        t_stars = tuple(a_stars[j] + b_stars[j] - exps[j] for j in range(nu))
-        num = _profile_poly(a_stars, b_stars, t_stars, nu).shift_scale(exps, w)
-        acc = numerators.get(c)
-        numerators[c] = num if acc is None else acc + num
-        if not candidates:
-            continue
-        ts = terms.get(t_stars)
-        if ts is None:
-            ts = terms[t_stars] = _hyperplane_terms(candidates, lows, exps, t_stars, z)
-        row = values.get(c)
-        values[c] = [w * v for v in ts] if row is None else [r + w * v for r, v in zip(row, ts)]
+    for c, group in _profile_weights(a, b).items():
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        row = [0] * len(candidates)
+        for exps, w in group.items():
+            profile = profiles.get(exps)
+            if profile is None:
+                t_stars = tuple(x + y - e for x, y, e in zip(a_stars, b_stars, exps))
+                profile = profiles[exps] = (
+                    _profile_poly(a_stars, b_stars, t_stars).terms,
+                    _hyperplane_terms(candidates, lows, exps, t_stars, z) if candidates else [],
+                )
+            terms, ts = profile
+            for d, v in terms.items():
+                acc[d] = get(d, 0) + w * v
+            for k, v in enumerate(ts):
+                row[k] += w * v
+        if 0 in acc.values():  # profiles rarely cancel: filter only when some did
+            acc = {d: v for d, v in acc.items() if v}
+        numerators[c] = EpsPolynomial._make(nu, acc)
+        values[c] = row
     return candidates, numerators, values
 
 
@@ -185,7 +216,7 @@ def _product_terms(a: Grid, b: Grid) -> dict[Grid, EpsRingElement]:
     for c, num in numerators.items():
         if num.is_zero():
             continue
-        row = values.get(c, ())
+        row = values[c]
         # only a factor whose value is 0 may divide; the others stay as they are
         zeros = {f: 1 for f, v in zip(candidates, row) if not v}
         left: dict[tuple[int, int], int] = {}
@@ -219,8 +250,8 @@ def candidate_outputs(a: OffDiagonalType, b: OffDiagonalType) -> list[OffDiagona
     """The finitely many types reachable from the pair (a, b), sorted."""
     if a.nu != b.nu:
         raise ValueError("size mismatch")
-    seen = {c for c, _ in _profile_weights(a.entries, b.entries)}
-    return sorted((OffDiagonalType._make(c) for c in seen), key=lambda t: t.entries)
+    targets = _profile_weights(a.entries, b.entries)
+    return sorted((OffDiagonalType._make(c) for c in targets), key=lambda t: t.entries)
 
 
 class UniversalElement(Combination):

@@ -261,7 +261,7 @@ def reference_universal_terms(a, b):
     """Universal constants {c: EpsRingElement} of the pair (a, b) by the tensor walk.
 
     Weights are summed as one Fraction per tensor; the polynomial part uses
-    the package's per-profile bracket products.
+    the package's per-profile bracket products, which carry the monomial.
     """
     from cosetalg.universal import _profile_poly
 
@@ -281,8 +281,7 @@ def reference_universal_terms(a, b):
         weights[(c, t_stars)] = weights.get((c, t_stars), Fraction(0)) + Fraction(pref, denom)
     numerators = {}
     for (c, t_stars), w in weights.items():
-        exps = tuple(a_stars[j] + b_stars[j] - t_stars[j] for j in range(nu))
-        num = _profile_poly(a_stars, b_stars, t_stars, nu).shift_scale(exps, w)
+        num = w * _profile_poly(a_stars, b_stars, t_stars)
         numerators[c] = numerators[c] + num if c in numerators else num
     return {
         c: EpsRingElement(nu, num, dict(common_den))
@@ -307,10 +306,11 @@ def raw_universal_numerators(a, b):
         (j, m): 1 for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))
     }
     numerators = {}
-    for (c, exps), w in _profile_weights(a, b).items():
-        t_stars = tuple(a_stars[j] + b_stars[j] - exps[j] for j in range(nu))
-        num = _profile_poly(a_stars, b_stars, t_stars, nu).shift_scale(exps, w)
-        numerators[c] = numerators[c] + num if c in numerators else num
+    for c, group in _profile_weights(a, b).items():
+        for exps, w in group.items():
+            t_stars = tuple(a_stars[j] + b_stars[j] - exps[j] for j in range(nu))
+            num = w * _profile_poly(a_stars, b_stars, t_stars)
+            numerators[c] = numerators[c] + num if c in numerators else num
     return common_den, numerators
 
 
@@ -325,8 +325,38 @@ def generic_universal_terms(a, b):
     }
 
 
-# Reference route for ``EpsPolynomial.evaluate`` and ``EpsRingElement.specialize``:
-# one Fraction power per term and variable, and one division per denominator factor.
+# Test-only constructors and readings of the package's types; production
+# builds its ring elements and values through other routes.
+
+
+def mass(x):
+    """The sum of the coefficients of a combination."""
+    return sum(x.terms.values(), x._coefficient(0))
+
+
+def from_polynomial(num):
+    """The ring element num / 1."""
+    return EpsRingElement(num.nu, num)
+
+
+def div_by_bracket(x, p, q, j):
+    """x divided by the factor product (1 - m*eps_j) for m = p, ..., q-1."""
+    den = dict(x.den)
+    for m in range(max(p, 1), q):
+        den[(j, m)] = den.get((j, m), 0) + 1
+    return EpsRingElement(x.nu, x.num, den)
+
+
+def evaluate(poly, point):
+    """The value of poly at a rational point, through the package's ``_evaluate_over``."""
+    if len(point) != poly.nu:
+        raise ValueError("point dimension mismatch")
+    xs = [Fraction(x) for x in point]
+    return Fraction(*poly._evaluate_over([(x.numerator, x.denominator) for x in xs]))
+
+
+# Reference route for ``evaluate`` and ``EpsRingElement.specialize``: one
+# Fraction power per term and variable, and one division per denominator factor.
 
 
 def reference_evaluate(poly, point):

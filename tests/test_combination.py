@@ -17,7 +17,7 @@ from cosetalg import (
     multiply,
 )
 
-from helpers import GroupAlgebraVector, convolve
+from helpers import GroupAlgebraVector, convolve, mass
 
 
 def _types(nu):
@@ -87,7 +87,7 @@ def test_coefficient_and_sorted_terms(cls):
     assert x.coefficient(k1) == x.terms[k1]
     assert not cls.zero(space).coefficient(k1)
     assert [k for k, _ in x.sorted_terms()] == sorted([k1, k2])
-    assert x.mass() == x.terms[k1] + x.terms[k2]
+    assert mass(x) == x.terms[k1] + x.terms[k2]
 
 
 @pytest.mark.parametrize("cls", CLASSES)

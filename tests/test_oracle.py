@@ -21,6 +21,7 @@ from helpers import (
     GroupAlgebraVector,
     convolve,
     coset_average,
+    mass,
     naive_classify,
     young_average,
 )
@@ -232,7 +233,7 @@ def test_young_average_idempotent():
     margins = Margins((2, 2))
     pi = young_average(margins)
     assert convolve(pi, pi) == pi
-    assert pi.mass() == 1
+    assert mass(pi) == 1
 
 
 def test_projected_delta_is_coset_average():

@@ -342,6 +342,26 @@ def test_cancellation_matches_generic_nu4_first():
     _check_against_generic(itertools.islice(itertools.product(balanced_types(4, 1), repeat=2), 1500))
 
 
+def test_numerators_build_one_polynomial_per_target(monkeypatch):
+    # the costliest nu=4 pair of the benchmark's universal round at seed 1
+    # (1,911 tensors): every target's numerator is summed in place and built
+    # once, with no intermediate polynomial per profile or per addition
+    a = ((0, 0, 1, 1), (1, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0))
+    b = ((0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0))
+    universal._numerators(a, b)  # fills the profile-polynomial cache
+    calls = []
+    make = EpsPolynomial._make.__func__
+
+    def counted(cls, space, terms):
+        calls.append(space)
+        return make(cls, space, terms)
+
+    monkeypatch.setattr(EpsPolynomial, "_make", classmethod(counted))
+    _, numerators, _ = universal._numerators(a, b)
+    assert len(numerators) == 1156
+    assert len(calls) == len(numerators)
+
+
 def _has_candidate(a, b):
     return any(min(a.star(j), b.star(j)) >= 2 for j in range(a.nu))
 
