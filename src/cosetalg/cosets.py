@@ -7,10 +7,16 @@ its row sums and column sums both equal the block sizes.  This module
 enumerates those matrices, computes the exact size of the coset each one
 labels, and converts between full matrices and their off-diagonal part.
 
-It also holds the packing layer that both products build on: ``transport``
-walks the transportation tables of one slice, ``_slice_terms`` reads each
-table into a packed integer key and an integer weight, ``_convolve`` sums
-over the slices and ``_unpack`` reads a key back as a grid.
+It also holds the packing layer that both products build on.  ``transport``,
+the one table enumerator (``enumerate_coset_matrices`` runs it too), walks the
+transportation tables of one slice a row at a time: each row is a
+composition of its cap under the column sums still left, and the last row is
+whatever the columns still need; when the caps exceed the column total, a
+slack column takes each row's shortfall and is dropped from the output.
+``_slice_terms`` hands it only the slice's nonzero rows and columns, since a
+zero cap or a zero column sum forces zeros there, and reads each table into a
+packed integer key and an integer weight over the kept cells.  ``_convolve``
+sums over the slices and ``_unpack`` reads a key back as a grid.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -24,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 from math import factorial, prod
-from operator import index
+from operator import index, sub
 
 from .errors import InvariantViolation, MarginOverflow
 
@@ -232,51 +238,57 @@ def transport(caps: tuple[int, ...], cols: tuple[int, ...]) -> tuple[Grid, ...]:
     """Every nonnegative integer table with column sums ``cols`` and row i
     summing to at most ``caps[i]``, in row-major lexicographic order.
 
-    When the caps add up to the column total every row meets its cap
-    exactly.  Each cell's range is cut to the values that still leave a
-    completion (the rows below must absorb what the columns up to this cell
-    still lack), so no branch is abandoned.  The walk is an odometer over the
-    cells, not a recursion, so a table may have any number of cells.
+    The walk picks whole rows, top to bottom.  Each row is a composition of
+    its cap with every part at most what its column still needs, generated
+    in lexicographic order, and the last row is whatever the columns still
+    need.  When the caps add up to more than the column total, a slack
+    column on the right takes each row's shortfall, so that every row meets
+    its cap, and is dropped from the output; a slack cell is fixed by the
+    rest of its row, so the order stays lexicographic.  Once every row meets
+    its cap, any row chosen this way leaves the rows below a table whose row
+    and column totals agree, which always has a completion, so no branch is
+    abandoned.  The walk goes one row at a time over a list of partial
+    tables, not by recursion, so a table may have any number of rows.
     """
     rows, width = len(caps), len(cols)
-    room = [0] * (rows + 1)  # room[i]: what rows i.. can absorb together
-    for i in range(rows - 1, -1, -1):
-        room[i] = room[i + 1] + caps[i]
-    if sum(cols) > room[0]:
+    spare = sum(caps) - sum(cols)
+    if spare < 0:
         return ()
-    size = rows * width
-    if not size:
-        return (((),) * rows,)
-    out: list[Grid] = []
-    colrem = list(cols)
-    cell = [0] * size  # the table, row-major
-    top = [0] * size  # top[p]: the largest value cell p may take
-    taken = [0] * (size + 1)  # taken[p]: the sum of the cells left of p in its row
-    done: list[tuple[int, ...]] = [()] * rows  # the finished rows
-    p = 0
-    while True:
-        if p < size:
-            # enter cell p at the least value that still leaves a completion
-            i, k = divmod(p, width)
-            cell[p] = max(0, sum(colrem[: k + 1]) - room[i + 1])
-            top[p] = min(colrem[k], caps[i] - taken[p])
-            colrem[k] -= cell[p]
-        else:
-            out.append(tuple(done))
-            # step back to the last cell below its top, releasing the cells after it
-            p -= 1
-            while cell[p] == top[p]:
-                colrem[p % width] += cell[p]
-                p -= 1
-                if p < 0:
-                    return tuple(out)
-            cell[p] += 1
-            colrem[p % width] -= 1
-        p += 1
-        if p % width:
-            taken[p] = taken[p - 1] + cell[p - 1]
-        else:
-            done[p // width - 1] = tuple(cell[p - width : p])
+    if rows < 2:
+        return ((cols,) * rows,)
+    found: dict[tuple[int, tuple[int, ...]], list] = {}
+
+    def choices(cap: int, need: tuple[int, ...]) -> list:
+        """(row, what the columns need after it) for every row of sum ``cap`` under ``need``."""
+        out = found.get((cap, need))
+        if out is None:
+            parts = [((), cap)]  # (the row's first cells, what they leave of its cap)
+            room = sum(need)
+            for bound in need[:-1]:
+                room -= bound  # what the cells right of this one can still take
+                parts = [
+                    (row + (v,), left - v)
+                    for row, left in parts
+                    for v in range(max(0, left - room), min(bound, left) + 1)
+                ]
+            out = found[cap, need] = []
+            for row, left in parts:
+                row += (left,)
+                out.append((row[:width], tuple(map(sub, need, row))))
+        return out
+
+    tables = [((), cols + (spare,) if spare else cols)]  # (rows so far, what the columns need)
+    for cap in caps[:-2]:
+        tables = [
+            (head + (row,), after) for head, need in tables for row, after in choices(cap, need)
+        ]
+    return tuple(
+        [
+            head + (row, after[:width])
+            for head, need in tables
+            for row, after in choices(caps[-2], need)
+        ]
+    )
 
 
 def _column(grid: Grid, j: int) -> tuple[int, ...]:
@@ -306,17 +318,27 @@ def _slice_terms(
     Cell (i, k) adds its value to field ``fields[i*len(cols) + k]`` of the
     key, fields being ``shift`` bits wide; a cell whose field is None stays
     out of the key.  The weight is prod_i caps_i! / prod_ik t_ik! over every
-    cell, a product of multinomials when each row meets its cap.
+    cell, a product of multinomials when each row meets its cap.  A row with
+    cap 0 or a column with sum 0 holds only zeros, which add nothing to a key
+    or a weight, so only the other rows and columns are walked; the cells left
+    out are 0 in every table, so the tables come in the same order as over the
+    full slice.
     """
-    units = [0 if f is None else 1 << shift * f for f in fields]
-    top = prod(map(factorial, caps))
+    width = len(cols)
+    rows = [i for i, cap in enumerate(caps) if cap]
+    keep = [k for k, col in enumerate(cols) if col]
+    units = [fields[i * width + k] for i in rows for k in keep]
+    units = [0 if f is None else 1 << shift * f for f in units]
+    facts = [factorial(v) for v in range(max(caps, default=0) + 1)]
+    top = prod(facts[caps[i]] for i in rows)
     out = []
-    for table in transport(caps, cols):
+    for table in transport(tuple(caps[i] for i in rows), tuple(cols[k] for k in keep)):
         packed = 0
         den = 1
         for v, unit in zip(chain.from_iterable(table), units):
-            packed += v * unit
-            den *= factorial(v)
+            if v:
+                packed += v * unit
+                den *= facts[v]
         out.append((packed, top // den))
     return tuple(out)
 

@@ -10,7 +10,9 @@ from fractions import Fraction
 
 
 def _exact(x) -> int | Fraction:
-    """Any rational as an ``int`` when integral, else as a ``Fraction``."""
+    """Any rational as an ``int`` when integral, else as a ``Fraction``; an ``int`` as it is."""
+    if type(x) is int:
+        return x
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 

@@ -7,7 +7,9 @@ through embedding, the displayed braid products, the per-term ``Fraction``
 evaluation and the multiplied-out series expansion.  They share no
 enumeration with the package, except the generic cancellation of the
 universal numerators, which checks only the cancellation and so sums the
-package's own profiles.
+package's own profiles, and the full-slice reader, which checks only that
+leaving out zero rows and columns changes nothing and so walks the
+package's own ``transport``.
 """
 
 import itertools
@@ -150,6 +152,24 @@ def reference_product_terms(a, b, n):
     for _, c, denom in tensor_sums(a, b, len(n)):
         acc[c] = acc.get(c, Fraction(0)) + Fraction(1, denom)
     return {c: pref * v for c, v in acc.items() if v}
+
+
+def reference_slice_terms(caps, cols, shift, fields):
+    """``cosets._slice_terms`` read off every table of the full slice, cell by cell.
+
+    Zero rows and zero columns are walked as well, and every cell, zero or
+    not, enters the key through its field and the weight through its
+    factorial.
+    """
+    from cosetalg.cosets import transport
+
+    top = prod(map(factorial, caps))
+    out = []
+    for table in transport(caps, cols):
+        cells = [v for row in table for v in row]
+        key = sum(v << shift * f for v, f in zip(cells, fields) if f is not None)
+        out.append((key, top // prod(map(factorial, cells))))
+    return tuple(out)
 
 
 # The symmetries of the finite structure constants, written out from their

@@ -8,6 +8,7 @@ import pytest
 from cosetalg import (
     AlgebraElement,
     EpsPolynomial,
+    EpsRingElement,
     GradedElement,
     Margins,
     OffDiagonalType,
@@ -15,6 +16,7 @@ from cosetalg import (
     enumerate_coset_matrices,
     graded_multiply,
     multiply,
+    rationals,
 )
 
 from helpers import GroupAlgebraVector, convolve, mass
@@ -88,6 +90,22 @@ def test_coefficient_and_sorted_terms(cls):
     assert not cls.zero(space).coefficient(k1)
     assert [k for k, _ in x.sorted_terms()] == sorted([k1, k2])
     assert mass(x) == x.terms[k1] + x.terms[k2]
+
+
+def test_missing_coefficient_is_the_ring_zero(monkeypatch):
+    # a key with no term reads as the int 0 over the rationals, and neither
+    # that zero nor a basis element's int 1 passes through a Fraction; over
+    # the eps-ring it reads as the zero ring element
+    built = []
+    monkeypatch.setattr(rationals, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    for cls in (AlgebraElement, EpsPolynomial):
+        space, (k1, k2), _ = KEYS[cls]
+        got = cls.basis(k1).coefficient(k2)
+        assert got == 0 and type(got) is int
+    assert built == []
+    space, (k1, k2), _ = KEYS[UniversalElement]
+    got = UniversalElement.basis(k1).coefficient(k2)
+    assert type(got) is EpsRingElement and got == EpsRingElement.zero(space)
 
 
 @pytest.mark.parametrize("cls", CLASSES)

@@ -18,9 +18,9 @@ from cosetalg import (
     enumerate_coset_matrices,
     strip_diagonal,
 )
-from cosetalg.cosets import transport
+from cosetalg.cosets import _field_bits, _slice_terms, transport
 
-from helpers import naive_tables
+from helpers import naive_tables, reference_slice_terms
 
 
 def test_margins_validation():
@@ -73,6 +73,12 @@ def test_enumerate_two_blocks_count(n1, n2):
     assert off_values == list(range(min(n1, n2) + 1))
 
 
+def test_enumerate_basis_size_4444():
+    got = [m.entries for m in enumerate_coset_matrices(Margins((4, 4, 4, 4)))]
+    assert len(got) == 10147
+    assert got == sorted(got)
+
+
 @pytest.mark.parametrize("n", [(2, 2), (1, 1, 2), (1, 2, 3), (2, 1, 1, 2)])
 def test_enumerate_matches_naive_filter(n):
     got = [m.entries for m in enumerate_coset_matrices(Margins(n))]
@@ -96,28 +102,81 @@ def _brute_transport(caps, cols):
     return sorted(found, key=lambda t: [v for row in t for v in row])
 
 
+def _tight_caps(rng, rows, cols):
+    # caps that add up to the column total, so that every row meets its cap
+    caps = [0] * rows
+    for _ in range(sum(cols)):
+        caps[rng.randrange(rows)] += 1
+    return tuple(caps)
+
+
 def test_transport_matches_brute_force():
-    # empty shapes, slack caps and caps that add up to the column total
+    # empty shapes, slack caps and caps that add up to the column total; tight
+    # shapes with zero rows and zero columns; shapes of four rows
     rng = random.Random(0)
     shapes = [((), ()), ((), (0,)), ((), (1,)), ((0,), ()), ((2, 1), ()), ((0, 0), (0, 0, 0))]
     for _ in range(150):
         rows, width = rng.randint(1, 3), rng.randint(1, 3)
         cols = tuple(rng.randint(0, 2) for _ in range(width))
         shapes.append((tuple(rng.randint(0, 3) for _ in range(rows)), cols))
-        caps = [0] * rows
-        for _ in range(sum(cols)):
-            caps[rng.randrange(rows)] += 1
+        shapes.append((_tight_caps(rng, rows, cols), cols))
+    for _ in range(40):
+        rows, width = rng.choice([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)])
+        cols = tuple(rng.choice((0, 1, 2)) for _ in range(width))
+        caps = list(_tight_caps(rng, rows - 1, cols))
+        caps.insert(rng.randint(0, rows - 1), 0)
         shapes.append((tuple(caps), cols))
+    for _ in range(20):
+        width = rng.randint(1, 2)
+        cols = tuple(rng.randint(0, 2) for _ in range(width))
+        shapes.append((tuple(rng.randint(0, 2) for _ in range(4)), cols))
+        shapes.append((_tight_caps(rng, 4, cols), cols))
     for caps, cols in shapes:
         assert list(transport(caps, cols)) == _brute_transport(caps, cols), (caps, cols)
 
 
 def test_transport_wide_table():
-    # the walk keeps no frame per cell, so a 40 x 40 table is no harder than a small one
+    # the walk goes one row at a time without recursion, so a 40 x 40 table is
+    # no harder than a small one
     assert transport((0,) * 40, (0,) * 40) == (((0,) * 40,) * 40,)
     tables = transport((1,) * 40, (0,) * 39 + (1,))
     assert len(tables) == 40
     assert tables[0][-1][-1] == 1 and tables[-1][0][-1] == 1
+
+
+def _universal_fields(nu, j):
+    # slice j of the universal product: the corner keys the eps_j exponent, the
+    # other diagonal cells stay out of the key
+    return tuple(
+        nu * nu + j if i == k == j else None if i == k else i * nu + k
+        for i in range(nu)
+        for k in range(nu)
+    )
+
+
+def test_slice_terms_match_full_slice():
+    # leaving out zero rows and zero columns changes no key, weight or order,
+    # whichever cells the fields leave out of the key
+    rng = random.Random(1)
+    for _ in range(300):
+        rows, width = rng.randint(1, 5), rng.randint(1, 5)
+        cols = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(width))
+        caps = _tight_caps(rng, rows, cols)
+        every = tuple(rng.sample(range(rows * width + 2), rows * width))
+        some = tuple(None if rng.random() < 0.3 else f for f in every)
+        shift = _field_bits(max(caps + cols))
+        for fields in (every, some):
+            want = reference_slice_terms(caps, cols, shift, fields)
+            assert _slice_terms.__wrapped__(caps, cols, shift, fields) == want
+    for _ in range(200):
+        nu = rng.randint(2, 4)
+        j = rng.randrange(nu)
+        cols = tuple(rng.choice((0, 0, 1, 2)) for _ in range(nu))
+        caps = _tight_caps(rng, nu, cols)
+        fields = _universal_fields(nu, j)
+        shift = _field_bits(max(caps + cols))
+        want = reference_slice_terms(caps, cols, shift, fields)
+        assert _slice_terms.__wrapped__(caps, cols, shift, fields) == want
 
 
 def test_enumerate_deterministic_rerun():
