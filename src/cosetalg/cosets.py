@@ -16,7 +16,10 @@ slack column takes each row's shortfall and is dropped from the output.
 ``_slice_terms`` hands it only the slice's nonzero rows and columns, since a
 zero cap or a zero column sum forces zeros there, and reads each table into a
 packed integer key and an integer weight over the kept cells.  ``_convolve``
-sums over the slices and ``_unpack`` reads a key back as a grid.
+sums over the slices and ``_unpack`` reads the keys back as grids, one row
+field at a time: the targets of one product share most of their rows, so each
+distinct row is decoded once per call and its tuple is shared by every grid
+that holds it.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -42,9 +45,13 @@ def _frozen(self, name, *value):
 
 
 class Margins:
-    """Block sizes (n_1, ..., n_nu) of a Young subgroup."""
+    """Block sizes (n_1, ..., n_nu) of a Young subgroup.
 
-    __slots__ = ("n",)
+    The hash, that of the field tuple ``(n,)``, is computed once and stored,
+    since every ``CosetMatrix`` hash includes it.
+    """
+
+    __slots__ = ("n", "_hash")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, n: tuple[int, ...]):
@@ -54,6 +61,7 @@ class Margins:
         if any(x < 1 for x in n):
             raise ValueError(f"block sizes must be positive: {n}")
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_hash", hash((n,)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -61,7 +69,7 @@ class Margins:
         return self.n == other.n
 
     def __hash__(self):
-        return hash((self.n,))
+        return self._hash
 
     def __repr__(self):
         return f"Margins(n={self.n!r})"
@@ -110,8 +118,8 @@ class CosetMatrix:
     def _make(cls, entries: tuple[tuple[int, ...], ...], margins: Margins) -> "CosetMatrix":
         """Trusted constructor: entries already a valid integer grid for the margins."""
         self = object.__new__(cls)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "margins", margins)
+        _set_entries(self, entries)
+        _set_margins(self, margins)
         return self
 
     def __eq__(self, other):
@@ -140,6 +148,11 @@ class CosetMatrix:
 
     def to_json_dict(self):
         return {"n": list(self.margins.n), "entries": [list(row) for row in self.entries]}
+
+
+# the slot setters, which ``_make`` calls directly; ``__setattr__`` refuses
+_set_entries = CosetMatrix.entries.__set__
+_set_margins = CosetMatrix.margins.__set__
 
 
 class OffDiagonalType:
@@ -300,13 +313,36 @@ def _field_bits(bound: int) -> int:
     return 8 * max(1, (bound.bit_length() + 7) // 8)
 
 
-def _unpack(key: int, rows: int, width: int, shift: int) -> Grid:
-    """Read a packed key back as ``rows`` rows of ``width`` fields of ``shift`` bits."""
+def _unpack(keys, rows: int, width: int, shift: int) -> list[Grid]:
+    """Read each packed key back as ``rows`` rows of ``width`` fields of ``shift`` bits.
+
+    A key is read a row at a time from its low end: ``key & mask`` is a row's
+    fields, then ``key >>= width * shift`` moves to the next row.  The keys
+    of one call share many rows, so each distinct row is decoded once, through
+    a dict local to the call, and the grids share its tuple.
+    """
     size = shift // 8
-    raw = key.to_bytes(rows * width * size, "little")
-    if size > 1:
-        raw = [int.from_bytes(raw[p : p + size], "little") for p in range(0, len(raw), size)]
-    return tuple(zip(*[iter(raw)] * width))
+    step = width * shift
+    mask = (1 << step) - 1
+    decoded: dict[int, tuple[int, ...]] = {}
+    out = []
+    for key in keys:
+        grid = []
+        for _ in range(rows):
+            bits = key & mask
+            try:
+                row = decoded[bits]
+            except KeyError:
+                raw = bits.to_bytes(width * size, "little")
+                if size > 1:
+                    raw = [
+                        int.from_bytes(raw[p : p + size], "little") for p in range(0, len(raw), size)
+                    ]
+                row = decoded[bits] = tuple(raw)
+            grid.append(row)
+            key >>= step
+        out.append(tuple(grid))
+    return out
 
 
 @lru_cache(maxsize=None)

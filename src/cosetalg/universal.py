@@ -98,14 +98,14 @@ def _profile_weights(a: Grid, b: Grid) -> dict[Grid, dict[tuple[int, ...], int]]
     for key, w in _convolve(slices).items():
         corner = corners.get(key >> top)
         if corner is None:
-            (exps,) = _unpack(key >> top, 1, nu, shift)
+            ((exps,),) = _unpack((key >> top,), 1, nu, shift)
             corner = corners[key >> top] = (exps, prod(map(factorial, exps)))
         exps, scale = corner
         group = groups.get(key & mask)
         if group is None:
             group = groups[key & mask] = {}
         group[exps] = w * scale * num // den
-    return {_unpack(c, nu, nu, shift): group for c, group in groups.items()}
+    return dict(zip(_unpack(groups, nu, nu, shift), groups.values()))
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +243,8 @@ def universal_structure_constant(
     """The coefficient of c in the product of a and b; zero when no tensor fits."""
     if not (a.nu == b.nu == c.nu):
         raise ValueError("size mismatch")
-    return _product_terms(a.entries, b.entries).get(c.entries, EpsRingElement.zero(a.nu))
+    value = _product_terms(a.entries, b.entries).get(c.entries)
+    return EpsRingElement.zero(a.nu) if value is None else value
 
 
 def candidate_outputs(a: OffDiagonalType, b: OffDiagonalType) -> list[OffDiagonalType]:

@@ -218,8 +218,9 @@ def _check_against_tensor_walk(pairs, n):
         assert product_terms(a, b, n) == reference_product_terms(a, b, n), (a, b)
 
 
-# (256, 1) needs two bytes per packed field
-@pytest.mark.parametrize("n", [(2, 2, 2), (1, 2, 3), (2, 2, 2, 2), (256, 1)])
+# (256, 1) and (256, 1, 1) need two bytes per packed field, the second with
+# rows of three fields
+@pytest.mark.parametrize("n", [(2, 2, 2), (1, 2, 3), (2, 2, 2, 2), (256, 1), (256, 1, 1)])
 def test_product_terms_match_tensor_walk(n):
     # The reference walk runs once per orbit of pairs under the symmetries
     # that test_product_terms_equivariant checks, and the symmetries carry it
@@ -303,9 +304,61 @@ def test_product_table_computes_one_product_per_orbit():
     assert info.misses == info.currsize == len(orbits) == 301
 
 
+def _pack(grid, shift):
+    width = len(grid[0])
+    return sum(v << (shift * (width * i + k)) for i, row in enumerate(grid) for k, v in enumerate(row))
+
+
 def test_unpack_multibyte_fields():
     shift = cosets._field_bits(300)
     assert shift == 16 and cosets._field_bits(255) == 8 and cosets._field_bits(0) == 8
     grid = ((0, 300), (65535, 1))
-    key = sum(v << (shift * (2 * i + k)) for i, row in enumerate(grid) for k, v in enumerate(row))
-    assert cosets._unpack(key, 2, 2, shift) == grid
+    assert cosets._unpack([_pack(grid, shift)], 2, 2, shift) == [grid]
+    # three-field rows, read a row at a time; a repeated row is decoded once
+    # and shared, in one byte per field and in two
+    for shift, top in ((8, 255), (16, 65535)):
+        grids = [
+            ((top, 0, 1), (2, top, 0), (0, 1, top)),
+            ((0, 1, top), (2, top, 0), (top, 0, 1)),
+            ((0, 0, 0), (0, 0, 0), (2, top, 0)),
+        ]
+        got = cosets._unpack([_pack(g, shift) for g in grids], 3, 3, shift)
+        assert got == grids
+        assert len({id(row) for g in got for row in g}) == len({row for g in grids for row in g}) == 4
+
+
+def test_product_terms_share_values_and_rows():
+    # one Fraction per distinct weight and one tuple per distinct row, on a
+    # (4,4,4,4) pair with many targets; coefficients stay Fractions
+    n = (4, 4, 4, 4)
+    basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
+    rng = random.Random(1)
+    a, b = max(
+        ((rng.choice(basis), rng.choice(basis)) for _ in range(20)),
+        key=lambda pair: len(algebra._product_terms.__wrapped__(*pair, n)),
+    )
+    terms = algebra._product_terms.__wrapped__(a, b, n)
+    values = list(terms.values())
+    rows = [row for c in terms for row in c]
+    assert len(terms) > 100
+    assert len({id(v) for v in values}) == len(set(values)) < len(values)
+    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+    assert all(type(v) is Fraction for v in values)
+
+
+def test_structure_constant_builds_zero_only_on_a_miss(monkeypatch):
+    margins = Margins((2, 2))
+    a, b, unit = enumerate_coset_matrices(margins)
+    hit = structure_constant(a, a, unit)
+    assert hit == 1 and type(hit) is Fraction
+    assert structure_constant(a, b, b)  # both products are now cached
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(algebra, "Fraction", counting)
+    assert structure_constant(a, a, unit) is hit and not built
+    miss = structure_constant(a, b, a)
+    assert type(miss) is Fraction and miss == 0 and len(built) == 1

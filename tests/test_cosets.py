@@ -1,3 +1,4 @@
+import copy
 import inspect
 import itertools
 import json
@@ -295,7 +296,9 @@ VALUE_TYPES = [
 @pytest.mark.parametrize("cls,fields,text", VALUE_TYPES, ids=[v[0].__name__ for v in VALUE_TYPES])
 def test_value_type_contract(cls, fields, text):
     x = cls(*fields)
-    for name in inspect.signature(cls).parameters:
+    # every field, and a stored hash (Margins keeps one), is frozen
+    assert set(inspect.signature(cls).parameters) <= set(cls.__slots__)
+    for name in cls.__slots__:
         with pytest.raises(AttributeError):
             setattr(x, name, getattr(x, name))
         with pytest.raises(AttributeError):
@@ -309,3 +312,6 @@ def test_value_type_contract(cls, fields, text):
     assert all(x != y and not x == y for y in [fields, fields[0], *others])
     assert getattr(cls, "_make", cls)(*fields) == x
     assert pickle.loads(pickle.dumps(x)) == x
+    # a stored hash survives copying
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x)):
+        assert y == x and hash(y) == hash(fields)

@@ -185,6 +185,24 @@ def test_simple_cross_constant():
     assert got == EpsRingElement(2, EpsPolynomial.monomial(2, (1, 1), 1))
 
 
+def test_universal_constant_builds_zero_only_on_a_miss(monkeypatch):
+    r = two_block(1)
+    hit = universal_structure_constant(r, r, two_block(0))
+    assert hit == EpsRingElement(2, EpsPolynomial.monomial(2, (1, 1), 1))
+    built = []
+    zero = EpsRingElement.zero
+
+    def counting(nu):
+        built.append(nu)
+        return zero(nu)
+
+    monkeypatch.setattr(EpsRingElement, "zero", counting)
+    assert universal_structure_constant(r, r, two_block(0)) is hit and not built
+    miss = universal_structure_constant(r, r, two_block(3))
+    assert miss == zero(2) and type(miss) is EpsRingElement and miss.num.is_zero()
+    assert built == [2]
+
+
 def test_unit_element():
     for nu, entry_max in [(2, 2), (3, 1)]:
         unit = UniversalElement.unit(nu)
