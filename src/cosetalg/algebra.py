@@ -30,6 +30,11 @@ benchmark round have 20,750 targets and, counted per product, 834 distinct
 weights.  The packing layer (slice tables, keys, convolution, decoding)
 lives in ``cosets``, where the universal product uses it too.
 
+The product cache holds the public key objects: each target is built once
+as a ``CosetMatrix``, whose hash is stored, and every later product of the
+pair hands out those same keys, so a warm product neither builds nor
+rehashes a key.
+
 Two symmetries leave the coefficients unchanged: renaming blocks of equal
 size (a permutation p of the block indices with n[p[i]] == n[i]), and the
 anti-involution g -> g^-1 of S_N, which maps a coset matrix to its
@@ -64,16 +69,24 @@ from .rationals import format_rational
 
 
 @lru_cache(maxsize=None)
-def _product_terms(a: Grid, b: Grid, n: tuple[int, ...]) -> dict[Grid, Fraction]:
+def _product_terms(a: Grid, b: Grid, margins: Margins) -> dict[CosetMatrix, Fraction]:
+    """{c: structure constant} for every target c of the basis pair with entries a, b.
+
+    Each key is built once, here, and the cache holds it: every later call
+    hands out the same ``CosetMatrix`` objects, whose hashes are stored.
+    """
+    n = margins.n
     nu = len(n)
     shift = _field_bits(max(n))  # every partial c_ik is at most n_i
     cells = tuple(range(nu * nu))  # cell (i, k) packs into field i*nu + k
     weights = _convolve(_slice_terms(_column(a, j), b[j], shift, cells) for j in range(nu))
     num = prod(factorial(v) for row in b for v in row)
     den = prod(map(factorial, n))
+    make = CosetMatrix._make
     values: dict[int, Fraction] = {}  # W_c -> its coefficient, built once per distinct weight
     out = {}
     for c, w in zip(_unpack(weights, nu, nu, shift), weights.values()):
+        c = make(c, margins)
         try:
             out[c] = values[w]
         except KeyError:
@@ -92,7 +105,7 @@ def _require_same_margins(*ms: CosetMatrix) -> Margins:
 def structure_constant(a: CosetMatrix, b: CosetMatrix, c: CosetMatrix) -> Fraction:
     """Exact coefficient of the c-basis element in the product of a and b."""
     _require_same_margins(a, b, c)
-    value = _product_terms(a.entries, b.entries, a.margins.n).get(c.entries)
+    value = _product_terms(a.entries, b.entries, a.margins).get(c)
     return Fraction(0) if value is None else value
 
 
@@ -130,11 +143,9 @@ class AlgebraElement(Combination):
         }
 
 
-def _basis_product(a: CosetMatrix, b: CosetMatrix) -> list[tuple[CosetMatrix, Fraction]]:
-    """(c, structure constant) for every target c of the basis pair (a, b)."""
-    margins = a.margins
-    make = CosetMatrix._make
-    return [(make(c, margins), v) for c, v in _product_terms(a.entries, b.entries, margins.n).items()]
+def _basis_product(a: CosetMatrix, b: CosetMatrix) -> dict[CosetMatrix, Fraction]:
+    """{c: structure constant} for every target c of the basis pair (a, b); the cached mapping."""
+    return _product_terms(a.entries, b.entries, a.margins)
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -195,12 +206,11 @@ def product_table(
     table does this: a single product has no orbit mates to share with.
     """
     basis = _bounded_basis(margins, max_basis)
-    n = margins.n
     entries = [m.entries for m in basis]
     index = {e: k for k, e in enumerate(entries)}
     transposed = [tuple(zip(*e)) for e in entries]
     maps = []  # (reverses the product, basis index -> index of its image)
-    for p in _stabiliser(n):
+    for p in _stabiliser(margins.n):
         for flip, grids in ((False, entries), (True, transposed)):
             images = [index[tuple(tuple(g[i][k] for k in p) for i in p)] for g in grids]
             maps.append((flip, images))
@@ -210,7 +220,9 @@ def product_table(
         for j in range(size):
             if table[i][j] is not None:
                 continue
-            terms = [(index[c], v) for c, v in _product_terms(entries[i], entries[j], n).items()]
+            terms = [
+                (index[c.entries], v) for c, v in _product_terms(entries[i], entries[j], margins).items()
+            ]
             for flip, m in maps:
                 x, y = (m[j], m[i]) if flip else (m[i], m[j])
                 if table[x][y] is None:

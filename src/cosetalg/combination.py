@@ -9,6 +9,11 @@ matrices over the margins), ``GradedElement`` and ``UniversalElement``
 in the tests, ``GroupAlgebraVector`` (permutations over their length).  The algebras'
 products are the bilinear extension of a product of basis keys.
 
+A basis product is a mapping {key: nonzero coefficient}, which ``bilinear``
+only reads: the algebras hand it their cached dicts, whose keys are built
+once and store their hashes, and a product of two single terms copies the
+cached dict, so the element it returns shares the keys but not the dict.
+
 Coefficient rule: the validating constructor stores a rational coefficient
 through ``rationals._exact``, so it is an ``int`` where integral and a
 ``Fraction`` otherwise, never a ``float``, and it drops zero coefficients.
@@ -116,11 +121,13 @@ class Combination:
 def bilinear(x: Combination, y: Combination, basis_product) -> Combination:
     """x * y for the product whose value on basis keys a, b is ``basis_product(a, b)``.
 
-    ``basis_product`` yields (key, nonzero coefficient) pairs in the same
-    space, each key once.  Contributions are summed per target, and zeros are
-    dropped once at the end.  A product of two single terms has one
-    contribution and is built directly; under the int weight 1 its values
-    are taken as they are, since 1 * v is v of the same type.
+    ``basis_product`` returns a mapping {key: nonzero coefficient} with its
+    keys in the same space; it may be a cached dict, which is only read,
+    never stored or handed out.  Contributions are summed per target, and
+    zeros are dropped once at the end.  A product of two single terms has one
+    contribution and is built directly; under the int weight 1 it is a copy
+    of the mapping, whose values are taken as they are, since 1 * v is v of
+    the same type, and whose keys keep the hashes the mapping stored.
     """
     x._check(y)
     if len(x.terms) == len(y.terms) == 1:
@@ -128,13 +135,13 @@ def bilinear(x: Combination, y: Combination, basis_product) -> Combination:
         w = ca * cb
         if type(w) is int and w == 1:
             return x._make(x.space, dict(basis_product(a, b)))
-        return x._make(x.space, {c: w * v for c, v in basis_product(a, b)})
+        return x._make(x.space, {c: w * v for c, v in basis_product(a, b).items()})
     acc: dict = {}
     get = acc.get
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
             w = ca * cb
-            for c, v in basis_product(a, b):
+            for c, v in basis_product(a, b).items():
                 prev = get(c)
                 acc[c] = w * v if prev is None else prev + w * v
     return x._make(x.space, {c: v for c, v in acc.items() if v})

@@ -90,9 +90,13 @@ class Margins:
 
 
 class CosetMatrix:
-    """A nu x nu nonnegative integer matrix with row and column sums n_i, n_j."""
+    """A nu x nu nonnegative integer matrix with row and column sums n_i, n_j.
 
-    __slots__ = ("entries", "margins")
+    The hash, that of the field tuple ``(entries, margins)``, is computed once
+    and stored, since the matrices are the keys of every finite product.
+    """
+
+    __slots__ = ("entries", "margins", "_hash")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, entries: tuple[tuple[int, ...], ...], margins: Margins):
@@ -113,6 +117,7 @@ class CosetMatrix:
                 raise ValueError(f"column {j + 1} sums to {col}, expected {n[j]}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "margins", margins)
+        object.__setattr__(self, "_hash", hash((entries, margins)))
 
     @classmethod
     def _make(cls, entries: tuple[tuple[int, ...], ...], margins: Margins) -> "CosetMatrix":
@@ -120,6 +125,7 @@ class CosetMatrix:
         self = object.__new__(cls)
         _set_entries(self, entries)
         _set_margins(self, margins)
+        _set_matrix_hash(self, hash((entries, margins)))
         return self
 
     def __eq__(self, other):
@@ -128,7 +134,7 @@ class CosetMatrix:
         return (self.entries, self.margins) == (other.entries, other.margins)
 
     def __hash__(self):
-        return hash((self.entries, self.margins))
+        return self._hash
 
     def __repr__(self):
         return f"CosetMatrix(entries={self.entries!r}, margins={self.margins!r})"
@@ -153,6 +159,7 @@ class CosetMatrix:
 # the slot setters, which ``_make`` calls directly; ``__setattr__`` refuses
 _set_entries = CosetMatrix.entries.__set__
 _set_margins = CosetMatrix.margins.__set__
+_set_matrix_hash = CosetMatrix._hash.__set__
 
 
 class OffDiagonalType:
@@ -161,14 +168,17 @@ class OffDiagonalType:
     Stored as a full nu x nu grid with a zero diagonal.  Validity requires the
     balance condition: at every index j the off-diagonal column sum equals the
     off-diagonal row sum.  That common value is the star sum a*_jj, the number
-    of points that leave (equivalently, enter) block j.
+    of points that leave (equivalently, enter) block j.  The hash, that of the
+    field tuple ``(entries,)``, is computed once and stored, since the types
+    are the keys of every universal and graded product.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_hash")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "entries", tuple(tuple(map(index, row)) for row in entries))
+        object.__setattr__(self, "_hash", hash((self.entries,)))
         nu = len(self.entries)
         if any(len(row) != nu for row in self.entries):
             raise ValueError("entries must form a square grid")
@@ -185,7 +195,8 @@ class OffDiagonalType:
     def _make(cls, entries: tuple[tuple[int, ...], ...]) -> "OffDiagonalType":
         """Trusted constructor: entries already a balanced integer grid, zero diagonal."""
         self = object.__new__(cls)
-        object.__setattr__(self, "entries", entries)
+        _set_type_entries(self, entries)
+        _set_type_hash(self, hash((entries,)))
         return self
 
     def __eq__(self, other):
@@ -194,7 +205,7 @@ class OffDiagonalType:
         return self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.entries,))
+        return self._hash
 
     def __repr__(self):
         return f"OffDiagonalType(entries={self.entries!r})"
@@ -245,6 +256,11 @@ class OffDiagonalType:
             if i != j and self.entries[i][j]
         ]
         return {"nu": self.nu, "offdiag": offdiag}
+
+
+# the slot setters of ``OffDiagonalType._make``
+_set_type_entries = OffDiagonalType.entries.__set__
+_set_type_hash = OffDiagonalType._hash.__set__
 
 
 def transport(caps: tuple[int, ...], cols: tuple[int, ...]) -> tuple[Grid, ...]:

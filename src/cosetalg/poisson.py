@@ -18,6 +18,11 @@ with alpha, gamma != j, and the diagonal correction is the linear term of
 the bracket ratio of the unique weight-zero tensor.  The correction is
 symmetric in a and b, so it cancels from commutators; tests pin both pieces
 against the full ring expansion.
+
+The bracket cache is keyed by the two basis types, whose hashes are stored,
+and holds the public key objects: each target type is built once and every
+later bracket of the pair hands out that same key.  The order-one cache
+below it stays keyed by grids.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ class GradedElement(Combination):
 
 def graded_multiply(x: GradedElement, y: GradedElement) -> GradedElement:
     """Commutative product: basis types multiply by entrywise addition."""
-    return bilinear(x, y, lambda a, b: ((a + b, 1),))
+    return bilinear(x, y, lambda a, b: {a + b: 1})
 
 
 def _shift_target(base: Grid, alpha: int, j: int, gamma: int) -> OffDiagonalType:
@@ -104,16 +109,19 @@ def _range_sum(p: int, q: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bracket_basis(a: Grid, b: Grid) -> GradedElement:
-    nu = len(a)
+def _bracket_basis(x: OffDiagonalType, y: OffDiagonalType) -> dict[OffDiagonalType, int]:
+    """{target: nonzero coefficient} of the bracket of the basis types x, y.
+
+    The cache is keyed by the two types, whose hashes are stored, and it
+    holds the target types that every later call hands out.
+    """
+    a, b = x.entries, y.entries
     acc: dict[Grid, int] = {}
     for sign, lin in ((1, _order_one_linear(a, b)), (-1, _order_one_linear(b, a))):
         for part in lin:
             for tgt, v in part.items():
                 acc[tgt] = acc.get(tgt, 0) + sign * v
-    return GradedElement._make(
-        nu, {OffDiagonalType._make(tgt): v for tgt, v in acc.items() if v}
-    )
+    return {OffDiagonalType._make(tgt): v for tgt, v in acc.items() if v}
 
 
 def poisson_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -123,7 +131,7 @@ def poisson_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
     computed exactly from the order-one part of the product expansion and
     extended bilinearly.
     """
-    return bilinear(x, y, lambda a, b: _bracket_basis(a.entries, b.entries).terms.items())
+    return bilinear(x, y, _bracket_basis)
 
 
 def poisson_bracket_via_ring(a: OffDiagonalType, b: OffDiagonalType) -> GradedElement:

@@ -45,6 +45,10 @@ eps_j-degree exactly d_j = min(a*_j, b*_j).  Hence m^d_j N_c(eps_j = 1/m) is
 the sum over c's profiles of w * prod_(i != j) h_i * g_j(m), with h_i the
 profile's bracket and monomial in variable i at z_i and g_j(m) =
 prod_(q in [lo_j, t*_j)) (m - q) (``_hyperplane_terms``).
+
+The product cache holds the public key objects: each target is built once
+as an ``OffDiagonalType``, whose hash is stored, and ``universal_product``
+hands out a copy of the cached mapping with those same keys.
 """
 
 from __future__ import annotations
@@ -209,10 +213,16 @@ def _numerators(
 
 
 @lru_cache(maxsize=None)
-def _product_terms(a: Grid, b: Grid) -> dict[Grid, EpsRingElement]:
+def _product_terms(a: Grid, b: Grid) -> dict[OffDiagonalType, EpsRingElement]:
+    """{c: structure constant} for every target type c of the pair with entries a, b.
+
+    Each key is built once, here, and the cache holds it: every later call
+    hands out the same ``OffDiagonalType`` objects, whose hashes are stored.
+    """
     nu = len(a)
     candidates, numerators, values = _numerators(a, b)
-    out: dict[Grid, EpsRingElement] = {}
+    make = OffDiagonalType._make
+    out: dict[OffDiagonalType, EpsRingElement] = {}
     for c, num in numerators.items():
         if num.is_zero():
             continue
@@ -224,7 +234,7 @@ def _product_terms(a: Grid, b: Grid) -> dict[Grid, EpsRingElement]:
             divided = EpsRingElement(nu, num, zeros)
             num, left = divided.num, divided.den
         den = {f: 1 for f, v in zip(candidates, row) if v or f in left}
-        out[c] = EpsRingElement._make(nu, num, den)
+        out[make(c)] = EpsRingElement._make(nu, num, den)
     return out
 
 
@@ -232,9 +242,7 @@ def universal_product(a: OffDiagonalType, b: OffDiagonalType) -> dict[OffDiagona
     """All nonzero structure constants for the ordered pair (a, b)."""
     if a.nu != b.nu:
         raise ValueError("size mismatch")
-    return {
-        OffDiagonalType._make(c): v for c, v in _product_terms(a.entries, b.entries).items()
-    }
+    return dict(_product_terms(a.entries, b.entries))
 
 
 def universal_structure_constant(
@@ -243,7 +251,7 @@ def universal_structure_constant(
     """The coefficient of c in the product of a and b; zero when no tensor fits."""
     if not (a.nu == b.nu == c.nu):
         raise ValueError("size mismatch")
-    value = _product_terms(a.entries, b.entries).get(c.entries)
+    value = _product_terms(a.entries, b.entries).get(c)
     return EpsRingElement.zero(a.nu) if value is None else value
 
 
@@ -296,8 +304,7 @@ def universal_multiply(x: UniversalElement, y: UniversalElement) -> UniversalEle
     acc: dict[OffDiagonalType, tuple[EpsPolynomial, dict]] = {}
     for ta, ca in x.terms.items():
         for tb, cb in y.terms.items():
-            for tc_entries, coeff in _product_terms(ta.entries, tb.entries).items():
-                tc = OffDiagonalType._make(tc_entries)
+            for tc, coeff in _product_terms(ta.entries, tb.entries).items():
                 num = ca.num * cb.num * coeff.num
                 den = _den_product(ca.den, cb.den, coeff.den)
                 acc[tc] = (num, den) if tc not in acc else _sum_over_lcm(*acc[tc], num, den)

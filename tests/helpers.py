@@ -349,6 +349,14 @@ def generic_universal_terms(a, b):
 # builds its ring elements and values through other routes.
 
 
+def grid_keyed(terms):
+    """A product mapping {key: value} re-keyed by each key's entries, with every
+    value kept; the reference routes key their targets by grids."""
+    out = {c.entries: v for c, v in terms.items()}
+    assert len(out) == len(terms)
+    return out
+
+
 def mass(x):
     """The sum of the coefficients of a combination."""
     return sum(x.terms.values(), x._coefficient(0))
@@ -503,7 +511,7 @@ class GroupAlgebraVector(Combination):
 
 def convolve(x, y):
     """Group algebra product: mass of x at g and of y at h lands on h o g."""
-    return bilinear(x, y, lambda g, h: ((compose(h, g), 1),))
+    return bilinear(x, y, lambda g, h: {compose(h, g): 1})
 
 
 def young_average(margins):

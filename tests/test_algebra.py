@@ -21,6 +21,7 @@ from cosetalg import algebra, cosets
 from cosetalg.oracle import oracle_product
 
 from helpers import (
+    grid_keyed,
     margin_symmetries,
     mass,
     reference_product_terms,
@@ -214,8 +215,9 @@ def test_element_arithmetic():
 def _check_against_tensor_walk(pairs, n):
     # bypass the cache: the exhaustive runs would otherwise keep every product
     product_terms = algebra._product_terms.__wrapped__
+    margins = Margins(n)
     for a, b in pairs:
-        assert product_terms(a, b, n) == reference_product_terms(a, b, n), (a, b)
+        assert grid_keyed(product_terms(a, b, margins)) == reference_product_terms(a, b, n), (a, b)
 
 
 # (256, 1) and (256, 1, 1) need two bytes per packed field, the second with
@@ -227,7 +229,8 @@ def test_product_terms_match_tensor_walk(n):
     # to the rest of the orbit: every pair's production product is still
     # compared with an exact value of the walk.
     product_terms = algebra._product_terms.__wrapped__
-    basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
+    margins = Margins(n)
+    basis = [m.entries for m in enumerate_coset_matrices(margins)]
     images = [(flip, {m: relabel(m, p, flip) for m in basis}) for p, flip in margin_symmetries(n)]
     checked = set()
     for a, b in itertools.product(basis, repeat=2):
@@ -238,7 +241,8 @@ def test_product_terms_match_tensor_walk(n):
             pair = (image[b], image[a]) if flip else (image[a], image[b])
             if pair not in checked:
                 checked.add(pair)
-                assert product_terms(*pair, n) == {image[c]: v for c, v in want.items()}, pair
+                got = grid_keyed(product_terms(*pair, margins))
+                assert got == {image[c]: v for c, v in want.items()}, pair
     assert len(checked) == len(basis) ** 2
 
 
@@ -252,12 +256,14 @@ def test_product_terms_match_tensor_walk_sampled():
 def _check_equivariance(pairs, n):
     # production against itself: the image of a product is the product of the images
     product_terms = algebra._product_terms.__wrapped__
+    margins = Margins(n)
     symmetries = margin_symmetries(n)
     for a, b in pairs:
-        terms = product_terms(a, b, n)
+        terms = grid_keyed(product_terms(a, b, margins))
         for p, flip in symmetries:
             want = relabel_terms(terms, p, flip)
-            assert product_terms(*relabel_pair(a, b, p, flip), n) == want, (a, b, p, flip)
+            got = grid_keyed(product_terms(*relabel_pair(a, b, p, flip), margins))
+            assert got == want, (a, b, p, flip)
 
 
 @pytest.mark.parametrize("n", [(2, 2, 2), (1, 2, 3)])
@@ -284,7 +290,7 @@ def test_product_table_matches_all_pairs(n):
         (a, b, CosetMatrix(c, margins), v)
         for a in basis
         for b in basis
-        for c, v in sorted(product_terms(a.entries, b.entries, n).items())
+        for c, v in sorted(grid_keyed(product_terms(a.entries, b.entries, margins)).items())
     ]
     assert product_table(margins) == want
 
@@ -330,16 +336,16 @@ def test_unpack_multibyte_fields():
 def test_product_terms_share_values_and_rows():
     # one Fraction per distinct weight and one tuple per distinct row, on a
     # (4,4,4,4) pair with many targets; coefficients stay Fractions
-    n = (4, 4, 4, 4)
-    basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
+    margins = Margins((4, 4, 4, 4))
+    basis = [m.entries for m in enumerate_coset_matrices(margins)]
     rng = random.Random(1)
     a, b = max(
         ((rng.choice(basis), rng.choice(basis)) for _ in range(20)),
-        key=lambda pair: len(algebra._product_terms.__wrapped__(*pair, n)),
+        key=lambda pair: len(algebra._product_terms.__wrapped__(*pair, margins)),
     )
-    terms = algebra._product_terms.__wrapped__(a, b, n)
+    terms = algebra._product_terms.__wrapped__(a, b, margins)
     values = list(terms.values())
-    rows = [row for c in terms for row in c]
+    rows = [row for c in terms for row in c.entries]
     assert len(terms) > 100
     assert len({id(v) for v in values}) == len(set(values)) < len(values)
     assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)

@@ -16,7 +16,9 @@ from cosetalg import (
     enumerate_coset_matrices,
     graded_multiply,
     multiply,
+    poisson_bracket,
     rationals,
+    universal_product,
 )
 
 from helpers import GroupAlgebraVector, convolve, mass
@@ -159,3 +161,33 @@ def test_single_term_product_keeps_coefficient_types(x_cls, product):
         assert [type(v) for v in got.terms.values()] == [
             type(w * v) for v in unit.terms.values()
         ]
+
+
+def _finite_pair():
+    a, b = enumerate_coset_matrices(Margins((2, 2, 2)))[5:7]
+    return multiply(AlgebraElement.basis(a), AlgebraElement.basis(b)).terms
+
+
+def _universal_pair():
+    a = OffDiagonalType.build(3, {(0, 1): 1, (1, 2): 1, (2, 0): 1})
+    return universal_product(a, a)
+
+
+def _bracket_pair():
+    a = OffDiagonalType.build(3, {(0, 1): 1, (1, 0): 1})
+    b = OffDiagonalType.build(3, {(1, 2): 1, (2, 1): 1})
+    return poisson_bracket(GradedElement.basis(a), GradedElement.basis(b)).terms
+
+
+@pytest.mark.parametrize("product", [_finite_pair, _universal_pair, _bracket_pair])
+def test_products_share_keys_but_not_dicts(product):
+    # a repeated product hands out the key objects its cache built, each
+    # time in a dict of its own: changing one result changes no later one
+    first = product()
+    keys, want = list(first), dict(first)
+    assert len(keys) > 1
+    del first[keys[0]]
+    first[keys[1]] = first[keys[1]] + first[keys[1]]
+    second = product()
+    assert second == want
+    assert len(second) == len(keys) and all(x is y for x, y in zip(second, keys))

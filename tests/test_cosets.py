@@ -311,6 +311,7 @@ def test_value_type_contract(cls, fields, text):
     others = [other(*f) for other, f, _ in VALUE_TYPES if other is not cls]
     assert all(x != y and not x == y for y in [fields, fields[0], *others])
     assert getattr(cls, "_make", cls)(*fields) == x
+    assert hash(getattr(cls, "_make", cls)(*fields)) == hash(fields)
     assert pickle.loads(pickle.dumps(x)) == x
     # a stored hash survives copying
     for y in (pickle.loads(pickle.dumps(x)), copy.copy(x)):

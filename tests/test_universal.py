@@ -28,6 +28,7 @@ from helpers import (
     balanced_types,
     finite_constant_via_embedding,
     generic_universal_terms,
+    grid_keyed,
     lemma3_checks,
     raw_universal_numerators,
     reference_expand,
@@ -322,7 +323,7 @@ def _canonical_forms(terms):
 def _check_against_tensor_walk(pairs):
     product_terms = universal._product_terms.__wrapped__
     for a, b in pairs:
-        got = product_terms(a.entries, b.entries)
+        got = grid_keyed(product_terms(a.entries, b.entries))
         want = reference_universal_terms(a.entries, b.entries)
         assert _canonical_forms(got) == _canonical_forms(want), (a, b)
 
@@ -341,7 +342,7 @@ def test_constants_match_tensor_walk_nu4_sampled():
 def _check_against_generic(pairs):
     product_terms = universal._product_terms.__wrapped__
     for a, b in pairs:
-        got = product_terms(a.entries, b.entries)
+        got = grid_keyed(product_terms(a.entries, b.entries))
         want = generic_universal_terms(a.entries, b.entries)
         assert _canonical_forms(got) == _canonical_forms(want), (a, b)
 
@@ -418,7 +419,8 @@ def test_false_zero_falls_back_to_division():
         if not value and f in want[c].den
     ]
     assert false_zeros == [(b, (2, 1))]
-    assert _canonical_forms(universal._product_terms.__wrapped__(a, b)) == _canonical_forms(want)
+    got = grid_keyed(universal._product_terms.__wrapped__(a, b))
+    assert _canonical_forms(got) == _canonical_forms(want)
 
 
 def _fitted(a, b):
