@@ -330,10 +330,14 @@ class EpsRingElement:
         g_0 + g_1 eps_j + ... in eps_j alone, built by g_k += m*g_(k-1) per
         factor; the truncated numerator is multiplied by it one variable at a
         time, a term of total degree r taking g_0 .. g_(order - r).  No
-        eps_j-chains are built: they serve only ``divide_out``.
+        eps_j-chains are built: they serve only ``divide_out``.  The numerator
+        is truncated first, so no series is built when nothing is left.
         """
         if order < 0:
             raise ValueError("order must be nonnegative")
+        terms = {d: c for d, c in self.num.terms.items() if sum(d) <= order}
+        if not terms:
+            return EpsPolynomial._make(self.nu, {})
         series: dict[int, list[int]] = {}  # j -> [g_0, ..., g_order]
         for (j, m), mult in self.den.items():
             g = series.get(j)
@@ -342,7 +346,6 @@ class EpsRingElement:
             for _ in range(mult):
                 for k in range(1, order + 1):
                     g[k] += m * g[k - 1]
-        terms = {d: c for d, c in self.num.terms.items() if sum(d) <= order}
         for j, g in series.items():
             out: dict[Degree, Rational] = {}
             get = out.get

@@ -1,9 +1,31 @@
 """Brute-force ground truth over explicit permutations.
 
 Everything the structure-constant formula claims is checked here against
-direct counting in the symmetric group: permutations are classified into
-double cosets, the whole group is grouped by coset matrix once per margins,
-and a product is counted by one sweep of the second factor's coset.
+direct counting in the symmetric group G = S_N.  A permutation is classified
+into its double coset H g H of the Young subgroup H by its coset matrix.  A
+product of coset averages is counted by one sweep of the second factor's
+coset, over one permutation per left H-orbit of it:
+
+- Fix g0 in the a-coset.  The coefficient of c in (a-average)(b-average) is
+  the share of h in the b-coset with h o g0 in the c-coset.  It does not
+  depend on g0, because the b-coset is invariant under right multiplication
+  by H, so one sweep gives every target.
+- That share is the same over one h per left orbit {sigma o h : sigma in H}
+  as over the whole coset.  Every sigma in H keeps each point inside its
+  block, so h o g0 and sigma o h o g0 send the same number of points of
+  block i into block j: they lie in one c-coset.  H acts freely (sigma o h =
+  h only for sigma the identity), so every orbit has |H| members, and each
+  count and the coset size are |H| times those over the representatives.
+- The orbit of h is fixed by its labelling, the block of h(x) for each point
+  x: sigma o h has the labels of h, and h' o h^-1 is in H when h' has the
+  labels of h.  Block i has m_ij points labelled j, in any order, which makes
+  prod_i n_i! / prod_ij m_ij! orbits, the coset's size over |H| = prod_j n_j!
+  (at most 30 at margins (3, 5), against the 8! permutations of the group).
+  The representative of a labelling sends the points labelled j to block j's
+  points in increasing order.
+
+The whole group, grouped by coset matrix, is built only for
+``coset_partition``, an independent reference that no product uses.
 
 Composition convention (load-bearing, do not change): permutations act on
 points, ``compose(h, g)`` is "apply g first", i.e. (h o g)(x) = h(g(x)),
@@ -20,9 +42,10 @@ hard cap of 9.  The blocks of the Young subgroup are the consecutive runs
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain, permutations, repeat
 
 from .cosets import CosetMatrix, Grid, Margins
 from .errors import BruteForceLimitExceeded
@@ -44,7 +67,7 @@ def compose(h: Perm, g: Perm) -> Perm:
 
 def _block_of(n: tuple[int, ...]) -> tuple[int, ...]:
     """The block index of each of the N points."""
-    return tuple(j for j, size in enumerate(n) for _ in range(size))
+    return tuple(chain.from_iterable(map(repeat, range(len(n)), n)))
 
 
 def _block_counts(g: Perm, block_of: tuple[int, ...], nu: int) -> Grid:
@@ -66,47 +89,100 @@ def classify(g: Perm, margins: Margins) -> CosetMatrix:
 def _partition_by_matrix(n: tuple[int, ...]) -> dict[Grid, list[Perm]]:
     block_of = _block_of(n)
     out: dict[Grid, list[Perm]] = {}
-    for g in itertools.permutations(range(sum(n))):
+    for g in permutations(range(sum(n))):
         out.setdefault(_block_counts(g, block_of, len(n)), []).append(g)
     return out
 
 
-def _partition(margins: Margins, limit: int | None) -> dict[Grid, list[Perm]]:
-    """The cached grouping of the whole group by coset-matrix entries, within the limit."""
+def _check_limit(margins: Margins, limit: int | None) -> None:
     eff = resolve_limit(limit)
     if margins.N > eff:
         raise BruteForceLimitExceeded(margins.N, eff)
-    return _partition_by_matrix(margins.n)
 
 
 def coset_partition(margins: Margins, limit: int | None = None) -> dict[CosetMatrix, list[Perm]]:
-    """The whole group, grouped by coset matrix.  Cached per margins."""
+    """The whole group, grouped by coset matrix, within the limit.  Cached per margins."""
+    _check_limit(margins, limit)
     return {
         CosetMatrix._make(e, margins): list(perms)
-        for e, perms in _partition(margins, limit).items()
+        for e, perms in _partition_by_matrix(margins.n).items()
     }
+
+
+def _labelled(labels: list[int]) -> Perm:
+    """The permutation sending the points labelled j to block j's points, in
+    increasing order: the rank of each point in the stable sort by label."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    return tuple(sorted(range(len(labels)), key=order.__getitem__))
+
+
+@lru_cache(maxsize=1024)
+def _first_labelling(m: CosetMatrix) -> tuple[Perm, tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The m-coset's first labelling, block by block m_ij labels j for j in
+    increasing order, with its permutation and the spans of the blocks that
+    carry two labels or more, the only ones with a second order.
+
+    Reading m takes nu^2 steps, more than the rest of a sweep when the blocks
+    are small, so the result, 2N + 2nu ints at most, is cached for the last
+    1024 matrices.
+    """
+    n, nu = m.margins.n, m.margins.nu
+    labels = [j for row in m.entries for j in range(nu) for _ in range(row[j])]
+    spans = tuple((lo, lo + size) for lo, size, row in zip(accumulate((0,) + n[:-1]), n, m.entries)
+                  if max(row) < size)
+    return _labelled(labels), tuple(labels), spans
+
+
+def _step(labels: list[int], lo: int, hi: int) -> bool:
+    """Put labels[lo:hi] in its next order, lexicographically; from the last
+    (decreasing) order, wrap round to the first (increasing) and return False."""
+    k = hi - 2
+    while k >= lo and labels[k] >= labels[k + 1]:
+        k -= 1
+    if k >= lo:
+        swap = hi - 1
+        while labels[swap] <= labels[k]:
+            swap -= 1
+        labels[k], labels[swap] = labels[swap], labels[k]
+    labels[k + 1 : hi] = reversed(labels[k + 1 : hi])
+    return k >= lo
+
+
+def _representatives(m: CosetMatrix) -> Iterator[Perm]:
+    """One permutation in each left Young-subgroup orbit of the m-coset, one
+    per labelling (see the module docstring).  The labellings are stepped
+    through like an odometer, each block's orders lexicographically."""
+    first, labels, spans = _first_labelling(m)
+    yield first
+    labels = list(labels)
+    while True:
+        for lo, hi in spans:
+            if _step(labels, lo, hi):
+                break
+        else:
+            return
+        yield _labelled(labels)
 
 
 def _sweep(a: CosetMatrix, b: CosetMatrix, limit: int | None):
     """Fix g0 in the a-coset and tally the coset matrix entries of h o g0 over
-    every h in the b-coset.  Returns the tallies and the b-coset size.
-
-    The share of h landing in the c-coset is the coefficient of c.  It does
-    not depend on g0, because the b-coset is invariant under right
-    multiplication by the Young subgroup, so one sweep gives every target.
+    one h per left Young-subgroup orbit of the b-coset.  Returns the tallies
+    and the number of orbits, whose ratios are the coefficients: the module
+    docstring proves that they equal the ratios over the whole coset.
     """
     margins = a.margins
     if b.margins != margins:
         raise ValueError("all matrices must share their margins")
-    part = _partition(margins, limit)
-    g0 = part[a.entries][0]
+    _check_limit(margins, limit)
+    g0 = _first_labelling(a)[0]
     block_of, nu = _block_of(margins.n), margins.nu
     counts: dict[Grid, int] = {}
-    members = part[b.entries]
-    for h in members:
+    total = 0
+    for h in _representatives(b):
         c = _block_counts(compose(h, g0), block_of, nu)
         counts[c] = counts.get(c, 0) + 1
-    return counts, len(members)
+        total += 1
+    return counts, total
 
 
 def oracle_structure_constant(
@@ -116,17 +192,17 @@ def oracle_structure_constant(
 
     Read from the same sweep of the b-coset as ``oracle_product``: the share
     of h in the b-coset with h o g0 in the c-coset, for one fixed g0 in the
-    a-coset.
+    a-coset, counted over the coset's left Young-subgroup orbits.
     """
     if c.margins != a.margins:
         raise ValueError("all matrices must share their margins")
-    counts, mu_b = _sweep(a, b, limit)
-    return Fraction(counts.get(c.entries, 0), mu_b)
+    counts, orbits = _sweep(a, b, limit)
+    return Fraction(counts.get(c.entries, 0), orbits)
 
 
 def oracle_product(
     a: CosetMatrix, b: CosetMatrix, limit: int | None = None
 ) -> dict[CosetMatrix, Fraction]:
     """All nonzero oracle structure constants with first factor a, second b."""
-    counts, mu_b = _sweep(a, b, limit)
-    return {CosetMatrix._make(c, a.margins): Fraction(k, mu_b) for c, k in counts.items()}
+    counts, orbits = _sweep(a, b, limit)
+    return {CosetMatrix._make(c, a.margins): Fraction(k, orbits) for c, k in counts.items()}

@@ -2,9 +2,10 @@
 
 The package keeps one production route per quantity; the independent routes
 that check it live here: the full 3-tensor walks, the group algebra of S_N,
-the two-block universal sum, Lemma 3's exponent bookkeeping, the finite value
-through embedding, the displayed braid products, the per-term ``Fraction``
-evaluation and the multiplied-out series expansion.  They share no
+the oracle's sweep of a whole coset, the two-block universal sum, Lemma 3's
+exponent bookkeeping, the finite value through embedding, the displayed
+braid products, the per-term ``Fraction`` evaluation and the multiplied-out
+series expansion.  They share no
 enumeration with the package, except the generic cancellation of the
 universal numerators, which checks only the cancellation and so sums the
 package's own profiles, and the full-slice reader, which checks only that
@@ -31,7 +32,7 @@ from cosetalg import (
     structure_constant,
 )
 from cosetalg.combination import Combination, bilinear
-from cosetalg.oracle import compose, coset_partition
+from cosetalg.oracle import classify, compose, coset_partition
 
 
 def naive_classify(g, n):
@@ -536,6 +537,21 @@ def coset_average(m):
     perms = coset_partition(m.margins)[m]
     w = Fraction(1, len(perms))
     return GroupAlgebraVector(m.margins.N, {g: w for g in perms})
+
+
+def whole_coset_product(a, b):
+    """The oracle's product by sweeping the whole b-coset: for the first g0 of
+    the a-coset, the share of h in the b-coset with h o g0 in each c-coset.
+    Built on ``coset_partition``'s whole-group enumeration, so it shares no
+    orbit representative with the oracle."""
+    part = coset_partition(a.margins)
+    g0 = part[a][0]
+    members = part[b]
+    counts = {}
+    for h in members:
+        c = classify(compose(h, g0), a.margins)
+        counts[c] = counts.get(c, 0) + 1
+    return {c: Fraction(k, len(members)) for c, k in counts.items()}
 
 
 # The displayed products of transposition averages (braid relations).

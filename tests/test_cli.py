@@ -3,11 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import cosetalg
-from cosetalg.cli import main
+from cosetalg import Margins, algebra, oracle
+from cosetalg.cli import TABLE_CHUNK, main
+from cosetalg.rationals import format_rational
 
 
 def run(capsys, *argv):
@@ -180,3 +183,49 @@ def test_reader_closing_early_exits_1_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert stderr == b""
+
+
+class _Writes:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_table_bytes_and_bounded_writes(monkeypatch):
+    # the golden corpus has no (3,3,3) table; the lines must be json.dumps of
+    # each row's dict, and each write at most TABLE_CHUNK of them
+    fake = _Writes()
+    monkeypatch.setattr(sys, "stdout", fake)
+    assert main(["table", "--n", "3,3,3"]) == 0
+    want = [
+        json.dumps({"a": a.to_json_dict(), "b": b.to_json_dict(), "c": c.to_json_dict(),
+                    "coeff": format_rational(v)}) + "\n"
+        for a, b, c, v in algebra.product_table(Margins((3, 3, 3)))
+    ]
+    got = "".join(fake.writes).splitlines(keepends=True)
+    # the first differing line, not a diff of two 4.5 MB strings
+    assert next(((k, x, y) for k, (x, y) in enumerate(zip(got, want)) if x != y), None) is None
+    assert len(got) == len(want)
+    assert len(fake.writes) > 1
+    assert max(w.count("\n") for w in fake.writes) <= TABLE_CHUNK
+
+
+def test_oracle_check_at_hard_cap_is_quick_and_fills_no_group_cache(capsys):
+    # N = 9 is the hard cap: the whole group has 9! permutations, and no
+    # production route enumerates it
+    oracle._partition_by_matrix.cache_clear()
+    started = time.perf_counter()
+    code, out = run(capsys, "--nmax", "9", "--seed", "0", "oracle-check", "--n", "4,5", "--sample", "2")
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert json.loads(out)["agree"] is True
+    assert elapsed < 2
+    assert oracle._partition_by_matrix.cache_info().currsize == 0

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -15,7 +15,14 @@ from cosetalg import (
     enumerate_coset_matrices,
     oracle_structure_constant,
 )
-from cosetalg.oracle import DEFAULT_LIMIT, HARD_CAP, coset_partition, oracle_product, resolve_limit
+from cosetalg.oracle import (
+    DEFAULT_LIMIT,
+    HARD_CAP,
+    _representatives,
+    coset_partition,
+    oracle_product,
+    resolve_limit,
+)
 
 from helpers import (
     GroupAlgebraVector,
@@ -23,6 +30,7 @@ from helpers import (
     coset_average,
     mass,
     naive_classify,
+    whole_coset_product,
     young_average,
 )
 
@@ -267,3 +275,34 @@ def test_oracle_product_matches_direct_counts(n):
         for b in matrices:
             direct = {c: direct_constant(a, b, c) for c in matrices}
             assert oracle_product(a, b) == {c: v for c, v in direct.items() if v}
+
+
+@pytest.mark.parametrize("n", [(2, 3), (1, 2, 3), (2, 2, 2), (3, 5), (1, 1, 2, 2)])
+def test_oracle_product_matches_whole_coset_sweep(n):
+    margins = Margins(n)
+    matrices = enumerate_coset_matrices(margins)
+    for a in matrices:
+        for b in matrices:
+            assert oracle_product(a, b) == whole_coset_product(a, b), (a.entries, b.entries)
+
+
+def test_oracle_product_matches_whole_coset_sweep_sampled():
+    matrices = enumerate_coset_matrices(Margins((2, 2, 2, 2)))
+    rng = random.Random(22)
+    for _ in range(12):
+        a, b = rng.choice(matrices), rng.choice(matrices)
+        assert oracle_product(a, b) == whole_coset_product(a, b), (a.entries, b.entries)
+
+
+@pytest.mark.parametrize("n", [(1, 1, 1), (2, 3), (1, 2, 3), (2, 2, 2), (3, 5), (1, 1, 2, 2)])
+def test_representatives_one_per_left_orbit(n):
+    # the left orbit of h under the Young subgroup is fixed by the block of
+    # each image point, so distinct representatives have distinct block images
+    margins = Margins(n)
+    block_of = [j for j, size in enumerate(n) for _ in range(size)]
+    subgroup = prod(factorial(size) for size in n)
+    for b in enumerate_coset_matrices(margins):
+        reps = list(_representatives(b))
+        assert len(reps) * subgroup == coset_size(b)
+        assert all(classify(h, margins) == b for h in reps)
+        assert len({tuple(block_of[y] for y in h) for h in reps}) == len(reps)
