@@ -175,9 +175,11 @@ def _cmd_verify_assoc(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     from . import algebra
-    from .oracle import oracle_product
+    from .oracle import _check_limit, oracle_product
 
     margins = _parse_margins(args.n)
+    # refuse an oversized group before listing pairs and running products
+    _check_limit(margins, args.nmax)
     basis = enumerate_coset_matrices(margins)
     pairs = [(a, b) for a in basis for b in basis]
     if args.sample is not None:

@@ -5,24 +5,30 @@ algebra to a commutative one: at order zero a product of basis types is the
 basis type of the entrywise sum.  The next coefficient carries a Poisson
 bracket once all deformation variables are identified.
 
-The order-one coefficient of a product of basis types a, b decomposes as
+That bracket is the Lie-Poisson bracket of gl_nu reduced by the diagonal
+torus (Kirillov 1976; Kostant 1970).  Read a balanced type a as the monomial
+prod x_ij^(a_ij) in off-diagonal coordinates x_ij, with every diagonal x_jj
+set to 1; then
 
-  eps_j-part = sum over alpha, gamma != j of a_{alpha j} b_{j gamma} on the
-               target a + b + E_{alpha gamma} - E_{alpha j} - E_{j gamma}
-               (the E_{alpha alpha} unit is dropped when alpha = gamma),
-  minus a*_jj b*_jj on the target a + b.
+  {x_ij, x_kl} = delta_jk x_il - delta_li x_kj,
 
-Both pieces come straight out of the defining tensor sum: the tensors of
-total cross weight one are exactly the single unit cells (alpha, j, gamma)
-with alpha, gamma != j, and the diagonal correction is the linear term of
-the bracket ratio of the unique weight-zero tensor.  The correction is
-symmetric in a and b, so it cancels from commutators; tests pin both pieces
-against the full ring expansion.
+and Leibniz extends it to monomials.  For basis types a, b the bracket is a
+sum over middle indices j, cells (i, j) of a and cells (j, l) of b: each adds
+a_ij b_jl on the target a + b - E_ij - E_jl + E_il (the E_ii unit is dropped
+when i = l), and the same sum with a and b swapped is subtracted.
+
+It equals the identified eps-linear coefficient of the commutator.  The
+eps_j-linear coefficient of a product of basis types a, b is the j-th term of
+that sum (the tensors of total cross weight one are exactly the single unit
+cells (i, j, l) with i, l != j) minus a*_jj b*_jj on a + b, the linear term of
+the bracket ratio of the unique weight-zero tensor.  That correction is
+symmetric in a and b, so it cancels from the commutator.  ``_order_one_linear``
+still computes both pieces, as the reference route that tests tie to the full
+ring expansion and to the bracket.
 
 The bracket cache is keyed by the two basis types, whose hashes are stored,
 and holds the public key objects: each target type is built once and every
-later bracket of the pair hands out that same key.  The order-one cache
-below it stays keyed by grids.
+later bracket of the pair hands out that same key.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .combination import Combination, bilinear
-from .cosets import Grid, OffDiagonalType
+from .cosets import Grid, OffDiagonalType, _field_bits, _unpack
 from .rationals import format_rational
 
 
@@ -62,6 +68,45 @@ def graded_multiply(x: GradedElement, y: GradedElement) -> GradedElement:
     return bilinear(x, y, lambda a, b: {a + b: 1})
 
 
+@lru_cache(maxsize=None)
+def _bracket_basis(x: OffDiagonalType, y: OffDiagonalType) -> dict[OffDiagonalType, int]:
+    """{target: nonzero coefficient} of the bracket of the basis types x, y.
+
+    The Lie-Poisson sum of the module docstring, on packed keys: a grid is one
+    integer with a byte-aligned field per cell, row by row as ``_unpack``
+    reads it, so a target a + b - E_ij - E_jl + E_il is the key of a + b less
+    two cell units plus one; the diagonal units are 0, which drops E_ii.
+    Every field of a target is at most an entry of a + b plus one.  Each
+    distinct nonzero target is decoded once.  The cache is keyed by the two
+    types, whose hashes are stored, and it holds the target types that every
+    later call hands out.
+    """
+    a, b = x.entries, y.entries
+    nu = len(a)
+    shift = _field_bits(max(map(max, a), default=0) + max(map(max, b), default=0) + 1)
+    unit = [[0 if i == k else 1 << shift * (i * nu + k) for k in range(nu)] for i in range(nu)]
+    base = sum((a[i][k] + b[i][k]) * unit[i][k] for i in range(nu) for k in range(nu))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for sign, p, q in ((1, a, b), (-1, b, a)):
+        for j in range(nu):
+            outs = [(q[j][l], unit[j][l], l) for l in range(nu) if q[j][l]]
+            if not outs:
+                continue
+            for i in range(nu):
+                if not p[i][j]:
+                    continue
+                head, row, v = base - unit[i][j], unit[i], sign * p[i][j]
+                for w, out, l in outs:
+                    key = head - out + row[l]
+                    acc[key] = get(key, 0) + v * w
+    keys = [key for key, v in acc.items() if v]
+    return {
+        OffDiagonalType._make(grid): acc[key]
+        for grid, key in zip(_unpack(keys, nu, nu, shift), keys)
+    }
+
+
 def _shift_target(base: Grid, alpha: int, j: int, gamma: int) -> OffDiagonalType:
     grid = [list(row) for row in base]
     grid[alpha][j] -= 1
@@ -74,6 +119,10 @@ def _shift_target(base: Grid, alpha: int, j: int, gamma: int) -> OffDiagonalType
 @lru_cache(maxsize=None)
 def _order_one_linear(a: Grid, b: Grid) -> tuple[dict, ...]:
     """Per-variable eps-linear coefficients of the product of basis types a, b.
+
+    The reference route for the bracket, called only by tests: no production
+    code calls it or ``_shift_target`` and ``_range_sum``, which stay here
+    because the benchmark counts this cache's entries.
 
     Returns one {target entries: int} map per variable index.  Exact:
     the weight-one tensors give the shifted targets, the weight-zero tensor's
@@ -108,28 +157,12 @@ def _range_sum(p: int, q: int) -> int:
     return (q * (q - 1) - p * (p - 1)) // 2
 
 
-@lru_cache(maxsize=None)
-def _bracket_basis(x: OffDiagonalType, y: OffDiagonalType) -> dict[OffDiagonalType, int]:
-    """{target: nonzero coefficient} of the bracket of the basis types x, y.
-
-    The cache is keyed by the two types, whose hashes are stored, and it
-    holds the target types that every later call hands out.
-    """
-    a, b = x.entries, y.entries
-    acc: dict[Grid, int] = {}
-    for sign, lin in ((1, _order_one_linear(a, b)), (-1, _order_one_linear(b, a))):
-        for part in lin:
-            for tgt, v in part.items():
-                acc[tgt] = acc.get(tgt, 0) + sign * v
-    return {OffDiagonalType._make(tgt): v for tgt, v in acc.items() if v}
-
-
 def poisson_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
     """{x, y}: the eps-linear coefficient of the commutator, all variables identified.
 
     Equals (commutator / eps) at eps = 0 after setting every eps_j = eps;
-    computed exactly from the order-one part of the product expansion and
-    extended bilinearly.
+    computed exactly on basis types from the Lie-Poisson formula and extended
+    bilinearly.
     """
     return bilinear(x, y, _bracket_basis)
 

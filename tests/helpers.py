@@ -2,11 +2,11 @@
 
 The package keeps one production route per quantity; the independent routes
 that check it live here: the full 3-tensor walks, the group algebra of S_N,
-the oracle's sweep of a whole coset, the two-block universal sum, Lemma 3's
-exponent bookkeeping, the finite value through embedding, the displayed
-braid products, the per-term ``Fraction`` evaluation and the multiplied-out
-series expansion.  They share no
-enumeration with the package, except the generic cancellation of the
+the oracle's sweep of a whole coset, the two-block universal sum, the
+polynomial-ring Poisson bracket, Lemma 3's exponent bookkeeping, the finite
+value through embedding, the displayed braid products, the per-term
+``Fraction`` evaluation and the multiplied-out series expansion.  They share
+no enumeration with the package, except the generic cancellation of the
 universal numerators, which checks only the cancellation and so sums the
 package's own profiles, and the full-slice reader, which checks only that
 leaving out zero rows and columns changes nothing and so walks the
@@ -490,6 +490,76 @@ def universal_s(a, b, c):
         den.update(((1, m), 1) for m in range(1, cut2))
         total = total + EpsRingElement(2, num, den)
     return total
+
+
+# Reference route for the Poisson bracket: the polynomial ring in the
+# off-diagonal coordinates x_ij of gl_nu, with every diagonal x_jj set to 1.
+# A polynomial is a {monomial: int} dict and a monomial a frozenset of
+# ((i, j), exponent) pairs; no types and no packed keys.
+
+
+def _monomial(exponents):
+    return frozenset((u, e) for u, e in exponents.items() if e)
+
+
+def _poly_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exponents = dict(m1)
+            for u, e in m2:
+                exponents[u] = exponents.get(u, 0) + e
+            m = _monomial(exponents)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _coordinate(i, j):
+    """x_ij as a polynomial; a diagonal x_jj is the constant 1."""
+    return {frozenset(): 1} if i == j else {frozenset({((i, j), 1)}): 1}
+
+
+def _generator_bracket(u, v):
+    """{x_ij, x_kl} = delta_jk x_il - delta_li x_kj."""
+    (i, j), (k, l) = u, v
+    out = {}
+    for sign, hit, (r, s) in ((1, j == k, (i, l)), (-1, l == i, (k, j))):
+        if hit:
+            for m, c in _coordinate(r, s).items():
+                out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _partials(p):
+    """{u: the derivative of p by x_u} over the coordinates p holds."""
+    out = {}
+    for m, c in p.items():
+        for u, e in m:
+            exponents = dict(m)
+            exponents[u] -= 1
+            part = out.setdefault(u, {})
+            key = _monomial(exponents)
+            part[key] = part.get(key, 0) + e * c
+    return out
+
+
+def reference_bracket(p, q):
+    """{p, q} from the generator brackets by Leibniz in each slot:
+    the sum over coordinates u, v of (dp/dx_u) (dq/dx_v) {x_u, x_v}."""
+    out = {}
+    dq = _partials(q)
+    for u, pu in _partials(p).items():
+        for v, qv in dq.items():
+            if u[1] == v[0] or v[1] == u[0]:  # else {x_u, x_v} = 0
+                for m, c in _poly_mul(_poly_mul(pu, qv), _generator_bracket(u, v)).items():
+                    out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def type_monomial(entries):
+    """The monomial prod x_ij^(a_ij) of an off-diagonal grid."""
+    nu = len(entries)
+    return _monomial({(i, j): entries[i][j] for i in range(nu) for j in range(nu) if i != j})
 
 
 # Reference route for the oracle: the group algebra of S_N, in which the

@@ -229,3 +229,13 @@ def test_oracle_check_at_hard_cap_is_quick_and_fills_no_group_cache(capsys):
     assert json.loads(out)["agree"] is True
     assert elapsed < 2
     assert oracle._partition_by_matrix.cache_info().currsize == 0
+
+
+def test_oracle_check_refuses_oversized_group_before_any_product(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("oracle-check ran a product past the limit")
+
+    monkeypatch.setattr(algebra, "multiply", refuse)
+    code, out = run(capsys, "oracle-check", "--n", "3,3,3,3", "--sample", "1")
+    assert code == 1
+    assert json.loads(out) == {"error": "limit-exceeded", "N": 12, "limit": 8}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from cosetalg import (
     universal_product,
 )
 
-from helpers import balanced_types
+from helpers import balanced_types, reference_bracket, type_monomial
 
 
 def tb(v):
@@ -210,3 +211,80 @@ def test_graded_layer_coefficients_are_ints():
                 assert all(type(v) is int for v in product.terms.values()), (a, b)
             for part in poisson._order_one_linear(a.entries, b.entries):
                 assert all(type(v) is int for v in part.values()), (a, b)
+
+
+@pytest.mark.parametrize("nu, entry_max", [(3, 2), (4, 1)])
+def test_bracket_matches_polynomial_ring_reference(nu, entry_max):
+    # every pair of the grid against the Lie-Poisson bracket of the x_ij,
+    # extended by Leibniz in a polynomial ring that knows no types
+    pool = balanced_types(nu, entry_max)
+    monomials = {t: {type_monomial(t.entries): 1} for t in pool}
+    nonzero = 0
+    for a in pool:
+        x = GradedElement.basis(a)
+        for b in pool:
+            got = poisson_bracket(x, GradedElement.basis(b))
+            want = reference_bracket(monomials[a], monomials[b])
+            assert {type_monomial(t.entries): v for t, v in got.terms.items()} == want, (a, b)
+            nonzero += bool(want)
+    assert nonzero > len(pool) ** 2 // 2
+
+
+def test_bracket_is_antisymmetrised_order_one_reference():
+    # the chain back to the ring: criterion 9 ties ``_order_one_linear`` to
+    # the universal product, and the bracket is its antisymmetrised sum
+    pool = balanced_types(3, 2)
+    for a in pool:
+        for b in pool:
+            acc = {}
+            for sign, lin in ((1, poisson._order_one_linear(a.entries, b.entries)),
+                              (-1, poisson._order_one_linear(b.entries, a.entries))):
+                for part in lin:
+                    for tgt, v in part.items():
+                        acc[tgt] = acc.get(tgt, 0) + sign * v
+            got = poisson_bracket(GradedElement.basis(a), GradedElement.basis(b))
+            assert {t.entries: v for t, v in got.terms.items()} == {
+                tgt: v for tgt, v in acc.items() if v
+            }, (a, b)
+
+
+def test_brackets_leave_order_one_cache_empty():
+    poisson._order_one_linear.cache_clear()
+    poisson._bracket_basis.cache_clear()
+    pool = balanced_types(3, 2)
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = rng.choice(pool), rng.choice(pool)
+        poisson_bracket(GradedElement.basis(a), GradedElement.basis(b))
+    assert poisson._bracket_basis.cache_info().currsize > 0
+    assert poisson._order_one_linear.cache_info().currsize == 0
+
+
+def trace_power(nu, p):
+    """tr X^p with every diagonal x_jj = 1, each monomial read as a balanced type.
+
+    A closed walk i_1 -> i_2 -> ... -> i_p -> i_1 contributes the monomial of
+    its off-diagonal steps; its grid is balanced, since the walk enters each
+    index as often as it leaves it.
+    """
+    acc = {}
+    for walk in itertools.product(range(nu), repeat=p):
+        grid = [[0] * nu for _ in range(nu)]
+        for i, j in zip(walk, walk[1:] + walk[:1]):
+            if i != j:
+                grid[i][j] += 1
+        tp = OffDiagonalType(tuple(map(tuple, grid)))
+        acc[tp] = acc.get(tp, 0) + 1
+    return GradedElement(nu, acc)
+
+
+@pytest.mark.parametrize("nu, entry_max", [(3, 2), (4, 1)])
+def test_trace_powers_are_casimirs(nu, entry_max):
+    pool = [GradedElement.basis(t) for t in balanced_types(nu, entry_max)]
+    for p in (2, 3, 4):
+        casimir = trace_power(nu, p)
+        for x in pool:
+            assert poisson_bracket(casimir, x).is_zero(), (p, x)
+    # not vacuous: a non-central basis type brackets nonzero with the grid
+    r = GradedElement.basis(OffDiagonalType.build(nu, {(0, 1): 1, (1, 0): 1}))
+    assert any(not poisson_bracket(r, x).is_zero() for x in pool)
