@@ -30,27 +30,33 @@ benchmark round have 20,750 targets and, counted per product, 834 distinct
 weights.  The packing layer (slice tables, keys, convolution, decoding)
 lives in ``cosets``, where the universal product uses it too.
 
-The product cache holds the public key objects: each target is built once
-as a ``CosetMatrix``, whose hash is stored, and every later product of the
-pair hands out those same keys, so a warm product neither builds nor
-rehashes a key.
+``_coefficients`` runs this route and returns the coefficients keyed by
+packed target.  ``_product_terms`` wraps it with the product cache, which
+holds the public key objects: each target is decoded and built once as a
+``CosetMatrix``, whose hash is stored, and every later product of the pair
+hands out those same keys, so a warm product neither builds nor rehashes a
+key.
 
 Two symmetries leave the coefficients unchanged: renaming blocks of equal
 size (a permutation p of the block indices with n[p[i]] == n[i]), and the
 anti-involution g -> g^-1 of S_N, which maps a coset matrix to its
 transpose and reverses products.  ``product_table`` computes one product
 per orbit of basis pairs and carries it to the rest of the orbit; at
-(3,3,3) that is 301 products for 3,025 pairs.  Single products
-(``multiply``, ``structure_constant``) take the direct route: a run of
-products almost never meets the same orbit twice, so a canonical form
-would cost more than it saves.
+(3,3,3) that is 301 products for 3,025 pairs.  The table never decodes a
+key: it packs each basis grid once, maps each orbit product's packed
+targets straight to basis indices, and lets every pair of the orbit share
+that one {index: coefficient} dict through the symmetry's index map.  It
+calls ``_coefficients`` directly, so it leaves the product cache as it was.
+Single products (``multiply``, ``structure_constant``) take the direct
+route: a run of products almost never meets the same orbit twice, so a
+canonical form would cost more than it saves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from math import factorial, prod
 
 from .combination import Combination, bilinear
@@ -61,11 +67,31 @@ from .cosets import (
     _column,
     _convolve,
     _field_bits,
+    _pack,
     _slice_terms,
     _unpack,
+    count_transport,
     enumerate_coset_matrices,
 )
 from .rationals import format_rational
+
+
+def _coefficients(a: Grid, b: Grid, margins: Margins) -> dict[int, Fraction]:
+    """{packed c: structure constant} for every target c of the basis pair with entries a, b.
+
+    A key holds c_ik in field i*nu + k of ``_field_bits(max(n))`` bits, the
+    layout of ``cosets._pack``.
+    """
+    n = margins.n
+    nu = len(n)
+    shift = _field_bits(max(n))  # every partial c_ik is at most n_i
+    cells = tuple(range(nu * nu))  # cell (i, k) packs into field i*nu + k
+    weights = _convolve(_slice_terms(_column(a, j), b[j], shift, cells) for j in range(nu))
+    num = prod(factorial(v) for row in b for v in row)
+    den = prod(map(factorial, n))
+    # W_c -> its coefficient, built once per distinct weight
+    values = {w: Fraction(num * w, den) for w in set(weights.values())}
+    return {c: values[w] for c, w in weights.items()}
 
 
 @lru_cache(maxsize=None)
@@ -75,23 +101,10 @@ def _product_terms(a: Grid, b: Grid, margins: Margins) -> dict[CosetMatrix, Frac
     Each key is built once, here, and the cache holds it: every later call
     hands out the same ``CosetMatrix`` objects, whose hashes are stored.
     """
-    n = margins.n
-    nu = len(n)
-    shift = _field_bits(max(n))  # every partial c_ik is at most n_i
-    cells = tuple(range(nu * nu))  # cell (i, k) packs into field i*nu + k
-    weights = _convolve(_slice_terms(_column(a, j), b[j], shift, cells) for j in range(nu))
-    num = prod(factorial(v) for row in b for v in row)
-    den = prod(map(factorial, n))
-    make = CosetMatrix._make
-    values: dict[int, Fraction] = {}  # W_c -> its coefficient, built once per distinct weight
-    out = {}
-    for c, w in zip(_unpack(weights, nu, nu, shift), weights.values()):
-        c = make(c, margins)
-        try:
-            out[c] = values[w]
-        except KeyError:
-            out[c] = values[w] = Fraction(num * w, den)
-    return out
+    terms = _coefficients(a, b, margins)
+    nu = margins.nu
+    grids = _unpack(terms, nu, nu, _field_bits(max(margins.n)))
+    return dict(zip(map(CosetMatrix._make, grids, repeat(margins)), terms.values()))
 
 
 def _require_same_margins(*ms: CosetMatrix) -> Margins:
@@ -158,11 +171,15 @@ def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def _bounded_basis(margins: Margins, max_basis: int) -> list[CosetMatrix]:
-    """Every coset matrix of the margins; ValueError when there are more than ``max_basis``."""
-    basis = enumerate_coset_matrices(margins)
-    if len(basis) > max_basis:
-        raise ValueError(f"{len(basis)} basis matrices exceed the configured bound {max_basis}")
-    return basis
+    """Every coset matrix of the margins; ValueError when there are more than ``max_basis``.
+
+    The matrices are counted before any is built, so a refusal costs no
+    enumeration.
+    """
+    size = count_transport(margins.n, margins.n)
+    if size > max_basis:
+        raise ValueError(f"{size} basis matrices exceed the configured bound {max_basis}")
+    return enumerate_coset_matrices(margins)
 
 
 def _stabiliser(n: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -201,37 +218,45 @@ def product_table(
       that of m^T and reverses products, so the coefficient of c in a*b is
       that of c^T in b^T * a^T.
 
-    Each symmetry is a permutation of basis indices, so carrying a product
-    over re-keys its targets and shares its ``Fraction`` values.  Only the
-    table does this: a single product has no orbit mates to share with.
+    Each symmetry is a permutation of basis indices, so the table works on
+    indices from the convolution to its rows.  The basis grids are packed
+    once (``cosets._pack``, the key layout of ``_coefficients``), and each
+    orbit representative's packed targets map straight to basis indices, with
+    no decoding and no ``CosetMatrix`` built.  Every pair of the orbit then
+    holds (index map, the basis under that map, the representative's
+    {target index: Fraction}), and its rows read the targets through its map,
+    in basis order, sharing the representative's ``Fraction`` values.  Only the table does this: a single
+    product has no orbit mates to share with, and the table leaves the
+    ``_product_terms`` cache as it was.
     """
     basis = _bounded_basis(margins, max_basis)
     entries = [m.entries for m in basis]
-    index = {e: k for k, e in enumerate(entries)}
+    shift = _field_bits(max(margins.n))
+    index = {_pack(e, shift): k for k, e in enumerate(entries)}
     transposed = [tuple(zip(*e)) for e in entries]
-    maps = []  # (reverses the product, basis index -> index of its image)
+    maps = []  # (reverses the product, basis index -> index of its image, -> its image)
     for p in _stabiliser(margins.n):
         for flip, grids in ((False, entries), (True, transposed)):
-            images = [index[tuple(tuple(g[i][k] for k in p) for i in p)] for g in grids]
-            maps.append((flip, images))
+            images = [index[_pack([[g[i][k] for k in p] for i in p], shift)] for g in grids]
+            maps.append((flip, images, [basis[k] for k in images]))
     size = len(basis)
     table: list[list] = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(size):
             if table[i][j] is not None:
                 continue
-            terms = [
-                (index[c.entries], v) for c, v in _product_terms(entries[i], entries[j], margins).items()
-            ]
-            for flip, m in maps:
+            terms = {index[c]: v for c, v in _coefficients(entries[i], entries[j], margins).items()}
+            for flip, m, mapped in maps:
                 x, y = (m[j], m[i]) if flip else (m[i], m[j])
                 if table[x][y] is None:
-                    table[x][y] = [(m[c], v) for c, v in terms]
+                    table[x][y] = (m, mapped, terms)
     # basis order is entry order, so sorting target indices sorts targets
     rows = []
+    append = rows.append
     for a, row in zip(basis, table):
-        for b, terms in zip(basis, row):
-            rows.extend((a, b, basis[c], v) for c, v in sorted(terms))
+        for b, (m, mapped, terms) in zip(basis, row):
+            for c in sorted(terms, key=m.__getitem__):
+                append((a, b, mapped[c], terms[c]))
     return rows
 
 

@@ -19,7 +19,8 @@ packed integer key and an integer weight over the kept cells.  ``_convolve``
 sums over the slices and ``_unpack`` reads the keys back as grids, one row
 field at a time: the targets of one product share most of their rows, so each
 distinct row is decoded once per call and its tuple is shared by every grid
-that holds it.
+that holds it.  ``_pack`` is its inverse for one grid, and ``count_transport``
+counts the tables ``transport`` would walk without building them.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -291,19 +292,9 @@ def transport(caps: tuple[int, ...], cols: tuple[int, ...]) -> tuple[Grid, ...]:
         """(row, what the columns need after it) for every row of sum ``cap`` under ``need``."""
         out = found.get((cap, need))
         if out is None:
-            parts = [((), cap)]  # (the row's first cells, what they leave of its cap)
-            room = sum(need)
-            for bound in need[:-1]:
-                room -= bound  # what the cells right of this one can still take
-                parts = [
-                    (row + (v,), left - v)
-                    for row, left in parts
-                    for v in range(max(0, left - room), min(bound, left) + 1)
-                ]
-            out = found[cap, need] = []
-            for row, left in parts:
-                row += (left,)
-                out.append((row[:width], tuple(map(sub, need, row))))
+            out = found[cap, need] = [
+                (row[:width], tuple(map(sub, need, row))) for row in _rows(cap, need)
+            ]
         return out
 
     tables = [((), cols + (spare,) if spare else cols)]  # (rows so far, what the columns need)
@@ -320,6 +311,47 @@ def transport(caps: tuple[int, ...], cols: tuple[int, ...]) -> tuple[Grid, ...]:
     )
 
 
+def _rows(cap: int, need: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every row of sum ``cap`` with each part at most what its column still
+    needs, in lexicographic order; ``cap`` is at most ``sum(need)``."""
+    parts = [((), cap)]  # (the row's first cells, what they leave of its cap)
+    room = sum(need)
+    for bound in need[:-1]:
+        room -= bound  # what the cells right of this one can still take
+        parts = [
+            (row + (v,), left - v)
+            for row, left in parts
+            for v in range(max(0, left - room), min(bound, left) + 1)
+        ]
+    return [row + (left,) for row, left in parts]
+
+
+def count_transport(caps: tuple[int, ...], cols: tuple[int, ...]) -> int:
+    """``len(transport(caps, cols))``, counted without building a table.
+
+    The count goes a row at a time, as ``transport`` walks, over what the
+    columns still need, with the same slack column, and keeps one count per
+    need.  The completions of a partial table are the tables with the
+    remaining caps as row sums and that need as column sums, so their number
+    does not depend on the order of the columns: each need is sorted, and
+    needs that are equal up to order share one state.  There are never more
+    states than the partial tables ``transport`` would walk, and usually far
+    fewer.
+    """
+    spare = sum(caps) - sum(cols)
+    if spare < 0:
+        return 0
+    states = {tuple(sorted(cols + (spare,))): 1}
+    for cap in caps[:-1]:  # the last row is whatever the columns still need
+        nxt: dict[tuple[int, ...], int] = {}
+        for need, count in states.items():
+            for row in _rows(cap, need):
+                after = tuple(sorted(map(sub, need, row)))
+                nxt[after] = nxt.get(after, 0) + count
+        states = nxt
+    return sum(states.values())
+
+
 def _column(grid: Grid, j: int) -> tuple[int, ...]:
     return tuple(row[j] for row in grid)
 
@@ -327,6 +359,19 @@ def _column(grid: Grid, j: int) -> tuple[int, ...]:
 def _field_bits(bound: int) -> int:
     """Bits per packed field that hold every value up to ``bound``: whole bytes."""
     return 8 * max(1, (bound.bit_length() + 7) // 8)
+
+
+def _pack(grid: Grid, shift: int) -> int:
+    """The packed key of ``grid``, fields of ``shift`` bits; the inverse of ``_unpack``.
+
+    Cell (i, k) of a grid of width w is field i*w + k, counted from the low
+    end, so row i starts at bit i*w*shift.
+    """
+    key = 0
+    for row in reversed(grid):
+        for v in reversed(row):
+            key = key << shift | v
+    return key
 
 
 def _unpack(keys, rows: int, width: int, shift: int) -> list[Grid]:

@@ -77,6 +77,8 @@ CASES = [
     ("error-triples", ["poisson", "--nu", "2", "--a", "1,2", "--b", ""]),
     ("error-bad-margins", ["cosets", "--n", "2,0"]),
     ("error-max-basis", ["table", "--n", "2,2,2", "--max-basis", "5"]),
+    # 22,069,251 coset matrices: refused from their count, none enumerated
+    ("error-max-basis-count", ["table", "--n", "5,5,5,5,5"]),
     ("error-nu2-domain", ["nu2", "s", "--a", "3", "--b", "1", "--c", "1", "--n1", "2",
                           "--n2", "4"]),
     ("error-missing-arg", ["mu", "--n", "2,2"]),

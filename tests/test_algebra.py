@@ -135,6 +135,19 @@ def test_product_table_bound():
         product_table(Margins((2, 2, 2)), max_basis=10)
 
 
+def test_basis_bound_refuses_before_enumerating(monkeypatch):
+    # (5,5,5,5,5) has 22,069,251 coset matrices; the refusal only counts them
+    def enumerate_coset_matrices(margins):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(algebra, "enumerate_coset_matrices", enumerate_coset_matrices)
+    detail = "22069251 basis matrices exceed the configured bound 128"
+    for call in (product_table, verify_associativity):
+        with pytest.raises(ValueError) as exc:
+            call(Margins((5, 5, 5, 5, 5)))
+        assert str(exc.value) == detail
+
+
 @pytest.mark.parametrize("n", [(1, 1), (2, 2), (2, 3), (1, 1, 2)])
 def test_associativity(n):
     report = verify_associativity(Margins(n))
@@ -280,7 +293,11 @@ def test_product_terms_equivariant_sampled():
 
 
 @pytest.mark.parametrize(
-    "n", [(1,), (1, 1), (1, 2, 3), (2, 2, 2), (2, 2, 3), (1, 1, 1, 1), (3, 3, 3), (256, 1)]
+    "n",
+    [
+        (1,), (1, 1), (1, 2, 3), (2, 2, 2), (2, 2, 3), (1, 1, 1, 1), (3, 3, 3), (256, 1),
+        (1, 1, 2, 2), (5, 5, 2),  # stabilisers that mix block sizes
+    ],
 )
 def test_product_table_matches_all_pairs(n):
     margins = Margins(n)
@@ -295,7 +312,7 @@ def test_product_table_matches_all_pairs(n):
     assert product_table(margins) == want
 
 
-def test_product_table_computes_one_product_per_orbit():
+def test_product_table_computes_one_product_per_orbit(monkeypatch):
     n = (3, 3, 3)
     basis = [m.entries for m in enumerate_coset_matrices(Margins(n))]
     symmetries = margin_symmetries(n)
@@ -304,22 +321,44 @@ def test_product_table_computes_one_product_per_orbit():
         for a in basis
         for b in basis
     }
+    calls = []
+    coefficients = algebra._coefficients
+
+    def counted(a, b, margins):
+        calls.append((a, b))
+        return coefficients(a, b, margins)
+
+    monkeypatch.setattr(algebra, "_coefficients", counted)
     algebra._product_terms.cache_clear()
     product_table(Margins(n))
-    info = algebra._product_terms.cache_info()
-    assert info.misses == info.currsize == len(orbits) == 301
+    assert len(calls) == len(set(calls)) == len(orbits) == 301
+    # the table keys its products by basis index and fills no product cache
+    assert algebra._product_terms.cache_info().currsize == 0
 
 
-def _pack(grid, shift):
-    width = len(grid[0])
-    return sum(v << (shift * (width * i + k)) for i, row in enumerate(grid) for k, v in enumerate(row))
+def test_pack_unpack_round_trip():
+    # one byte per field and two; _pack is the inverse of _unpack
+    rng = random.Random(2)
+    for shift, top in ((8, 255), (16, 65535)):
+        for rows, width in ((1, 1), (1, 4), (3, 3), (4, 2)):
+            grids = [
+                tuple(tuple(rng.choice((0, 1, top, rng.randint(0, top))) for _ in range(width))
+                      for _ in range(rows))
+                for _ in range(20)
+            ]
+            keys = [cosets._pack(g, shift) for g in grids]
+            got = cosets._unpack(keys, rows, width, shift)
+            assert got == grids
+            assert [cosets._pack(g, shift) for g in got] == keys
+    # field i*width + k from the low end, as _coefficients packs its targets
+    assert cosets._pack(((1, 2), (3, 4)), 8) == 0x04030201
 
 
 def test_unpack_multibyte_fields():
     shift = cosets._field_bits(300)
     assert shift == 16 and cosets._field_bits(255) == 8 and cosets._field_bits(0) == 8
     grid = ((0, 300), (65535, 1))
-    assert cosets._unpack([_pack(grid, shift)], 2, 2, shift) == [grid]
+    assert cosets._unpack([cosets._pack(grid, shift)], 2, 2, shift) == [grid]
     # three-field rows, read a row at a time; a repeated row is decoded once
     # and shared, in one byte per field and in two
     for shift, top in ((8, 255), (16, 65535)):
@@ -328,7 +367,7 @@ def test_unpack_multibyte_fields():
             ((0, 1, top), (2, top, 0), (top, 0, 1)),
             ((0, 0, 0), (0, 0, 0), (2, top, 0)),
         ]
-        got = cosets._unpack([_pack(g, shift) for g in grids], 3, 3, shift)
+        got = cosets._unpack([cosets._pack(g, shift) for g in grids], 3, 3, shift)
         assert got == grids
         assert len({id(row) for g in got for row in g}) == len({row for g in grids for row in g}) == 4
 

@@ -19,7 +19,7 @@ from cosetalg import (
     enumerate_coset_matrices,
     strip_diagonal,
 )
-from cosetalg.cosets import _field_bits, _slice_terms, transport
+from cosetalg.cosets import _field_bits, _slice_terms, count_transport, transport
 
 from helpers import naive_tables, reference_slice_terms
 
@@ -143,6 +143,26 @@ def test_transport_wide_table():
     tables = transport((1,) * 40, (0,) * 39 + (1,))
     assert len(tables) == 40
     assert tables[0][-1][-1] == 1 and tables[-1][0][-1] == 1
+
+
+def test_count_transport_matches_transport():
+    # random shapes, slack or tight, with zero rows and columns, and coset
+    # matrices; the count merges needs equal up to column order
+    rng = random.Random(1)
+    shapes = [((), ()), ((), (1,)), ((0,), ()), ((2, 1), ()), ((1, 2), (4,)), ((3, 3), (2, 4))]
+    for _ in range(200):
+        rows, width = rng.randint(1, 4), rng.randint(1, 4)
+        cols = tuple(rng.randint(0, 3) for _ in range(width))
+        shapes.append((tuple(rng.randint(0, 4) for _ in range(rows)), cols))
+        shapes.append((_tight_caps(rng, rows, cols), cols))
+    for n in [(2, 2, 3), (1, 1, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4)]:
+        shapes.append((n, n))
+    for caps, cols in shapes:
+        assert count_transport(caps, cols) == len(transport(caps, cols)), (caps, cols)
+    # counts that no enumeration could reach: the 31! permutation matrices,
+    # and the coset matrices of (5,5,5,5,5)
+    assert count_transport((1,) * 31, (1,) * 31) == factorial(31)
+    assert count_transport((5,) * 5, (5,) * 5) == 22069251
 
 
 def _universal_fields(nu, j):
