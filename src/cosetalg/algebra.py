@@ -225,9 +225,9 @@ def product_table(
     no decoding and no ``CosetMatrix`` built.  Every pair of the orbit then
     holds (index map, the basis under that map, the representative's
     {target index: Fraction}), and its rows read the targets through its map,
-    in basis order, sharing the representative's ``Fraction`` values.  Only the table does this: a single
-    product has no orbit mates to share with, and the table leaves the
-    ``_product_terms`` cache as it was.
+    in basis order, sharing the representative's ``Fraction`` values.  Only
+    the table does this: a single product has no orbit mates to share with,
+    and the table leaves the ``_product_terms`` cache as it was.
     """
     basis = _bounded_basis(margins, max_basis)
     entries = [m.entries for m in basis]

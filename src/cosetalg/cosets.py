@@ -10,9 +10,10 @@ labels, and converts between full matrices and their off-diagonal part.
 It also holds the packing layer that both products build on.  ``transport``,
 the one table enumerator (``enumerate_coset_matrices`` runs it too), walks the
 transportation tables of one slice a row at a time: each row is a
-composition of its cap under the column sums still left, and the last row is
-whatever the columns still need; when the caps exceed the column total, a
-slack column takes each row's shortfall and is dropped from the output.
+composition of its row sum under the column sums still left, and the last row
+is whatever the columns still need.  Every caller passes row sums and column
+sums with the same total, as the margins of a coset matrix or of a slice of
+a product have, and unequal totals admit no table.
 ``_slice_terms`` hands it only the slice's nonzero rows and columns, since a
 zero cap or a zero column sum forces zeros there, and reads each table into a
 packed integer key and an integer weight over the kept cells.  ``_convolve``
@@ -39,6 +40,11 @@ from operator import index, sub
 from .errors import InvariantViolation, MarginOverflow
 
 Grid = tuple[tuple[int, ...], ...]
+
+
+def _star(entries: Grid, j: int) -> int:
+    """The off-diagonal column sum at j of a square grid."""
+    return sum(entries[i][j] for i in range(len(entries)) if i != j)
 
 
 def _frozen(self, name, *value):
@@ -220,7 +226,7 @@ class OffDiagonalType:
 
     def star(self, j: int) -> int:
         """a*_jj: the off-diagonal column sum at j (equals the row sum)."""
-        return sum(self.entries[i][j] for i in range(self.nu) if i != j)
+        return _star(self.entries, j)
 
     def __add__(self, other: "OffDiagonalType") -> "OffDiagonalType":
         if self.nu != other.nu:
@@ -265,27 +271,21 @@ _set_type_hash = OffDiagonalType._hash.__set__
 
 
 def transport(caps: tuple[int, ...], cols: tuple[int, ...]) -> tuple[Grid, ...]:
-    """Every nonnegative integer table with column sums ``cols`` and row i
-    summing to at most ``caps[i]``, in row-major lexicographic order.
+    """Every nonnegative integer table with row sums ``caps`` and column sums
+    ``cols``, in row-major lexicographic order; none when the totals differ.
 
     The walk picks whole rows, top to bottom.  Each row is a composition of
     its cap with every part at most what its column still needs, generated
     in lexicographic order, and the last row is whatever the columns still
-    need.  When the caps add up to more than the column total, a slack
-    column on the right takes each row's shortfall, so that every row meets
-    its cap, and is dropped from the output; a slack cell is fixed by the
-    rest of its row, so the order stays lexicographic.  Once every row meets
-    its cap, any row chosen this way leaves the rows below a table whose row
+    need.  Any row chosen this way leaves the rows below a table whose row
     and column totals agree, which always has a completion, so no branch is
     abandoned.  The walk goes one row at a time over a list of partial
     tables, not by recursion, so a table may have any number of rows.
     """
-    rows, width = len(caps), len(cols)
-    spare = sum(caps) - sum(cols)
-    if spare < 0:
+    if sum(caps) != sum(cols):
         return ()
-    if rows < 2:
-        return ((cols,) * rows,)
+    if len(caps) < 2:
+        return ((cols,) * len(caps),)
     found: dict[tuple[int, tuple[int, ...]], list] = {}
 
     def choices(cap: int, need: tuple[int, ...]) -> list:
@@ -293,21 +293,17 @@ def transport(caps: tuple[int, ...], cols: tuple[int, ...]) -> tuple[Grid, ...]:
         out = found.get((cap, need))
         if out is None:
             out = found[cap, need] = [
-                (row[:width], tuple(map(sub, need, row))) for row in _rows(cap, need)
+                (row, tuple(map(sub, need, row))) for row in _rows(cap, need)
             ]
         return out
 
-    tables = [((), cols + (spare,) if spare else cols)]  # (rows so far, what the columns need)
+    tables = [((), cols)]  # (rows so far, what the columns need)
     for cap in caps[:-2]:
         tables = [
             (head + (row,), after) for head, need in tables for row, after in choices(cap, need)
         ]
     return tuple(
-        [
-            head + (row, after[:width])
-            for head, need in tables
-            for row, after in choices(caps[-2], need)
-        ]
+        [head + (row, after) for head, need in tables for row, after in choices(caps[-2], need)]
     )
 
 
@@ -330,18 +326,16 @@ def count_transport(caps: tuple[int, ...], cols: tuple[int, ...]) -> int:
     """``len(transport(caps, cols))``, counted without building a table.
 
     The count goes a row at a time, as ``transport`` walks, over what the
-    columns still need, with the same slack column, and keeps one count per
-    need.  The completions of a partial table are the tables with the
-    remaining caps as row sums and that need as column sums, so their number
-    does not depend on the order of the columns: each need is sorted, and
-    needs that are equal up to order share one state.  There are never more
-    states than the partial tables ``transport`` would walk, and usually far
-    fewer.
+    columns still need, and keeps one count per need.  The completions of a
+    partial table are the tables with the remaining caps as row sums and that
+    need as column sums, so their number does not depend on the order of the
+    columns: each need is sorted, and needs that are equal up to order share
+    one state.  There are never more states than the partial tables
+    ``transport`` would walk, and usually far fewer.
     """
-    spare = sum(caps) - sum(cols)
-    if spare < 0:
+    if sum(caps) != sum(cols):
         return 0
-    states = {tuple(sorted(cols + (spare,))): 1}
+    states = {tuple(sorted(cols)): 1}
     for cap in caps[:-1]:  # the last row is whatever the columns still need
         nxt: dict[tuple[int, ...], int] = {}
         for need, count in states.items():
@@ -415,7 +409,7 @@ def _slice_terms(
     Cell (i, k) adds its value to field ``fields[i*len(cols) + k]`` of the
     key, fields being ``shift`` bits wide; a cell whose field is None stays
     out of the key.  The weight is prod_i caps_i! / prod_ik t_ik! over every
-    cell, a product of multinomials when each row meets its cap.  A row with
+    cell, a product of multinomials, since every row meets its cap.  A row with
     cap 0 or a column with sum 0 holds only zeros, which add nothing to a key
     or a weight, so only the other rows and columns are walked; the cells left
     out are 0 in every table, so the tables come in the same order as over the

@@ -233,7 +233,7 @@ class EpsRingElement:
                 if not 0 <= j < nu:
                     raise ValueError("denominator variable index out of range")
                 if mult:
-                    self.den[(j, m)] = self.den.get((j, m), 0) + mult
+                    self.den[(j, m)] = mult
         self._canonicalize()
 
     @classmethod

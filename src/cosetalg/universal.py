@@ -58,13 +58,18 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .combination import Combination
-from .cosets import Grid, Margins, OffDiagonalType, _convolve, _field_bits, _slice_terms, _unpack
+from .cosets import (
+    Grid,
+    Margins,
+    OffDiagonalType,
+    _convolve,
+    _field_bits,
+    _slice_terms,
+    _star,
+    _unpack,
+)
 from .epsring import EpsPolynomial, EpsRingElement, _den_product, _falling, _sum_over_lcm
 from .errors import MarginOverflow
-
-
-def _star(entries: Grid, j: int) -> int:
-    return sum(entries[i][j] for i in range(len(entries)) if i != j)
 
 
 def _profile_weights(a: Grid, b: Grid) -> dict[Grid, dict[tuple[int, ...], int]]:
@@ -112,12 +117,11 @@ def _profile_weights(a: Grid, b: Grid) -> dict[Grid, dict[tuple[int, ...], int]]
     return dict(zip(_unpack(groups, nu, nu, shift), groups.values()))
 
 
-@lru_cache(maxsize=None)
 def _profile_poly(
     a_stars: tuple[int, ...], b_stars: tuple[int, ...], t_stars: tuple[int, ...]
-) -> EpsPolynomial:
-    """prod_j eps_j^(a*_j + b*_j - t*_j) times the numerator left by
-    prod_j ((a*_j, t*_j)) ((b*_j, t*_j)) / ((0, t*_j)) after cancellation.
+) -> dict[tuple[int, ...], int]:
+    """The terms of prod_j eps_j^(a*_j + b*_j - t*_j) times the numerator left
+    by prod_j ((a*_j, t*_j)) ((b*_j, t*_j)) / ((0, t*_j)) after cancellation.
 
     The monomial is the profile's, since its exponent vector is a* + b* - t*.
     In variable j the factor (1 - m*eps_j) appears in the numerator for m in
@@ -132,7 +136,7 @@ def _profile_poly(
         e = x + y - t
         coeffs = _falling(max(x, y), t)
         terms = {d + (e + k,): c * v for d, c in terms.items() for k, v in enumerate(coeffs)}
-    return EpsPolynomial._make(len(t_stars), terms)
+    return terms
 
 
 def _test_point(nu: int) -> list[int]:
@@ -197,7 +201,7 @@ def _numerators(
             if profile is None:
                 t_stars = tuple(x + y - e for x, y, e in zip(a_stars, b_stars, exps))
                 profile = profiles[exps] = (
-                    _profile_poly(a_stars, b_stars, t_stars).terms,
+                    _profile_poly(a_stars, b_stars, t_stars),
                     _hyperplane_terms(candidates, lows, exps, t_stars, z) if candidates else [],
                 )
             terms, ts = profile

@@ -15,6 +15,7 @@ package's own ``transport``.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from cosetalg import (
@@ -278,14 +279,22 @@ def walk_tensors(a, b):
     return results
 
 
+@lru_cache(maxsize=None)
+def _profile_polynomial(a_stars, b_stars, t_stars):
+    """The package's bracket product of one profile, monomial included, as a
+    polynomial; kept across calls, since the reference routes meet the same
+    profiles in many pairs."""
+    from cosetalg.universal import _profile_poly
+
+    return EpsPolynomial._make(len(t_stars), _profile_poly(a_stars, b_stars, t_stars))
+
+
 def reference_universal_terms(a, b):
     """Universal constants {c: EpsRingElement} of the pair (a, b) by the tensor walk.
 
     Weights are summed as one Fraction per tensor; the polynomial part uses
     the package's per-profile bracket products, which carry the monomial.
     """
-    from cosetalg.universal import _profile_poly
-
     nu = len(a)
     pref = prod(factorial(a[i][j]) * factorial(b[i][j]) for i in range(nu) for j in range(nu))
     a_stars = tuple(_star(a, j) for j in range(nu))
@@ -302,7 +311,7 @@ def reference_universal_terms(a, b):
         weights[(c, t_stars)] = weights.get((c, t_stars), Fraction(0)) + Fraction(pref, denom)
     numerators = {}
     for (c, t_stars), w in weights.items():
-        num = w * _profile_poly(a_stars, b_stars, t_stars)
+        num = w * _profile_polynomial(a_stars, b_stars, t_stars)
         numerators[c] = numerators[c] + num if c in numerators else num
     return {
         c: EpsRingElement(nu, num, dict(common_den))
@@ -318,7 +327,7 @@ def reference_universal_terms(a, b):
 
 def raw_universal_numerators(a, b):
     """(common_den, {c: numerator}) summed from the package's profile weights and polynomials."""
-    from cosetalg.universal import _profile_poly, _profile_weights
+    from cosetalg.universal import _profile_weights
 
     nu = len(a)
     a_stars = tuple(_star(a, j) for j in range(nu))
@@ -330,7 +339,7 @@ def raw_universal_numerators(a, b):
     for c, group in _profile_weights(a, b).items():
         for exps, w in group.items():
             t_stars = tuple(a_stars[j] + b_stars[j] - exps[j] for j in range(nu))
-            num = w * _profile_poly(a_stars, b_stars, t_stars)
+            num = w * _profile_polynomial(a_stars, b_stars, t_stars)
             numerators[c] = numerators[c] + num if c in numerators else num
     return common_den, numerators
 

@@ -21,7 +21,7 @@ from cosetalg import (
 )
 from cosetalg.cosets import _field_bits, _slice_terms, count_transport, transport
 
-from helpers import naive_tables, reference_slice_terms
+from helpers import balanced_types, naive_tables, reference_slice_terms
 
 
 def test_margins_validation():
@@ -89,14 +89,14 @@ def test_enumerate_matches_naive_filter(n):
 
 
 def _brute_transport(caps, cols):
-    """Every table with column sums cols and row i at most caps[i], in sorted order."""
+    """Every table with row sums caps and column sums cols, in sorted order."""
     rows, width = len(caps), len(cols)
     found = []
     for flat in itertools.product(range(max(cols, default=0) + 1), repeat=rows * width):
         table = tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(rows))
         if (
             sum(flat) == sum(cols)
-            and all(sum(row) <= cap for row, cap in zip(table, caps))
+            and all(sum(row) == cap for row, cap in zip(table, caps))
             and all(sum(col) == want for col, want in zip(zip(*table), cols))
         ):
             found.append(table)
@@ -112,8 +112,9 @@ def _tight_caps(rng, rows, cols):
 
 
 def test_transport_matches_brute_force():
-    # empty shapes, slack caps and caps that add up to the column total; tight
-    # shapes with zero rows and zero columns; shapes of four rows
+    # empty shapes, random caps and caps that add up to the column total; tight
+    # shapes with zero rows and zero columns; shapes of four rows.  Caps whose
+    # total differs from the columns' admit no table
     rng = random.Random(0)
     shapes = [((), ()), ((), (0,)), ((), (1,)), ((0,), ()), ((2, 1), ()), ((0, 0), (0, 0, 0))]
     for _ in range(150):
@@ -140,9 +141,9 @@ def test_transport_wide_table():
     # the walk goes one row at a time without recursion, so a 40 x 40 table is
     # no harder than a small one
     assert transport((0,) * 40, (0,) * 40) == (((0,) * 40,) * 40,)
-    tables = transport((1,) * 40, (0,) * 39 + (1,))
+    tables = transport((1,) * 40, (39, 1))
     assert len(tables) == 40
-    assert tables[0][-1][-1] == 1 and tables[-1][0][-1] == 1
+    assert tables[0][0] == (0, 1) and tables[-1][-1] == (0, 1)
 
 
 def test_count_transport_matches_transport():
@@ -163,6 +164,50 @@ def test_count_transport_matches_transport():
     # and the coset matrices of (5,5,5,5,5)
     assert count_transport((1,) * 31, (1,) * 31) == factorial(31)
     assert count_transport((5,) * 5, (5,) * 5) == 22069251
+
+
+def test_every_transport_call_has_equal_totals(monkeypatch):
+    # transport walks only tables whose rows meet their caps, so a caller that
+    # passed caps above the column total would silently get no tables; every
+    # caller, run cold, passes caps and columns with the same total
+    from cosetalg import algebra, cosets, universal
+
+    calls = []
+    walk = cosets.transport
+
+    def recorded(caps, cols):
+        calls.append((caps, cols))
+        return walk(caps, cols)
+
+    monkeypatch.setattr(cosets, "transport", recorded)
+    rng = random.Random(25)
+    bases = {
+        n: [m.entries for m in enumerate_coset_matrices(Margins(n))]
+        for n in [(3, 3, 3, 3), (2, 2, 3)]
+    }
+    types = [t.entries for t in balanced_types(3, 2)]
+    pair_products = [
+        (algebra._product_terms.__wrapped__, (rng.choice(basis), rng.choice(basis), Margins(n)))
+        for n, basis in bases.items()
+        for _ in range(20)
+    ]
+    universal_products = [
+        (universal._product_terms.__wrapped__, (rng.choice(types), rng.choice(types)))
+        for _ in range(40)
+    ]
+    phases = [
+        pair_products,
+        [(algebra.product_table, (Margins((2, 2, 2)),))],
+        universal_products,
+        [(enumerate_coset_matrices, (Margins((2, 2, 3)),))],
+    ]
+    for phase in phases:
+        _slice_terms.cache_clear()
+        calls.clear()
+        for f, args in phase:
+            f(*args)
+        assert calls
+        assert all(sum(caps) == sum(cols) for caps, cols in calls), calls
 
 
 def _universal_fields(nu, j):

@@ -141,7 +141,6 @@ UNBOUNDED_CACHES = {
     "poisson._bracket_basis",
     "poisson._order_one_linear",
     "universal._product_terms",
-    "universal._profile_poly",
 }
 
 

@@ -367,7 +367,6 @@ def test_numerators_build_one_polynomial_per_target(monkeypatch):
     # once, with no intermediate polynomial per profile or per addition
     a = ((0, 0, 1, 1), (1, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0))
     b = ((0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0))
-    universal._numerators(a, b)  # fills the profile-polynomial cache
     calls = []
     make = EpsPolynomial._make.__func__
 
