@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "cli", "combination", "rationals")
+_SUBMODULES = (*_EXPORTS, "cli", "combination")
 
 __all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"

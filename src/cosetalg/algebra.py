@@ -25,9 +25,8 @@ entry, to the integer weight accumulated so far.  No tensor is ever
 materialised on this route.  One ``Fraction`` is built per distinct weight,
 not per target, and the targets of equal weight share it.  The weights
 repeat because they are sums of products of multinomials of small parts,
-which take few values: the 128 pair products of a seed-1 ``finite``
-benchmark round have 20,750 targets and, counted per product, 834 distinct
-weights.  The packing layer (slice tables, keys, convolution, decoding)
+which take few values, so a product has far fewer distinct weights than
+targets.  The packing layer (slice tables, keys, convolution, decoding)
 lives in ``cosets``, where the universal product uses it too.
 
 ``_coefficients`` runs this route and returns the coefficients keyed by
@@ -61,6 +60,7 @@ from math import factorial, prod
 
 from .combination import Combination, bilinear
 from .cosets import (
+    MAX_BASIS,
     CosetMatrix,
     Grid,
     Margins,
@@ -73,7 +73,6 @@ from .cosets import (
     count_transport,
     enumerate_coset_matrices,
 )
-from .rationals import format_rational
 
 
 def _coefficients(a: Grid, b: Grid, margins: Margins) -> dict[int, Fraction]:
@@ -150,7 +149,7 @@ class AlgebraElement(Combination):
         return {
             "n": list(self.margins.n),
             "terms": [
-                {"matrix": [list(r) for r in m.entries], "coeff": format_rational(c)}
+                {"matrix": [list(r) for r in m.entries], "coeff": str(c)}
                 for m, c in self.sorted_terms()
             ],
         }
@@ -203,7 +202,7 @@ def _stabiliser(n: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def product_table(
-    margins: Margins, max_basis: int = 128
+    margins: Margins, max_basis: int = MAX_BASIS
 ) -> list[tuple[CosetMatrix, CosetMatrix, CosetMatrix, Fraction]]:
     """Every nonzero structure constant, ordered by (a, b, c) entries.
 
@@ -289,7 +288,7 @@ class AssociativityReport:
         }
 
 
-def verify_associativity(margins: Margins, max_basis: int = 128) -> AssociativityReport:
+def verify_associativity(margins: Margins, max_basis: int = MAX_BASIS) -> AssociativityReport:
     """Exhaustively compare (ab)c with a(bc) over all basis triples."""
     basis = _bounded_basis(margins, max_basis)
     violations = []

@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from .cosets import (
+    MAX_BASIS,
     CosetMatrix,
     Margins,
     OffDiagonalType,
@@ -28,7 +29,6 @@ from .cosets import (
 )
 from .errors import BruteForceLimitExceeded, CosetAlgError, MarginOverflow
 from .oracle import DEFAULT_LIMIT, HARD_CAP, resolve_limit
-from .rationals import format_rational
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
@@ -102,7 +102,7 @@ def _cmd_cosets(args) -> int:
 def _cmd_mu(args) -> int:
     margins = _parse_margins(args.n)
     m = _parse_matrix(args.matrix, margins)
-    _emit(format_rational(coset_size(m)))
+    _emit(str(coset_size(m)))
     return 0
 
 
@@ -119,7 +119,7 @@ def _cmd_product(args) -> int:
             "a": a.to_json_dict(),
             "b": b.to_json_dict(),
             "terms": [
-                {"c": c.to_json_dict(), "coeff": format_rational(v)}
+                {"c": c.to_json_dict(), "coeff": str(v)}
                 for c, v in product.sorted_terms()
             ],
         }
@@ -154,7 +154,7 @@ def _cmd_table(args) -> int:
     # at a time, so an unbuffered stdout takes one write per chunk, not two
     # per line, and no write holds the whole table.
     matrices = _Fragments(lambda m: json.dumps(m.to_json_dict()))
-    coeffs = _Fragments(lambda key: json.dumps(format_rational(Fraction(*key))))
+    coeffs = _Fragments(lambda key: json.dumps(str(Fraction(*key))))
     for start in range(0, len(rows), TABLE_CHUNK):
         sys.stdout.write("".join(
             f'{{"a": {matrices[a]}, "b": {matrices[b]}, "c": {matrices[c]}, '
@@ -189,14 +189,8 @@ def _cmd_oracle_check(args) -> int:
         pairs = [pairs[rng.randrange(len(pairs))] for _ in range(args.sample)]
     disagreements = 0
     for a, b in pairs:
-        got = {
-            c.entries: v
-            for c, v in algebra.multiply(
-                algebra.AlgebraElement.basis(a), algebra.AlgebraElement.basis(b)
-            ).terms.items()
-        }
-        want = {c.entries: v for c, v in oracle_product(a, b, limit=args.nmax).items()}
-        if got != want:
+        got = algebra.multiply(algebra.AlgebraElement.basis(a), algebra.AlgebraElement.basis(b))
+        if got.terms != oracle_product(a, b, limit=args.nmax):
             disagreements += 1
     triples = len(pairs) * len(basis)
     payload = {
@@ -250,7 +244,7 @@ def _cmd_specialize(args) -> int:
     if args.c is not None:
         c = _parse_offdiag(args.c, nu)
         value = universal.specialize_constant(a, b, c, margins)
-        _emit({"n": list(margins.n), "c": c.to_json_dict(), "value": format_rational(value)})
+        _emit({"n": list(margins.n), "c": c.to_json_dict(), "value": str(value)})
         return 0
     universal.check_fit(a, b, margins)
     product = universal.universal_product(a, b)
@@ -258,7 +252,7 @@ def _cmd_specialize(args) -> int:
     for c in sorted(product, key=lambda t: t.entries):
         value = product[c].specialize(margins)
         if value:
-            terms.append({"c": c.to_json_dict(), "value": format_rational(value)})
+            terms.append({"c": c.to_json_dict(), "value": str(value)})
     _emit({"n": list(margins.n), "a": a.to_json_dict(), "b": b.to_json_dict(), "terms": terms})
     return 0
 
@@ -283,7 +277,7 @@ def _cmd_nu2(args) -> int:
         "oracle": lambda: nu2.s_oracle(a, b, c, n1, n2, limit=args.nmax),
     }
     if args.method != "all":
-        _emit(format_rational(methods[args.method]()))
+        _emit(str(methods[args.method]()))
         return 0
     values = {}
     for name, fn in methods.items():
@@ -293,7 +287,7 @@ def _cmd_nu2(args) -> int:
     agree = len(set(values.values())) == 1
     _emit(
         {
-            "values": {k: format_rational(v) for k, v in values.items()},
+            "values": {k: str(v) for k, v in values.items()},
             "agree": agree,
         }
     )
@@ -318,56 +312,33 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized spot-check drivers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cosets", help="enumerate coset matrices")
-    p.add_argument("--n", required=True)
-    p.set_defaults(fn=_cmd_cosets)
+    # the flags that several subcommands share, each declared once in a parent parser
+    n, ab, c, nu, max_basis = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    n.add_argument("--n", required=True)
+    ab.add_argument("--a", required=True)
+    ab.add_argument("--b", required=True)
+    c.add_argument("--c", default=None)
+    nu.add_argument("--nu", type=int, required=True)
+    max_basis.add_argument("--max-basis", type=int, default=MAX_BASIS)
 
-    p = sub.add_parser("mu", help="size of the coset labelled by a matrix")
-    p.add_argument("--n", required=True)
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(fn=_cmd_mu)
+    def command(name, summary, fn, *parents, **defaults):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(fn=fn, **defaults)
+        return p
 
-    p = sub.add_parser("product", help="product of two basis elements")
-    p.add_argument("--n", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(fn=_cmd_product)
+    command("cosets", "enumerate coset matrices", _cmd_cosets, n)
+    command("mu", "size of the coset labelled by a matrix", _cmd_mu, n).add_argument(
+        "--matrix", required=True)
+    command("product", "product of two basis elements", _cmd_product, n, ab)
+    command("table", "full structure-constant table (JSON lines)", _cmd_table, n, max_basis)
+    command("verify-assoc", "exhaustive associativity check", _cmd_verify_assoc, n, max_basis)
+    command("oracle-check", "products vs brute-force oracle", _cmd_oracle_check, n).add_argument(
+        "--sample", type=int, default=None, help="check this many random pairs instead of all")
+    command("universal", "margin-free structure constants", _cmd_universal, nu, ab, c)
+    command("specialize", "universal constants at eps_j = 1/n_j", _cmd_specialize, n, ab, c)
+    command("braid-check", "verify the infinitesimal braid relations", _cmd_braid_check, n)
 
-    p = sub.add_parser("table", help="full structure-constant table (JSON lines)")
-    p.add_argument("--n", required=True)
-    p.add_argument("--max-basis", type=int, default=128)
-    p.set_defaults(fn=_cmd_table)
-
-    p = sub.add_parser("verify-assoc", help="exhaustive associativity check")
-    p.add_argument("--n", required=True)
-    p.add_argument("--max-basis", type=int, default=128)
-    p.set_defaults(fn=_cmd_verify_assoc)
-
-    p = sub.add_parser("oracle-check", help="products vs brute-force oracle")
-    p.add_argument("--n", required=True)
-    p.add_argument("--sample", type=int, default=None,
-                   help="check this many random pairs instead of all")
-    p.set_defaults(fn=_cmd_oracle_check)
-
-    p = sub.add_parser("universal", help="margin-free structure constants")
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", default=None)
-    p.set_defaults(fn=_cmd_universal)
-
-    p = sub.add_parser("specialize", help="universal constants at eps_j = 1/n_j")
-    p.add_argument("--n", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", default=None)
-    p.set_defaults(fn=_cmd_specialize)
-
-    p = sub.add_parser("braid-check", help="verify the infinitesimal braid relations")
-    p.add_argument("--n", required=True)
-    p.set_defaults(fn=_cmd_braid_check)
-
-    p = sub.add_parser("nu2", help="two-block structure constants")
+    p = command("nu2", "two-block structure constants", _cmd_nu2)
     p.add_argument("what", choices=["s"])
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
@@ -376,20 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--method", choices=["sum", "closed", "eq3", "oracle", "all"],
                    default="all")
-    p.set_defaults(fn=_cmd_nu2)
 
-    p = sub.add_parser("poisson", help="Poisson bracket of two basis types")
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(fn=_cmd_graded, op="poisson_bracket")
-
-    p = sub.add_parser("graded", help="graded (order-zero) product of two basis types")
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(fn=_cmd_graded, op="graded_multiply")
-
+    command("poisson", "Poisson bracket of two basis types", _cmd_graded, nu, ab,
+            op="poisson_bracket")
+    command("graded", "graded (order-zero) product of two basis types", _cmd_graded, nu, ab,
+            op="graded_multiply")
     return parser
 
 

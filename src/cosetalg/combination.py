@@ -15,8 +15,8 @@ once and store their hashes, and a product of two single terms copies the
 cached dict, so the element it returns shares the keys but not the dict.
 
 Coefficient rule: the validating constructor stores a rational coefficient
-through ``rationals._exact``, so it is an ``int`` where integral and a
-``Fraction`` otherwise, never a ``float``, and it drops zero coefficients.
+through ``_exact``, so it is an ``int`` where integral and a ``Fraction``
+otherwise, never a ``float``, and it drops zero coefficients.
 Arithmetic keeps whatever the coefficient ring returns: ints stay ints, and a
 sum of ``Fraction`` coefficients that happens to be integral stays a
 ``Fraction`` (it compares and hashes equal to the int).
@@ -24,7 +24,15 @@ sum of ``Fraction`` coefficients that happens to be integral stays a
 
 from __future__ import annotations
 
-from .rationals import _exact
+from fractions import Fraction
+
+
+def _exact(x) -> int | Fraction:
+    """Any rational as an ``int`` when integral, else as a ``Fraction``; an ``int`` as it is."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Combination:

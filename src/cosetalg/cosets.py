@@ -41,6 +41,8 @@ from .errors import InvariantViolation, MarginOverflow
 
 Grid = tuple[tuple[int, ...], ...]
 
+MAX_BASIS = 128  # default bound on the basis size of a product table or associativity check
+
 
 def _star(entries: Grid, j: int) -> int:
     """The off-diagonal column sum at j of a square grid."""

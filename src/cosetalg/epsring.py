@@ -41,7 +41,6 @@ from operator import add
 from .combination import Combination
 from .cosets import Margins
 from .errors import PoleAtSpecialization
-from .rationals import format_rational
 
 Degree = tuple[int, ...]
 Rational = int | Fraction
@@ -363,7 +362,7 @@ class EpsRingElement:
     def to_json_dict(self):
         return {
             "num": [
-                {"deg": list(deg), "coeff": format_rational(coeff)}
+                {"deg": list(deg), "coeff": str(coeff)}
                 for deg, coeff in self.num.sorted_terms()
             ],
             "den": [

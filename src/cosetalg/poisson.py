@@ -37,7 +37,6 @@ from functools import lru_cache
 
 from .combination import Combination, bilinear
 from .cosets import Grid, OffDiagonalType, _field_bits, _unpack
-from .rationals import format_rational
 
 
 class GradedElement(Combination):
@@ -57,7 +56,7 @@ class GradedElement(Combination):
         return {
             "nu": self.nu,
             "terms": [
-                {"type": tp.to_json_dict(), "coeff": format_rational(coeff)}
+                {"type": tp.to_json_dict(), "coeff": str(coeff)}
                 for tp, coeff in self.sorted_terms()
             ],
         }

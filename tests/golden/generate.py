@@ -14,8 +14,10 @@ output is intended, and say which cases changed and why.
 import contextlib
 import io
 import json
+import os
 import pathlib
 import sys
+from unittest import mock
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -94,15 +96,26 @@ CASES = [
     ("error-nmax0", ["--nmax", "0", "nu2", "s", "--a", "0", "--b", "0", "--c", "0", "--n1", "1",
                      "--n2", "1"]),
     ("error-max-basis-neg", ["verify-assoc", "--n", "1,1,2", "--max-basis", "-5"]),
+    # help text on stdout, exit 0
+    ("help", ["--help"]),
+    *((f"help-{command}", [command, "--help"]) for command in (
+        "cosets", "mu", "product", "table", "verify-assoc", "oracle-check", "universal",
+        "specialize", "braid-check", "nu2", "poisson", "graded",
+    )),
 ]
 
 
 def run_case(argv):
-    """Run one CLI call in-process; return (exit code, stdout text)."""
+    """Run one CLI call in-process; return (exit code, stdout text).
+
+    argparse wraps help to the terminal width, which it reads from ``COLUMNS``
+    first, so the call runs with ``COLUMNS`` pinned to 80.
+    """
     from cosetalg.cli import main
 
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv))
     return code, out.getvalue()
 

@@ -13,11 +13,11 @@ from cosetalg import (
     Margins,
     OffDiagonalType,
     UniversalElement,
+    combination,
     enumerate_coset_matrices,
     graded_multiply,
     multiply,
     poisson_bracket,
-    rationals,
     universal_product,
 )
 
@@ -99,7 +99,7 @@ def test_missing_coefficient_is_the_ring_zero(monkeypatch):
     # that zero nor a basis element's int 1 passes through a Fraction; over
     # the eps-ring it reads as the zero ring element
     built = []
-    monkeypatch.setattr(rationals, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    monkeypatch.setattr(combination, "Fraction", lambda *args: built.append(args) or Fraction(*args))
     for cls in (AlgebraElement, EpsPolynomial):
         space, (k1, k2), _ = KEYS[cls]
         got = cls.basis(k1).coefficient(k2)

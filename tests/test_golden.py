@@ -3,7 +3,8 @@
 The corpus lives in ``tests/golden`` and is written by ``golden/generate.py``.
 Every case replays in process; one case per subcommand and one error case
 also replay as ``python -m cosetalg.cli`` in a fresh interpreter, where only
-the modules the call itself imports are loaded.
+the modules the call itself imports are loaded; and the whole corpus replays
+once more in a fresh ``python -O`` interpreter, where asserts are stripped.
 """
 
 import json
@@ -34,14 +35,17 @@ def _fresh_cases():
     commands = _subcommands()
     first = {}
     for case in CASES:
-        if case["exit"] == 0:
-            first.setdefault(next(arg for arg in case["argv"] if arg in commands), case)
+        command = next((arg for arg in case["argv"] if arg in commands), None)
+        if case["exit"] == 0 and command is not None:
+            first.setdefault(command, case)
     return [*first.values(), *(c for c in CASES if c["name"] == "error-margin-overflow")]
 
 
 def test_corpus_covers_every_subcommand():
     used = {arg for case in CASES for arg in case["argv"]}
     assert set(_subcommands()) <= used
+    helped = {case["argv"][0] for case in CASES if case["argv"][1:] == ["--help"]}
+    assert helped == set(_subcommands())
     assert len(_fresh_cases()) == len(_subcommands()) + 1
 
 
@@ -61,6 +65,29 @@ def test_golden_case_fresh_process(case):
     )
     assert proc.returncode == case["exit"]
     assert proc.stdout == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+def test_golden_corpus_replays_under_optimize():
+    script = (
+        "import json, sys\n"
+        "from golden.generate import run_case\n"
+        "results = [run_case(argv) for argv in json.load(sys.stdin)]\n"
+        "print(json.dumps({'optimize': sys.flags.optimize, 'results': results}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        input=json.dumps([case["argv"] for case in CASES]), cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (ROOT / "src", GOLDEN.parent)))},
+        capture_output=True, text=True, check=True,
+    )
+    replay = json.loads(proc.stdout)
+    assert replay["optimize"] == 1
+    mismatched = [
+        case["name"]
+        for case, (code, out) in zip(CASES, replay["results"], strict=True)
+        if code != case["exit"] or out.encode() != (GOLDEN / f"{case['name']}.out").read_bytes()
+    ]
+    assert mismatched == []
 
 
 def test_generate_writes_nothing_when_a_case_fails(monkeypatch, tmp_path):
