@@ -31,10 +31,13 @@ lives in ``cosets``, where the universal product uses it too.
 
 ``_coefficients`` runs this route and returns the coefficients keyed by
 packed target.  ``_product_terms`` wraps it with the product cache, which
-holds the public key objects: each target is decoded and built once as a
-``CosetMatrix``, whose hash is stored, and every later product of the pair
-hands out those same keys, so a warm product neither builds nor rehashes a
-key.
+holds the public key objects.  The targets of products at the same margins
+repeat from one product to the next, so the keys are interned per margins
+(``cosets._interned``): a target is decoded and built as a ``CosetMatrix``,
+whose hash is stored, the first time any product produces it, and while the
+margins' table stays cached every product that produces it again hands out
+that same object.  A warm product neither builds nor rehashes a key, and
+merging products compares none.
 
 Two symmetries leave the coefficients unchanged: renaming blocks of equal
 size (a permutation p of the block indices with n[p[i]] == n[i]), and the
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product, repeat
+from itertools import permutations, product
 from math import factorial, prod
 
 from .combination import Combination, bilinear
@@ -67,9 +70,9 @@ from .cosets import (
     _column,
     _convolve,
     _field_bits,
+    _interned,
     _pack,
     _slice_terms,
-    _unpack,
     count_transport,
     enumerate_coset_matrices,
 )
@@ -97,13 +100,15 @@ def _coefficients(a: Grid, b: Grid, margins: Margins) -> dict[int, Fraction]:
 def _product_terms(a: Grid, b: Grid, margins: Margins) -> dict[CosetMatrix, Fraction]:
     """{c: structure constant} for every target c of the basis pair with entries a, b.
 
-    Each key is built once, here, and the cache holds it: every later call
-    hands out the same ``CosetMatrix`` objects, whose hashes are stored.
+    The keys are the margins' interned coset matrices (``cosets._interned``):
+    while the margins' table stays cached, equal targets of any two products
+    are one object, decoded once, whose hash is stored, and this cache holds
+    it for every later call.
     """
     terms = _coefficients(a, b, margins)
-    nu = margins.nu
-    grids = _unpack(terms, nu, nu, _field_bits(max(margins.n)))
-    return dict(zip(map(CosetMatrix._make, grids, repeat(margins)), terms.values()))
+    keys = _interned(terms, margins, margins.nu, _field_bits(max(margins.n)),
+                     lambda grid: CosetMatrix._make(grid, margins))
+    return dict(zip(keys, terms.values()))
 
 
 def _require_same_margins(*ms: CosetMatrix) -> Margins:

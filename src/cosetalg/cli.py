@@ -25,6 +25,7 @@ from .cosets import (
     Margins,
     OffDiagonalType,
     coset_size,
+    count_transport,
     enumerate_coset_matrices,
 )
 from .errors import BruteForceLimitExceeded, CosetAlgError, MarginOverflow
@@ -32,6 +33,7 @@ from .oracle import DEFAULT_LIMIT, HARD_CAP, resolve_limit
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
+MAX_LISTED = MAX_BASIS**2  # matrices ``cosets`` lists: the lines a default ``table`` may print
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,6 +90,9 @@ def _emit(payload) -> None:
 
 def _cmd_cosets(args) -> int:
     margins = _parse_margins(args.n)
+    count = count_transport(margins.n, margins.n)  # counted, so a refusal builds none
+    if count > MAX_LISTED:
+        raise ValueError(f"{count} coset matrices exceed the listing bound {MAX_LISTED}")
     matrices = enumerate_coset_matrices(margins)
     _emit(
         {

@@ -18,10 +18,14 @@ a product have, and unequal totals admit no table.
 zero cap or a zero column sum forces zeros there, and reads each table into a
 packed integer key and an integer weight over the kept cells.  ``_convolve``
 sums over the slices and ``_unpack`` reads the keys back as grids, one row
-field at a time: the targets of one product share most of their rows, so each
-distinct row is decoded once per call and its tuple is shared by every grid
-that holds it.  ``_pack`` is its inverse for one grid, and ``count_transport``
-counts the tables ``transport`` would walk without building them.
+field at a time, decoding each distinct row once through a {row bits: row
+tuple} dict.  ``_interned`` maps the packed targets of a product to key
+objects: each layout (margins or nu, field width) has one table of key
+objects and one row dict, so a target that another product has already
+produced is not decoded again, and while the layout's table is cached equal
+targets of any two products are one object.  ``_pack`` is the inverse of ``_unpack`` for one grid, and
+``count_transport`` counts the tables ``transport`` would walk without
+building them.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -370,18 +374,20 @@ def _pack(grid: Grid, shift: int) -> int:
     return key
 
 
-def _unpack(keys, rows: int, width: int, shift: int) -> list[Grid]:
+def _unpack(keys, rows: int, width: int, shift: int, decoded=None) -> list[Grid]:
     """Read each packed key back as ``rows`` rows of ``width`` fields of ``shift`` bits.
 
     A key is read a row at a time from its low end: ``key & mask`` is a row's
-    fields, then ``key >>= width * shift`` moves to the next row.  The keys
-    of one call share many rows, so each distinct row is decoded once, through
-    a dict local to the call, and the grids share its tuple.
+    fields, then ``key >>= width * shift`` moves to the next row.  Keys share
+    many rows, so each distinct row is decoded once, through ``decoded``
+    ({row bits: row tuple}, a fresh dict unless one is passed), and the grids
+    share its tuple; calls that pass the same dict share tuples across calls.
     """
     size = shift // 8
     step = width * shift
     mask = (1 << step) - 1
-    decoded: dict[int, tuple[int, ...]] = {}
+    if decoded is None:
+        decoded = {}
     out = []
     for key in keys:
         grid = []
@@ -400,6 +406,48 @@ def _unpack(keys, rows: int, width: int, shift: int) -> list[Grid]:
             key >>= step
         out.append(tuple(grid))
     return out
+
+
+@lru_cache(maxsize=64)
+def _intern_tables(layout, shift: int) -> tuple[dict, dict[int, tuple[int, ...]]]:
+    """({packed key: key object}, {row bits: row tuple}) of one key layout.
+
+    A layout is the margins of coset matrices or the nu of off-diagonal
+    types, with a field width; ``_interned`` fills its two dicts.  They live
+    only in this cache, so its ``cache_clear``, which a fresh-process reset
+    calls with every other module-level cache, empties them.
+
+    The cache keeps 64 layouts.  A round of each benchmark workload asks for
+    at most three (a ``cli`` call for at most one), and the ``universal``
+    check, which multiplies at one margins per pair, for at most 41 over 84
+    products on seeds 1-5.  An evicted layout costs a second decode of its
+    targets, and later products then hand out new key objects, equal to the
+    ones earlier products hold but not the same.
+
+    A table holds each distinct target its layout's products or brackets
+    produced while it was cached: at margins n, at most the coset matrices of
+    n.  The product and bracket caches mostly hold the same objects, but a
+    product computed past its cache (``__wrapped__``) or dropped by a
+    ``cache_clear`` of that cache leaves its targets here alone.  Bounding
+    those caches must also clear these tables.
+    """
+    return {}, {}
+
+
+def _interned(keys, layout, nu: int, shift: int, make):
+    """An iterator over the one key object of each packed key of the layout (layout, shift).
+
+    A key is an nu x nu grid of ``shift``-bit fields, as ``_pack`` lays it
+    out, and ``make`` builds the key object of a grid.  Only the keys the
+    layout's table has not seen are decoded, through ``_unpack`` with the
+    layout's row dict, so while the layout stays cached every product that
+    produces a target hands out the same object, decoded and hashed once.
+    """
+    table, rows = _intern_tables(layout, shift)
+    new = [key for key in keys if key not in table]
+    if new:
+        table.update(zip(new, map(make, _unpack(new, nu, nu, shift, rows))))
+    return map(table.__getitem__, keys)
 
 
 @lru_cache(maxsize=None)

@@ -27,8 +27,11 @@ still computes both pieces, as the reference route that tests tie to the full
 ring expansion and to the bracket.
 
 The bracket cache is keyed by the two basis types, whose hashes are stored,
-and holds the public key objects: each target type is built once and every
-later bracket of the pair hands out that same key.
+and holds the public key objects.  The target types are interned per nu and
+field width (``cosets._interned``): a target is built once, the first time
+any bracket produces it, and while that layout's table stays cached every
+bracket that produces it again hands out that same object, so merging
+brackets compares no keys.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .combination import Combination, bilinear
-from .cosets import Grid, OffDiagonalType, _field_bits, _unpack
+from .cosets import Grid, OffDiagonalType, _field_bits, _interned
 
 
 class GradedElement(Combination):
@@ -75,10 +78,11 @@ def _bracket_basis(x: OffDiagonalType, y: OffDiagonalType) -> dict[OffDiagonalTy
     integer with a byte-aligned field per cell, row by row as ``_unpack``
     reads it, so a target a + b - E_ij - E_jl + E_il is the key of a + b less
     two cell units plus one; the diagonal units are 0, which drops E_ii.
-    Every field of a target is at most an entry of a + b plus one.  Each
-    distinct nonzero target is decoded once.  The cache is keyed by the two
-    types, whose hashes are stored, and it holds the target types that every
-    later call hands out.
+    Every field of a target is at most an entry of a + b plus one.  The
+    nonzero targets are the interned types of the layout (nu, field width),
+    so a target that an earlier bracket produced is not decoded again.  The
+    cache is keyed by the two types, whose hashes are stored, and it holds the
+    target types that every later call hands out.
     """
     a, b = x.entries, y.entries
     nu = len(a)
@@ -100,10 +104,8 @@ def _bracket_basis(x: OffDiagonalType, y: OffDiagonalType) -> dict[OffDiagonalTy
                     key = head - out + row[l]
                     acc[key] = get(key, 0) + v * w
     keys = [key for key, v in acc.items() if v]
-    return {
-        OffDiagonalType._make(grid): acc[key]
-        for grid, key in zip(_unpack(keys, nu, nu, shift), keys)
-    }
+    targets = _interned(keys, nu, nu, shift, OffDiagonalType._make)
+    return dict(zip(targets, map(acc.__getitem__, keys)))
 
 
 def _shift_target(base: Grid, alpha: int, j: int, gamma: int) -> OffDiagonalType:

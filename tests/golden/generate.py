@@ -81,6 +81,8 @@ CASES = [
     ("error-max-basis", ["table", "--n", "2,2,2", "--max-basis", "5"]),
     # 22,069,251 coset matrices: refused from their count, none enumerated
     ("error-max-basis-count", ["table", "--n", "5,5,5,5,5"]),
+    # 153,040 coset matrices, above the 16,384 that cosets lists: refused from their count
+    ("error-cosets-count", ["cosets", "--n", "3,3,3,3,3"]),
     ("error-nu2-domain", ["nu2", "s", "--a", "3", "--b", "1", "--c", "1", "--n1", "2",
                           "--n2", "4"]),
     ("error-missing-arg", ["mu", "--n", "2,2"]),

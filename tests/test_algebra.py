@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import factorial, prod
 
@@ -226,7 +227,8 @@ def test_element_arithmetic():
 
 
 def _check_against_tensor_walk(pairs, n):
-    # bypass the cache: the exhaustive runs would otherwise keep every product
+    # bypass the product cache, which would keep every product of the
+    # exhaustive runs; the margins' intern table still keeps each distinct target
     product_terms = algebra._product_terms.__wrapped__
     margins = Margins(n)
     for a, b in pairs:
@@ -370,6 +372,12 @@ def test_unpack_multibyte_fields():
         got = cosets._unpack([cosets._pack(g, shift) for g in grids], 3, 3, shift)
         assert got == grids
         assert len({id(row) for g in got for row in g}) == len({row for g in grids for row in g}) == 4
+        # two calls that share a row dict share the tuple of an equal row
+        rows = {}
+        first = cosets._unpack([cosets._pack(grids[0], shift)], 3, 3, shift, rows)
+        second = cosets._unpack([cosets._pack(grids[1], shift)], 3, 3, shift, rows)
+        assert first[0][0] is second[0][2] and first[0][1] is second[0][1]
+        assert len(rows) == 3
 
 
 def test_product_terms_share_values_and_rows():
@@ -389,6 +397,83 @@ def test_product_terms_share_values_and_rows():
     assert len({id(v) for v in values}) == len(set(values)) < len(values)
     assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
     assert all(type(v) is Fraction for v in values)
+
+
+def _clear_product_caches():
+    # the identity holds while a layout stays in the intern cache; start with
+    # no cached product whose keys an earlier table built
+    algebra._product_terms.cache_clear()
+    cosets._intern_tables.cache_clear()
+
+
+def test_equal_targets_of_products_are_one_object():
+    # at the same margins, even through two equal Margins objects, equal
+    # targets of different products are one interned key object
+    _clear_product_caches()
+    basis = enumerate_coset_matrices(Margins((3, 3, 3)))
+    rng = random.Random(4)
+    pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(30)]
+    margins = [Margins((3, 3, 3)), Margins((3, 3, 3))]
+    seen = {}
+    shared = 0
+    for k, (a, b) in enumerate(pairs):
+        for c in algebra._product_terms(a.entries, b.entries, margins[k % 2]):
+            if c in seen:
+                assert c is seen[c]
+                shared += 1
+            seen.setdefault(c, c)
+    assert shared > 100
+    # products at different margins share no object, and each target carries
+    # its product's margins
+    ids = {}
+    for n in ((1, 2), (2, 1), (1, 2, 3), (3, 2, 1)):
+        margins = Margins(n)
+        for a in enumerate_coset_matrices(margins):
+            for b in enumerate_coset_matrices(margins):
+                for c in algebra._product_terms(a.entries, b.entries, margins):
+                    assert c.margins == margins
+                    assert ids.setdefault(id(c), n) == n
+
+
+def test_warm_product_of_products_compares_no_keys(monkeypatch):
+    # merging the targets of several cached products finds equal keys by
+    # identity, so CosetMatrix.__eq__ is never called
+    _clear_product_caches()
+    basis = basis_elements(Margins((2, 2, 2)))
+    a, b, c = basis[3], basis[10], basis[17]
+    ab = multiply(a, b)
+    cold = multiply(ab, c)
+    (right,) = c.terms
+    merged = sum(len(algebra._basis_product(m, right)) for m in ab.terms)
+    assert len(ab.terms) > 1 and merged > len(cold.terms)  # equal targets do meet
+    calls = []
+    eq = CosetMatrix.__eq__
+
+    def counting(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(CosetMatrix, "__eq__", counting)
+    assert multiply(multiply(a, b), c) == cold
+    assert calls == []
+
+
+def test_cache_reset_empties_the_intern_tables():
+    # what a fresh-process reset does: every module-level cache_clear of the
+    # loaded package modules
+    margins = Margins((2, 2, 2))
+    a, b = enumerate_coset_matrices(margins)[3:5]
+    before = list(algebra._product_terms(a.entries, b.entries, margins))
+    assert cosets._intern_tables.cache_info().currsize > 0
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cosetalg":
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    assert cosets._intern_tables.cache_info().currsize == 0
+    after = list(algebra._product_terms(a.entries, b.entries, margins))
+    assert after == before
+    assert not any(x is y for x, y in zip(after, before))
 
 
 def test_structure_constant_builds_zero_only_on_a_miss(monkeypatch):

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import cosetalg
-from cosetalg import Margins, algebra, oracle
+from cosetalg import Margins, algebra, cli, oracle
 from cosetalg.cli import TABLE_CHUNK, main
 
 
@@ -30,6 +30,24 @@ def test_cosets(capsys):
     assert code == 0
     assert payload["count"] == 3
     assert payload["matrices"][0] == {"n": [2, 2], "entries": [[0, 2], [2, 0]]}
+
+
+def test_cosets_refuses_from_the_count(capsys, monkeypatch):
+    # (4,4,4,4) has 10,147 coset matrices and is listed; (3,3,3,3,3) has
+    # 153,040, above the 16,384 lines of a default table, and is refused
+    # from its count before any matrix is built
+    code, out = run(capsys, "cosets", "--n", "4,4,4,4")
+    assert code == 0 and json.loads(out)["count"] == 10147
+
+    def enumerate_coset_matrices(margins):
+        raise AssertionError("the matrices were enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_coset_matrices", enumerate_coset_matrices)
+    code, out = run(capsys, "cosets", "--n", "3,3,3,3,3")
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "usage", "detail": "153040 coset matrices exceed the listing bound 16384"
+    }
 
 
 def test_product(capsys):

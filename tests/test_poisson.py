@@ -7,6 +7,7 @@ import pytest
 from cosetalg import (
     GradedElement,
     OffDiagonalType,
+    cosets,
     graded_multiply,
     poisson,
     poisson_bracket,
@@ -258,6 +259,23 @@ def test_brackets_leave_order_one_cache_empty():
         poisson_bracket(GradedElement.basis(a), GradedElement.basis(b))
     assert poisson._bracket_basis.cache_info().currsize > 0
     assert poisson._order_one_linear.cache_info().currsize == 0
+
+
+def test_equal_targets_of_brackets_are_one_object():
+    # equal targets of different brackets are one interned type object, while
+    # the layout stays in the intern cache: start with both caches empty
+    poisson._bracket_basis.cache_clear()
+    cosets._intern_tables.cache_clear()
+    pool = balanced_types(3, 1)
+    seen = {}
+    shared = 0
+    for a, b in itertools.product(pool, repeat=2):
+        for t in poisson._bracket_basis(a, b):
+            if t in seen:
+                assert t is seen[t]
+                shared += 1
+            seen.setdefault(t, t)
+    assert shared > 100
 
 
 def trace_power(nu, p):
