@@ -417,12 +417,10 @@ def _intern_tables(layout, shift: int) -> tuple[dict, dict[int, tuple[int, ...]]
     only in this cache, so its ``cache_clear``, which a fresh-process reset
     calls with every other module-level cache, empties them.
 
-    The cache keeps 64 layouts.  A round of each benchmark workload asks for
-    at most three (a ``cli`` call for at most one), and the ``universal``
-    check, which multiplies at one margins per pair, for at most 41 over 84
-    products on seeds 1-5.  An evicted layout costs a second decode of its
-    targets, and later products then hand out new key objects, equal to the
-    ones earlier products hold but not the same.
+    The cache keeps 64 layouts, more than any benchmark round asks for.  An
+    evicted layout costs a second decode of its targets, and later products
+    then hand out new key objects, equal to the ones earlier products hold
+    but not the same.
 
     A table holds each distinct target its layout's products or brackets
     produced while it was cached: at margins n, at most the coset matrices of

@@ -25,7 +25,8 @@ coefficients of eps_j^k, and the quotient satisfies q_k = p_k + m*q_(k-1).
 Run over the whole chain the recurrence is exact division (it divides iff the
 last q vanishes).  The chains serve only ``divide_out``: ``expand`` runs the
 same recurrence once per variable on the series of prod_m 1/(1 - m*eps_j) and
-multiplies it in, and ``specialize`` evaluates the numerator term by term.
+multiplies it in, and ``specialize`` reads each term's weight
+prod n_j^(E_j - e_j) from a table cached per margins n and top degrees E.
 
 Canonical form: no factor present in the denominator divides the numerator.
 Because every factor is linear with constant term 1, the canonical
@@ -36,7 +37,9 @@ cancellation is one synthetic division per factor.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
+from math import prod
+from operator import add, mul, sub
 
 from .combination import Combination
 from .cosets import Margins
@@ -83,29 +86,6 @@ class EpsPolynomial(Combination):
                 acc = out.get(d)
                 out[d] = c1 * c2 if acc is None else acc + c1 * c2
         return EpsPolynomial._make(self.space, {d: c for d, c in out.items() if c})
-
-    def _evaluate_over(self, point: list[tuple[int, int]]) -> tuple[Rational, int]:
-        """(s, d) with the value at x_j = p_j / q_j equal to s / d; point holds (p_j, q_j).
-
-        With E_j the top degree in variable j, each term c * prod x_j^e_j is
-        c * prod p_j^e_j q_j^(E_j - e_j) over the common denominator
-        d = prod q_j^E_j, so s is an integer sum when every c is an integer.
-        A power is taken only where it is not 1: q_j where e_j < E_j, p_j
-        where p_j != 1 and e_j > 0.
-        """
-        tops = list(map(max, zip(*self.terms))) or [0] * self.space
-        total = 0
-        for deg, coeff in self.terms.items():
-            for e, top, (p, q) in zip(deg, tops, point):
-                if e != top:
-                    coeff *= q ** (top - e)
-                if e and p != 1:
-                    coeff *= p**e
-            total += coeff
-        den = 1
-        for top, (_, q) in zip(tops, point):
-            den *= q**top
-        return total, den
 
     def divide_out(self, j: int, factors: dict[int, int]) -> tuple["EpsPolynomial", dict[int, int]]:
         """Divide by each (1 - m*eps_j)^mult of ``factors`` as far as it divides exactly.
@@ -307,16 +287,25 @@ class EpsRingElement:
     def specialize(self, margins: Margins) -> Fraction:
         """Evaluate at eps_j = 1/n_j; fails exactly on surviving factors with m = n_j.
 
-        Each factor 1/(1 - m/n_j) is n_j/(n_j - m), so the denominator folds
-        into one integer ratio and the value is built as a single Fraction.
+        With E_j the top degree in eps_j, a term c * prod eps_j^e_j is
+        c * prod n_j^(E_j - e_j) over prod n_j^E_j (``_weight_table``).  Each
+        factor 1/(1 - m/n_j) is n_j/(n_j - m), so the denominator folds into
+        one integer ratio and the value is built as a single Fraction.
         """
         if margins.nu != self.nu:
             raise ValueError("margins dimension mismatch")
         n = margins.n
-        for (j, m) in sorted(self.den):
+        for j, m in self.den:
             if m == n[j]:
+                j, m = min(f for f in self.den if f[1] == n[f[0]])
                 raise PoleAtSpecialization(j + 1, m)
-        total, den = self.num._evaluate_over([(1, x) for x in n])
+        terms = self.num.terms
+        tops = tuple(map(max, zip(*terms))) or (0,) * self.nu
+        den, weights = _weight_table(n, tops)
+        new = [d for d in terms if d not in weights]
+        if new:
+            weights.update((d, prod(map(pow, n, map(sub, tops, d)))) for d in new)
+        total = sum(map(mul, terms.values(), map(weights.__getitem__, terms)))
         for (j, m), mult in self.den.items():
             total *= n[j] ** mult
             den *= (n[j] - m) ** mult
@@ -379,6 +368,17 @@ class EpsRingElement:
             for (j, m), mult in self.sorted_den()
         ]
         return f"({self.num!r}) / ({'*'.join(bits)})"
+
+
+@lru_cache(maxsize=256)
+def _weight_table(n: tuple[int, ...], tops: Degree) -> tuple[int, dict[Degree, int]]:
+    """(prod n_j^E_j, {e: prod n_j^(E_j - e_j)}) at margins n and top degrees E = tops.
+
+    ``specialize`` adds the degrees it meets, so a table holds only monomials
+    seen under its key, never the whole box below E.  The bound is above the
+    keys a cold ``universal`` benchmark round meets, so a round never evicts.
+    """
+    return prod(map(pow, n, tops)), {}
 
 
 def _times_factors(poly: EpsPolynomial, factors: Den) -> EpsPolynomial:

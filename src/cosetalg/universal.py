@@ -44,7 +44,9 @@ min(a*_j, b*_j), so t*_j >= lo_j = max(a*_j, b*_j) and every profile has
 eps_j-degree exactly d_j = min(a*_j, b*_j).  Hence m^d_j N_c(eps_j = 1/m) is
 the sum over c's profiles of w * prod_(i != j) h_i * g_j(m), with h_i the
 profile's bracket and monomial in variable i at z_i and g_j(m) =
-prod_(q in [lo_j, t*_j)) (m - q) (``_hyperplane_terms``).
+prod_(q in [lo_j, t*_j)) (m - q) (``_hyperplane_terms``).  A target of one
+profile skips the test: its numerator is w times the profile's monomial and
+factors (1 - q*eps_j), q >= lo_j >= d_j > m, so no candidate divides it.
 
 The product cache holds the public key objects: each target is built once
 as an ``OffDiagonalType``, whose hash is stored, and ``universal_product``
@@ -102,12 +104,13 @@ def _profile_weights(a: Grid, b: Grid) -> dict[Grid, dict[tuple[int, ...], int]]
     den = prod(map(factorial, b_stars))
     top = nu * nu * shift
     mask = (1 << top) - 1
+    field = (1 << shift) - 1
     corners: dict[int, tuple[tuple[int, ...], int]] = {}  # corner key -> (exps, prod exps!)
     groups: dict[int, dict[tuple[int, ...], int]] = {}
     for key, w in _convolve(slices).items():
         corner = corners.get(key >> top)
         if corner is None:
-            ((exps,),) = _unpack((key >> top,), 1, nu, shift)
+            exps = tuple(key >> top + j * shift & field for j in range(nu))
             corner = corners[key >> top] = (exps, prod(map(factorial, exps)))
         exps, scale = corner
         group = groups.get(key & mask)
@@ -175,38 +178,44 @@ def _numerators(
     a: Grid, b: Grid
 ) -> tuple[list[tuple[int, int]], dict[Grid, EpsPolynomial], dict[Grid, list[int]]]:
     """The candidate factors, the numerator N_c of every target c over them, and
-    the hyperplane values of N_c.
+    the hyperplane values of N_c where c sums two or more profiles.
 
     The candidates are the pair-wide common denominator, (j, m) for m in
     [1, min(a*_j, b*_j)), in that order; values[c][k] is the integer
     m^d_j * N_c(eps_j = 1/m, eps_i = z_i for i != j) of candidates[k] = (j, m),
-    summed over c's profiles as w * prod_(i != j) h_i * g_j(m).
+    summed over c's profiles as w * prod_(i != j) h_i * g_j(m); a target of
+    one profile has none, since no candidate divides its numerator.
     """
     nu = len(a)
     a_stars = tuple(_star(a, j) for j in range(nu))
     b_stars = tuple(_star(b, j) for j in range(nu))
     lows = [max(x, y) for x, y in zip(a_stars, b_stars)]
     candidates = [(j, m) for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))]
-    z = _test_point(nu) if candidates else []
-    # exps -> (terms of the shifted profile polynomial, _hyperplane_terms)
-    profiles: dict[tuple[int, ...], tuple[dict, list[int]]] = {}
+    z = _test_point(nu)
+    profiles: dict[tuple[int, ...], tuple[dict, tuple[int, ...]]] = {}  # exps -> (terms, t*)
+    rows: dict[tuple[int, ...], list[int]] = {}  # exps -> _hyperplane_terms
     numerators: dict[Grid, EpsPolynomial] = {}
     values: dict[Grid, list[int]] = {}
     for c, group in _profile_weights(a, b).items():
+        for exps in group:
+            if exps not in profiles:
+                t_stars = tuple(x + y - e for x, y, e in zip(a_stars, b_stars, exps))
+                profiles[exps] = (_profile_poly(a_stars, b_stars, t_stars), t_stars)
+        if len(group) == 1:
+            ((exps, w),) = group.items()
+            terms = profiles[exps][0]
+            numerators[c] = EpsPolynomial._make(nu, {d: w * v for d, v in terms.items()})
+            continue
         acc: dict[tuple[int, ...], int] = {}
         get = acc.get
         row = [0] * len(candidates)
         for exps, w in group.items():
-            profile = profiles.get(exps)
-            if profile is None:
-                t_stars = tuple(x + y - e for x, y, e in zip(a_stars, b_stars, exps))
-                profile = profiles[exps] = (
-                    _profile_poly(a_stars, b_stars, t_stars),
-                    _hyperplane_terms(candidates, lows, exps, t_stars, z) if candidates else [],
-                )
-            terms, ts = profile
+            terms, t_stars = profiles[exps]
             for d, v in terms.items():
                 acc[d] = get(d, 0) + w * v
+            ts = rows.get(exps)
+            if ts is None:
+                ts = rows[exps] = _hyperplane_terms(candidates, lows, exps, t_stars, z)
             for k, v in enumerate(ts):
                 row[k] += w * v
         if 0 in acc.values():  # profiles rarely cancel: filter only when some did
@@ -228,9 +237,12 @@ def _product_terms(a: Grid, b: Grid) -> dict[OffDiagonalType, EpsRingElement]:
     make = OffDiagonalType._make
     out: dict[OffDiagonalType, EpsRingElement] = {}
     for c, num in numerators.items():
+        row = values.get(c)
+        if row is None:  # one profile: every candidate stays
+            out[make(c)] = EpsRingElement._make(nu, num, dict.fromkeys(candidates, 1))
+            continue
         if num.is_zero():
             continue
-        row = values[c]
         # only a factor whose value is 0 may divide; the others stay as they are
         zeros = {f: 1 for f, v in zip(candidates, row) if not v}
         left: dict[tuple[int, int], int] = {}

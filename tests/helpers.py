@@ -4,13 +4,13 @@ The package keeps one production route per quantity; the independent routes
 that check it live here: the full 3-tensor walks, the group algebra of S_N,
 the oracle's sweep of a whole coset, the two-block universal sum, the
 polynomial-ring Poisson bracket, Lemma 3's exponent bookkeeping, the finite
-value through embedding, the displayed braid products, the per-term
-``Fraction`` evaluation and the multiplied-out series expansion.  They share
-no enumeration with the package, except the generic cancellation of the
-universal numerators, which checks only the cancellation and so sums the
-package's own profiles, and the full-slice reader, which checks only that
-leaving out zero rows and columns changes nothing and so walks the
-package's own ``transport``.
+value through embedding, the displayed braid products, the term-by-term
+evaluation at a rational point, the per-term ``Fraction`` evaluation and the
+multiplied-out series expansion.  They share no enumeration with the package,
+except the generic cancellation of the universal numerators, which checks
+only the cancellation and so sums the package's own profiles, and the
+full-slice reader, which checks only that leaving out zero rows and columns
+changes nothing and so walks the package's own ``transport``.
 """
 
 import itertools
@@ -385,12 +385,36 @@ def div_by_bracket(x, p, q, j):
     return EpsRingElement(x.nu, x.num, den)
 
 
+def evaluate_over(poly, point):
+    """(s, d) with the value of poly at x_j = p_j / q_j equal to s / d; point holds (p_j, q_j).
+
+    With E_j the top degree in variable j, each term c * prod x_j^e_j is
+    c * prod p_j^e_j q_j^(E_j - e_j) over the common denominator
+    d = prod q_j^E_j, so s is an integer sum when every c is an integer.
+    A power is taken only where it is not 1: q_j where e_j < E_j, p_j
+    where p_j != 1 and e_j > 0.
+    """
+    tops = list(map(max, zip(*poly.terms))) or [0] * poly.nu
+    total = 0
+    for deg, coeff in poly.terms.items():
+        for e, top, (p, q) in zip(deg, tops, point):
+            if e != top:
+                coeff *= q ** (top - e)
+            if e and p != 1:
+                coeff *= p**e
+        total += coeff
+    den = 1
+    for top, (_, q) in zip(tops, point):
+        den *= q**top
+    return total, den
+
+
 def evaluate(poly, point):
-    """The value of poly at a rational point, through the package's ``_evaluate_over``."""
+    """The value of poly at a rational point, through ``evaluate_over``."""
     if len(point) != poly.nu:
         raise ValueError("point dimension mismatch")
     xs = [Fraction(x) for x in point]
-    return Fraction(*poly._evaluate_over([(x.numerator, x.denominator) for x in xs]))
+    return Fraction(*evaluate_over(poly, [(x.numerator, x.denominator) for x in xs]))
 
 
 # Reference route for ``evaluate`` and ``EpsRingElement.specialize``: one

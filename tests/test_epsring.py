@@ -97,6 +97,15 @@ def test_pole_detection():
     )
 
 
+def test_pole_reported_is_the_smallest_whatever_the_den_order():
+    # canonical (the numerator is 1), with the larger pole listed first
+    x = EpsRingElement._make(2, EpsPolynomial.constant(2, 1), {(1, 3): 1, (0, 2): 1})
+    assert list(x.den) == [(1, 3), (0, 2)]
+    with pytest.raises(PoleAtSpecialization) as err:
+        x.specialize(Margins((2, 3)))
+    assert (err.value.j, err.value.m) == (1, 2)
+
+
 def test_expand_geometric():
     inv = div_by_bracket(EpsRingElement.one(1), 1, 2, 0)
     s = inv.expand(2)
@@ -241,9 +250,11 @@ def test_integral_coefficients_are_ints():
 
 
 def test_specialize_matches_reference():
-    # random numerators with Fraction coefficients, factors with multiplicity up to 2
+    # random numerators with Fraction coefficients, factors with multiplicity up to 2,
+    # and the zero element
     rng = random.Random(777)
     for margins in (Margins((5, 7)), Margins((4, 9))):
+        assert EpsRingElement.zero(2).specialize(margins) == 0
         for _ in range(60):
             x = random_element(rng, 2)
             assert x.specialize(margins) == reference_specialize(x, margins), x

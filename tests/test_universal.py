@@ -22,18 +22,22 @@ from cosetalg import (
     universal_product,
     universal_structure_constant,
 )
-from cosetalg import universal
+from cosetalg import epsring, universal
 
 from helpers import (
     balanced_types,
+    evaluate_over,
     finite_constant_via_embedding,
     generic_universal_terms,
     grid_keyed,
     lemma3_checks,
+    margin_symmetries,
     raw_universal_numerators,
     reference_expand,
     reference_specialize,
     reference_universal_terms,
+    relabel,
+    relabel_pair,
     walk_tensors,
 )
 
@@ -387,20 +391,54 @@ def _has_candidate(a, b):
 @pytest.mark.parametrize("nu,entry_max,sample", [(2, 5, 60), (3, 2, 60), (4, 1, 20)])
 def test_hyperplane_values_are_the_numerator_on_the_hyperplane(nu, entry_max, sample):
     # values[c][k] = m^d_j * N_c at eps_j = 1/m and eps_i = z_i, with
-    # d_j = min(a*_j, b*_j), evaluated here term by term on the built numerator
+    # d_j = min(a*_j, b*_j), evaluated here term by term on the built numerator;
+    # only targets that sum two or more profiles have values
     types = balanced_types(nu, entry_max)
     pairs = [(a, b) for a in types for b in types if _has_candidate(a, b)]
     z = universal._test_point(nu)
+    rows = 0
     for a, b in random.Random(nu).sample(pairs, min(len(pairs), sample)):
         candidates, _, values = universal._numerators(a.entries, b.entries)
         common_den, numerators = raw_universal_numerators(a.entries, b.entries)
+        groups = universal._profile_weights(a.entries, b.entries)
         assert candidates == list(common_den)
-        assert values.keys() == numerators.keys()
-        for c, num in numerators.items():
-            for (j, m), value in zip(candidates, values[c], strict=True):
+        assert values.keys() == {c for c, group in groups.items() if len(group) > 1}
+        for c, row in values.items():
+            for (j, m), value in zip(candidates, row, strict=True):
                 point = [(1, m) if i == j else (z[i], 1) for i in range(nu)]
-                total, den = num._evaluate_over(point)
+                total, den = evaluate_over(numerators[c], point)
                 assert value == Fraction(total * m ** min(a.star(j), b.star(j)), den), (a, b, c)
+        rows += len(values)
+    assert rows
+
+
+@pytest.mark.parametrize("nu,entry_max,sample", [(3, 2, 60), (4, 1, 60)])
+def test_one_profile_targets_keep_every_candidate(nu, entry_max, sample):
+    # a target that sums one profile has t*_j >= lo_j > m at every candidate
+    # (j, m), so no hyperplane value is 0 and its constant is the profile over
+    # the whole common denominator, in candidate order
+    types = balanced_types(nu, entry_max)
+    pairs = [(a.entries, b.entries) for a in types for b in types if _has_candidate(a, b)]
+    z = universal._test_point(nu)
+    single = 0
+    for a, b in random.Random(nu).sample(pairs, sample):
+        candidates, _, values = universal._numerators(a, b)
+        a_stars = [universal._star(a, j) for j in range(nu)]
+        b_stars = [universal._star(b, j) for j in range(nu)]
+        lows = list(map(max, a_stars, b_stars))
+        got = grid_keyed(universal._product_terms.__wrapped__(a, b))
+        want = generic_universal_terms(a, b)
+        for c, group in universal._profile_weights(a, b).items():
+            if len(group) > 1:
+                continue
+            ((exps, _),) = group.items()
+            t_stars = tuple(x + y - e for x, y, e in zip(a_stars, b_stars, exps))
+            assert all(universal._hyperplane_terms(candidates, lows, exps, t_stars, z)), (a, b, c)
+            assert c not in values
+            assert _canonical_forms({c: got[c]}) == _canonical_forms({c: want[c]}), (a, b, c)
+            assert list(got[c].den) == candidates, (a, b, c)
+            single += 1
+    assert single
 
 
 def test_false_zero_falls_back_to_division():
@@ -431,6 +469,53 @@ def test_specialize_matches_reference_nu3():
         margins = _fitted(a, b)
         for c, coeff in universal_product(a, b).items():
             assert coeff.specialize(margins) == reference_specialize(coeff, margins), (a, b, c)
+
+
+def _tops(poly):
+    return tuple(map(max, zip(*poly.terms)))
+
+
+@pytest.mark.parametrize("nu,entry_max,sample", [(3, 2, 40), (4, 1, 40)])
+def test_specialize_weight_table_matches_reference(nu, entry_max, sample):
+    # at the fitted margins and at margins raised by 0-2 per block, so that the
+    # weight tables are both hit and missed; some constants had a factor
+    # divided out, which lowers their top degrees below their raw numerator's
+    epsring._weight_table.cache_clear()
+    types = balanced_types(nu, entry_max)
+    rng = random.Random(nu)
+    lowered = 0
+    for _ in range(sample):
+        a, b = rng.choice(types), rng.choice(types)
+        _, raw = raw_universal_numerators(a.entries, b.entries)
+        fitted = _fitted(a, b).n
+        raised = tuple(n + rng.randrange(3) for n in fitted)
+        for c, coeff in universal_product(a, b).items():
+            lowered += _tops(coeff.num) != _tops(raw[c.entries])
+            for margins in (Margins(fitted), Margins(raised)):
+                assert coeff.specialize(margins) == reference_specialize(coeff, margins), (a, b, c)
+    info = epsring._weight_table.cache_info()
+    assert info.hits and info.misses and lowered
+
+
+def _relabel_constant(x, p):
+    # variable i of the image is variable p[i] of x
+    back = {k: i for i, k in enumerate(p)}
+    num = EpsPolynomial(x.nu, {tuple(d[k] for k in p): v for d, v in x.num.terms.items()})
+    return EpsRingElement(x.nu, num, {(back[j], m): mult for (j, m), mult in x.den.items()})
+
+
+def test_universal_product_equivariant_sampled():
+    # the image of a product under S_3 and the flip (a, b, c) -> (b^T, a^T, c^T)
+    # is the product of the images, its constants with their variables renamed
+    pairs = list(itertools.product(balanced_types(3, 2), repeat=2))
+    symmetries = margin_symmetries((1, 1, 1))
+    for a, b in random.Random(9).sample(pairs, 30):
+        terms = grid_keyed(universal_product(a, b))
+        for p, flip in symmetries:
+            image = relabel_pair(a.entries, b.entries, p, flip)
+            got = grid_keyed(universal_product(*map(OffDiagonalType, image)))
+            want = {relabel(c, p, flip): _relabel_constant(v, p) for c, v in terms.items()}
+            assert got == want, (a, b, p, flip)
 
 
 def test_coefficients_are_exact_nu3():
