@@ -24,6 +24,7 @@ from .cosets import (
     CosetMatrix,
     Margins,
     OffDiagonalType,
+    check_fit,
     coset_size,
     count_transport,
     enumerate_coset_matrices,
@@ -232,7 +233,7 @@ def _cmd_universal(args) -> int:
             "b": b.to_json_dict(),
             "terms": [
                 {"c": c.to_json_dict(), "coeff": product[c].to_json_dict()}
-                for c in sorted(product, key=lambda t: t.entries)
+                for c in sorted(product)
             ],
         }
     )
@@ -251,10 +252,10 @@ def _cmd_specialize(args) -> int:
         value = universal.specialize_constant(a, b, c, margins)
         _emit({"n": list(margins.n), "c": c.to_json_dict(), "value": str(value)})
         return 0
-    universal.check_fit(a, b, margins)
+    check_fit(margins, a, b)
     product = universal.universal_product(a, b)
     terms = []
-    for c in sorted(product, key=lambda t: t.entries):
+    for c in sorted(product):
         value = product[c].specialize(margins)
         if value:
             terms.append({"c": c.to_json_dict(), "value": str(value)})

@@ -523,16 +523,22 @@ def coset_size(m: CosetMatrix) -> int:
     return size
 
 
+def check_fit(margins: Margins, *types: OffDiagonalType) -> None:
+    """Raise ``MarginOverflow`` at the first type, and its first block j, with t*_j > n_j."""
+    for t in types:
+        for j, n in enumerate(margins.n):
+            if t.star(j) > n:
+                raise MarginOverflow(j + 1, t.star(j), n)
+
+
 def embed_offdiagonal(t: OffDiagonalType, margins: Margins) -> CosetMatrix:
     """Complete an off-diagonal type to a coset matrix via a_jj = n_j - a*_jj."""
     if t.nu != margins.nu:
         raise ValueError("size mismatch between type and margins")
+    check_fit(margins, t)
     grid = [list(row) for row in t.entries]
     for j in range(t.nu):
-        star = t.star(j)
-        if star > margins.n[j]:
-            raise MarginOverflow(j + 1, star, margins.n[j])
-        grid[j][j] = margins.n[j] - star
+        grid[j][j] = margins.n[j] - t.star(j)
     return CosetMatrix(tuple(tuple(row) for row in grid), margins)
 
 

@@ -23,10 +23,13 @@ Division by (1 - m*eps_j) runs on eps_j-chains: the terms that share their
 exponents in the other variables form a dense list p_0, p_1, ... of
 coefficients of eps_j^k, and the quotient satisfies q_k = p_k + m*q_(k-1).
 Run over the whole chain the recurrence is exact division (it divides iff the
-last q vanishes).  The chains serve only ``divide_out``: ``expand`` runs the
-same recurrence once per variable on the series of prod_m 1/(1 - m*eps_j) and
-multiplies it in, and ``specialize`` reads each term's weight
-prod n_j^(E_j - e_j) from a table cached per margins n and top degrees E.
+last q vanishes).  The universal product passes ``divide_out`` only factors
+its profile weights prove to divide, so none of its divisions fails; the
+canonical form of sums and products tries every factor.  The chains serve
+only ``divide_out``: ``expand`` runs the same recurrence once per variable on
+the series of prod_m 1/(1 - m*eps_j) and multiplies it in, and ``specialize``
+reads each term's weight prod n_j^(E_j - e_j) from a table cached per
+margins n and top degrees E.
 
 Canonical form: no factor present in the denominator divides the numerator.
 Because every factor is linear with constant term 1, the canonical

@@ -25,28 +25,32 @@ The tensors are enumerated by the finite product's slice builder
 (i != k) and, in one more field, its corner t_jjj; the other diagonal cells
 stay out of the key.  The convolution over j gives the finite weight w of
 every (c, corner vector), and w * prod_j t_jjj! * prod b_jk! / prod_j b*_jj!
-is the universal one.  A profile's polynomial and its hyperplane values
-depend on its exponent vector alone, so they are built once per distinct
-exponent vector of the pair, already multiplied by the profile's monomial,
-and each target's numerator is summed from them in one pass; the bracket
-product of a profile is cancelled before it is built (``_profile_poly``).
+is the universal one.  A profile's polynomial and the data of the divisor
+rule below depend on its exponent vector alone, so they are built once per
+distinct exponent vector of the pair, the polynomial already multiplied by
+the profile's monomial and its bracket product cancelled (``_profile_poly``),
+and each target's numerator is summed from its first profile's terms on.
 
 What is left over is the pair-wide common denominator, (1 - m*eps_j) for m in
-[1, min(a*_j, b*_j)), and almost none of its factors divides a target's
-numerator N_c.  A factor that divides N_c makes it vanish on the whole
-hyperplane eps_j = 1/m, so N_c is tested at one point of it, with eps_i = z_i
-(the primes 2, 3, 5, ...) for i != j, and only a factor whose value is 0 goes
-on to the real trial division.  A nonzero value proves that the factor does
-not divide; a zero may be false, and the division settles it, so no
-probability enters.  The value is an integer read off the profiles.  A
-candidate needs min(a*_j, b*_j) >= 2, and a profile's corner t_jjj is at most
-min(a*_j, b*_j), so t*_j >= lo_j = max(a*_j, b*_j) and every profile has
-eps_j-degree exactly d_j = min(a*_j, b*_j).  Hence m^d_j N_c(eps_j = 1/m) is
-the sum over c's profiles of w * prod_(i != j) h_i * g_j(m), with h_i the
-profile's bracket and monomial in variable i at z_i and g_j(m) =
-prod_(q in [lo_j, t*_j)) (m - q) (``_hyperplane_terms``).  A target of one
-profile skips the test: its numerator is w times the profile's monomial and
-factors (1 - q*eps_j), q >= lo_j >= d_j > m, so no candidate divides it.
+[1, d_j), d_j = min(a*_j, b*_j), and the factors that divide a target's
+numerator N_c are read off its profiles exactly.  With lo_j = max(a*_j, b*_j),
+a profile of c with exponent vector e and weight w is
+
+    w * prod_i eps_i^e_i prod_(q in [lo_i, t*_i)) (1 - q*eps_i).
+
+Fix a candidate (j, m).  The factor in a variable i != j has the lowest
+monomial eps_i^e_i, with coefficient 1, so the products over i != j with
+distinct exponents off j are linearly independent: the least exponent tuple
+owns a monomial that no other product has.  A corner e_j is at most d_j, so
+t*_j >= lo_j and e_j + t*_j - lo_j = d_j: at eps_j = 1/m the eps_j factor is
+m^(-d_j) g_j(m, e_j), with g_j(m, e_j) = prod_(q in [lo_j, t*_j)) (m - q).
+So (1 - m*eps_j) divides N_c iff sum w * g_j(m, e_j) = 0 over every set of
+c's profiles that share their exponents off j.  Each m - q < 0, as
+m < d_j <= lo_j <= q, and w > 0, so a lone profile never sums to 0: a target
+of one profile keeps every candidate, and by the same argument over all
+variables N_c != 0.  The candidates are distinct linear factors, so N_c is
+divided by the product of its divisors; a division that fails raises
+``InvariantViolation``.
 
 The product cache holds the public key objects: each target is built once
 as an ``OffDiagonalType``, whose hash is stored, and ``universal_product``
@@ -58,6 +62,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from operator import mul
 
 from .combination import Combination
 from .cosets import (
@@ -69,9 +74,10 @@ from .cosets import (
     _slice_terms,
     _star,
     _unpack,
+    check_fit,
 )
 from .epsring import EpsPolynomial, EpsRingElement, _den_product, _falling, _sum_over_lcm
-from .errors import MarginOverflow
+from .errors import InvariantViolation
 
 
 def _profile_weights(a: Grid, b: Grid) -> dict[Grid, dict[tuple[int, ...], int]]:
@@ -142,87 +148,57 @@ def _profile_poly(
     return terms
 
 
-def _test_point(nu: int) -> list[int]:
-    """The first nu primes z = (2, 3, 5, ...), where the hyperplane test fixes the
-    variables it does not test."""
-    z: list[int] = []
-    k = 2
-    while len(z) < nu:
-        if all(k % p for p in z):
-            z.append(k)
-        k += 1
-    return z
-
-
-def _hyperplane_terms(
-    candidates: list[tuple[int, int]], lows: list[int], exps: tuple[int, ...],
-    t_stars: tuple[int, ...], z: list[int],
-) -> list[int]:
-    """prod_(i != j) h_i * g_j(m) of one profile, per candidate (j, m).
-
-    h_i = z_i^exps_i * prod_(q in [max(lo_i, 1), t*_i)) (1 - q*z_i) is the
-    profile's factor in a variable held at z_i, never 0; g_j(m) =
-    prod_(q in [lo_j, t*_j)) (m - q) is m^d_j times its factor in eps_j at 1/m.
-    """
-    hs = [
-        z[i] ** e * prod(1 - q * z[i] for q in range(max(low, 1), t))
-        for i, (low, e, t) in enumerate(zip(lows, exps, t_stars))
-    ]
-    return [
-        prod(hs[:j] + hs[j + 1 :]) * prod(m - q for q in range(lows[j], t_stars[j]))
-        for j, m in candidates
-    ]
-
-
 def _numerators(
     a: Grid, b: Grid
-) -> tuple[list[tuple[int, int]], dict[Grid, EpsPolynomial], dict[Grid, list[int]]]:
+) -> tuple[list[tuple[int, int]], dict[Grid, EpsPolynomial], dict[Grid, list[tuple[int, int]]]]:
     """The candidate factors, the numerator N_c of every target c over them, and
-    the hyperplane values of N_c where c sums two or more profiles.
+    the candidates that divide N_c, listed for each target with a zero sum.
 
     The candidates are the pair-wide common denominator, (j, m) for m in
-    [1, min(a*_j, b*_j)), in that order; values[c][k] is the integer
-    m^d_j * N_c(eps_j = 1/m, eps_i = z_i for i != j) of candidates[k] = (j, m),
-    summed over c's profiles as w * prod_(i != j) h_i * g_j(m); a target of
-    one profile has none, since no candidate divides its numerator.
+    [1, min(a*_j, b*_j)), in that order, and each target's divisors keep it.
+    A profile adds w * g_j(m, e_j) to the sum of candidate k = (j, m) and its
+    exponents off j, whose id is k + K * (those exponents as base-B digits),
+    with K candidates and B above every exponent; k divides N_c iff all of
+    c's sums of k are 0.
     """
     nu = len(a)
     a_stars = tuple(_star(a, j) for j in range(nu))
     b_stars = tuple(_star(b, j) for j in range(nu))
     lows = [max(x, y) for x, y in zip(a_stars, b_stars)]
     candidates = [(j, m) for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))]
-    z = _test_point(nu)
-    profiles: dict[tuple[int, ...], tuple[dict, tuple[int, ...]]] = {}  # exps -> (terms, t*)
-    rows: dict[tuple[int, ...], list[int]] = {}  # exps -> _hyperplane_terms
+    size = len(candidates)
+    powers = [(max(lows) + 1) ** i for i in range(nu)]  # B: an exponent e_j is at most lo_j
+    profiles: dict[tuple[int, ...], tuple[dict, list[int], list[int]]] = {}  # exps -> terms, ids, g
     numerators: dict[Grid, EpsPolynomial] = {}
-    values: dict[Grid, list[int]] = {}
+    divisors: dict[Grid, list[tuple[int, int]]] = {}
     for c, group in _profile_weights(a, b).items():
         for exps in group:
             if exps not in profiles:
                 t_stars = tuple(x + y - e for x, y, e in zip(a_stars, b_stars, exps))
-                profiles[exps] = (_profile_poly(a_stars, b_stars, t_stars), t_stars)
-        if len(group) == 1:
-            ((exps, w),) = group.items()
-            terms = profiles[exps][0]
-            numerators[c] = EpsPolynomial._make(nu, {d: w * v for d, v in terms.items()})
-            continue
-        acc: dict[tuple[int, ...], int] = {}
+                code = sum(map(mul, exps, powers))
+                ids = [k + size * (code - exps[j] * powers[j]) for k, (j, _) in enumerate(candidates)]
+                gs = [prod(m - q for q in range(lows[j], t_stars[j])) for j, m in candidates]
+                profiles[exps] = (_profile_poly(a_stars, b_stars, t_stars), ids, gs)
+        items = iter(group.items())
+        exps, w = next(items)
+        terms, ids, gs = profiles[exps]
+        acc = {d: w * v for d, v in terms.items()}
+        sums = dict(zip(ids, map(w.__mul__, gs)))
         get = acc.get
-        row = [0] * len(candidates)
-        for exps, w in group.items():
-            terms, t_stars = profiles[exps]
+        sget = sums.get
+        for exps, w in items:
+            terms, ids, gs = profiles[exps]
             for d, v in terms.items():
                 acc[d] = get(d, 0) + w * v
-            ts = rows.get(exps)
-            if ts is None:
-                ts = rows[exps] = _hyperplane_terms(candidates, lows, exps, t_stars, z)
-            for k, v in enumerate(ts):
-                row[k] += w * v
+            for i, g in zip(ids, gs):
+                sums[i] = sget(i, 0) + w * g
         if 0 in acc.values():  # profiles rarely cancel: filter only when some did
             acc = {d: v for d, v in acc.items() if v}
         numerators[c] = EpsPolynomial._make(nu, acc)
-        values[c] = row
-    return candidates, numerators, values
+        if 0 in sums.values():  # a sum of one profile is never 0: most targets stop here
+            kept = {i % size for i, v in sums.items() if v}
+            divisors[c] = [f for k, f in enumerate(candidates) if k not in kept]
+    return candidates, numerators, divisors
 
 
 @lru_cache(maxsize=None)
@@ -233,23 +209,19 @@ def _product_terms(a: Grid, b: Grid) -> dict[OffDiagonalType, EpsRingElement]:
     hands out the same ``OffDiagonalType`` objects, whose hashes are stored.
     """
     nu = len(a)
-    candidates, numerators, values = _numerators(a, b)
+    candidates, numerators, divisors = _numerators(a, b)
     make = OffDiagonalType._make
     out: dict[OffDiagonalType, EpsRingElement] = {}
     for c, num in numerators.items():
-        row = values.get(c)
-        if row is None:  # one profile: every candidate stays
-            out[make(c)] = EpsRingElement._make(nu, num, dict.fromkeys(candidates, 1))
-            continue
-        if num.is_zero():
-            continue
-        # only a factor whose value is 0 may divide; the others stay as they are
-        zeros = {f: 1 for f, v in zip(candidates, row) if not v}
-        left: dict[tuple[int, int], int] = {}
-        if zeros:
-            divided = EpsRingElement(nu, num, zeros)
-            num, left = divided.num, divided.den
-        den = {f: 1 for f, v in zip(candidates, row) if v or f in left}
+        den = dict.fromkeys(candidates, 1)
+        cut = divisors.get(c)
+        if cut:
+            for j in sorted({j for j, _ in cut}):
+                num, left = num.divide_out(j, {m: 1 for i, m in cut if i == j})
+                if left:  # the rule is exact: a factor it names must divide
+                    raise InvariantViolation(f"(1 - {min(left)}*eps_{j + 1}) does not divide N_{c}")
+            for f in cut:
+                del den[f]
         out[make(c)] = EpsRingElement._make(nu, num, den)
     return out
 
@@ -275,8 +247,7 @@ def candidate_outputs(a: OffDiagonalType, b: OffDiagonalType) -> list[OffDiagona
     """The finitely many types reachable from the pair (a, b), sorted."""
     if a.nu != b.nu:
         raise ValueError("size mismatch")
-    targets = _profile_weights(a.entries, b.entries)
-    return sorted((OffDiagonalType._make(c) for c in targets), key=lambda t: t.entries)
+    return sorted(map(OffDiagonalType._make, _profile_weights(a.entries, b.entries)))
 
 
 class UniversalElement(Combination):
@@ -341,13 +312,6 @@ def specialize_constant(
     """
     if not (a.nu == b.nu == c.nu == margins.nu):
         raise ValueError("size mismatch")
-    check_fit(a, b, margins)
+    check_fit(margins, a, b)
     return universal_structure_constant(a, b, c).specialize(margins)
 
-
-def check_fit(a: OffDiagonalType, b: OffDiagonalType, margins: Margins) -> None:
-    """Raise ``MarginOverflow`` unless the star sums of a and b fit under the margins."""
-    for tp in (a, b):
-        for j in range(margins.nu):
-            if tp.star(j) > margins.n[j]:
-                raise MarginOverflow(j + 1, tp.star(j), margins.n[j])

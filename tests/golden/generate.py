@@ -56,6 +56,12 @@ CASES = [
     ("universal-nu4", ["universal", "--nu", "4", "--a", NU4_A, "--b", NU4_B]),
     ("universal-nu4-c", ["universal", "--nu", "4", "--a", NU4_B, "--b", NU4_C]),
     ("universal-nu40-zero", ["universal", "--nu", "40", "--a", "", "--b", ""]),
+    # 5 of its 25 targets cancel a factor of the common denominator
+    ("universal-nu3-cancel", ["universal", "--nu", "3", "--a", "1,3,1,2,3,1,3,1,1,3,2,1",
+                              "--b", "1,2,1,1,3,1,2,1,2,2,3,1,3,2,2"]),
+    # no candidate divides, though one numerator vanishes at (2, 3, 1) on eps_3 = 1
+    ("universal-nu3-false-zero", ["universal", "--nu", "3", "--a", "1,3,2,3,1,2",
+                                  "--b", "1,2,1,1,3,2,2,1,2,2,3,1,3,1,1,3,2,2"]),
     ("specialize-nu3", ["specialize", "--n", "2,2,3", "--a", NU3_A, "--b", NU3_C]),
     ("specialize-nu3-const", ["specialize", "--n", "2,3,2", "--a", NU3_B, "--b", NU3_A,
                               "--c", NU3_C]),

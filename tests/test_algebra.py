@@ -492,3 +492,19 @@ def test_structure_constant_builds_zero_only_on_a_miss(monkeypatch):
     assert structure_constant(a, a, unit) is hit and not built
     miss = structure_constant(a, b, a)
     assert type(miss) is Fraction and miss == 0 and len(built) == 1
+
+
+def test_frobenius_reciprocity():
+    # counting x*y = g with x in A, y in B and g in C gives
+    # c_ab^c / |C| = c_{c,b^T}^a / |A|; checked on all 54,207 triples
+    nonzero = 0
+    for n in [(2, 2, 2), (1, 2, 3), (1, 1, 2), (3, 3, 2)]:
+        basis = enumerate_coset_matrices(Margins(n))
+        sizes = {m: coset_size(m) for m in basis}
+        terms = {(a, b): algebra._product_terms.__wrapped__(a.entries, b.entries, a.margins)
+                 for a in basis for b in basis}
+        for a, b, c in itertools.product(basis, repeat=3):
+            value = terms[a, b].get(c, 0)
+            assert value * sizes[a] == terms[c, b.transpose()].get(a, 0) * sizes[c], (a, b, c)
+            nonzero += value != 0
+    assert nonzero == 7833

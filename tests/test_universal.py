@@ -23,6 +23,7 @@ from cosetalg import (
     universal_structure_constant,
 )
 from cosetalg import epsring, universal
+from cosetalg.errors import InvariantViolation
 
 from helpers import (
     balanced_types,
@@ -388,76 +389,73 @@ def _has_candidate(a, b):
     return any(min(a.star(j), b.star(j)) >= 2 for j in range(a.nu))
 
 
-@pytest.mark.parametrize("nu,entry_max,sample", [(2, 5, 60), (3, 2, 60), (4, 1, 20)])
-def test_hyperplane_values_are_the_numerator_on_the_hyperplane(nu, entry_max, sample):
-    # values[c][k] = m^d_j * N_c at eps_j = 1/m and eps_i = z_i, with
-    # d_j = min(a*_j, b*_j), evaluated here term by term on the built numerator;
-    # only targets that sum two or more profiles have values
+def _sampled_pairs(nu, entry_max, sample):
     types = balanced_types(nu, entry_max)
-    pairs = [(a, b) for a in types for b in types if _has_candidate(a, b)]
-    z = universal._test_point(nu)
-    rows = 0
-    for a, b in random.Random(nu).sample(pairs, min(len(pairs), sample)):
-        candidates, _, values = universal._numerators(a.entries, b.entries)
-        common_den, numerators = raw_universal_numerators(a.entries, b.entries)
-        groups = universal._profile_weights(a.entries, b.entries)
+    pairs = [(a.entries, b.entries) for a in types for b in types if _has_candidate(a, b)]
+    return random.Random(nu).sample(pairs, min(len(pairs), sample))
+
+
+@pytest.mark.parametrize("nu,entry_max,sample", [(2, 5, 60), (3, 2, 60), (4, 1, 60)])
+def test_divisors_are_the_candidates_that_cancel(nu, entry_max, sample):
+    # the divisors read off the profile weights are exactly the candidates that
+    # the generic route's trial division removes, in candidate order
+    cancelled = 0
+    for a, b in _sampled_pairs(nu, entry_max, sample):
+        candidates, numerators, divisors = universal._numerators(a, b)
+        common_den, _ = raw_universal_numerators(a, b)
+        want = generic_universal_terms(a, b)
         assert candidates == list(common_den)
-        assert values.keys() == {c for c, group in groups.items() if len(group) > 1}
-        for c, row in values.items():
-            for (j, m), value in zip(candidates, row, strict=True):
-                point = [(1, m) if i == j else (z[i], 1) for i in range(nu)]
-                total, den = evaluate_over(numerators[c], point)
-                assert value == Fraction(total * m ** min(a.star(j), b.star(j)), den), (a, b, c)
-        rows += len(values)
-    assert rows
+        assert numerators.keys() == want.keys()
+        for c in numerators:
+            gone = [f for f in candidates if f not in want[c].den]
+            assert divisors.get(c, []) == gone, (a, b, c)
+            cancelled += len(gone)
+    assert cancelled or nu == 2  # no pair of the nu=2 grid has a divisor
 
 
 @pytest.mark.parametrize("nu,entry_max,sample", [(3, 2, 60), (4, 1, 60)])
 def test_one_profile_targets_keep_every_candidate(nu, entry_max, sample):
-    # a target that sums one profile has t*_j >= lo_j > m at every candidate
-    # (j, m), so no hyperplane value is 0 and its constant is the profile over
-    # the whole common denominator, in candidate order
-    types = balanced_types(nu, entry_max)
-    pairs = [(a.entries, b.entries) for a in types for b in types if _has_candidate(a, b)]
-    z = universal._test_point(nu)
+    # a lone profile's sum w * g_j(m, e_j) is never 0, so a target of one profile
+    # has no divisor: its constant is the profile over the whole common
+    # denominator, in candidate order
     single = 0
-    for a, b in random.Random(nu).sample(pairs, sample):
-        candidates, _, values = universal._numerators(a, b)
-        a_stars = [universal._star(a, j) for j in range(nu)]
-        b_stars = [universal._star(b, j) for j in range(nu)]
-        lows = list(map(max, a_stars, b_stars))
+    for a, b in _sampled_pairs(nu, entry_max, sample):
+        candidates, _, divisors = universal._numerators(a, b)
         got = grid_keyed(universal._product_terms.__wrapped__(a, b))
         want = generic_universal_terms(a, b)
         for c, group in universal._profile_weights(a, b).items():
             if len(group) > 1:
                 continue
-            ((exps, _),) = group.items()
-            t_stars = tuple(x + y - e for x, y, e in zip(a_stars, b_stars, exps))
-            assert all(universal._hyperplane_terms(candidates, lows, exps, t_stars, z)), (a, b, c)
-            assert c not in values
+            assert not divisors.get(c), (a, b, c)
             assert _canonical_forms({c: got[c]}) == _canonical_forms({c: want[c]}), (a, b, c)
             assert list(got[c].den) == candidates, (a, b, c)
             single += 1
     assert single
 
 
-def test_false_zero_falls_back_to_division():
-    # at z = (2, 3, 5) one target of this pair is 0 at the candidate (1 - eps_3),
-    # which does not divide it: the trial division must keep the factor
+def test_false_zero_pair_lists_no_divisor():
+    # one target of this pair vanishes at eps = (2, 3, 1), a point of the
+    # hyperplane eps_3 = 1, yet (1 - eps_3) does not divide it: the rule lists
+    # no divisor for any target
     a = ((0, 0, 2), (0, 0, 0), (2, 0, 0))
     b = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
-    assert universal._test_point(3) == [2, 3, 5]
-    candidates, _, values = universal._numerators(a, b)
-    want = generic_universal_terms(a, b)
-    false_zeros = [
-        (c, f)
-        for c, row in values.items()
-        for f, value in zip(candidates, row)
-        if not value and f in want[c].den
-    ]
-    assert false_zeros == [(b, (2, 1))]
+    candidates, numerators, divisors = universal._numerators(a, b)
+    assert (2, 1) in candidates
+    assert evaluate_over(numerators[b], [(2, 1), (3, 1), (1, 1)])[0] == 0
+    assert not any(divisors.values())
     got = grid_keyed(universal._product_terms.__wrapped__(a, b))
-    assert _canonical_forms(got) == _canonical_forms(want)
+    assert _canonical_forms(got) == _canonical_forms(generic_universal_terms(a, b))
+    assert all(list(v.den) == candidates for v in got.values())
+
+
+def test_a_listed_divisor_that_does_not_divide_raises(monkeypatch):
+    # the rule is exact, so a failed division is a bug: it raises, also under -O
+    a = ((0, 0, 2), (0, 0, 0), (2, 0, 0))
+    b = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+    candidates, numerators, _ = universal._numerators(a, b)
+    monkeypatch.setattr(universal, "_numerators", lambda a, b: (candidates, numerators, {b: [(2, 1)]}))
+    with pytest.raises(InvariantViolation, match=r"\(1 - 1\*eps_3\) does not divide"):
+        universal._product_terms.__wrapped__(a, b)
 
 
 def _fitted(a, b):
