@@ -98,9 +98,6 @@ class Margins:
     def N(self) -> int:
         return sum(self.n)
 
-    def to_json_dict(self):
-        return {"n": list(self.n)}
-
 
 class CosetMatrix:
     """A nu x nu nonnegative integer matrix with row and column sums n_i, n_j.
@@ -193,6 +190,8 @@ class OffDiagonalType:
         object.__setattr__(self, "entries", tuple(tuple(map(index, row)) for row in entries))
         object.__setattr__(self, "_hash", hash((self.entries,)))
         nu = len(self.entries)
+        if nu < 1:
+            raise ValueError("at least one block required")
         if any(len(row) != nu for row in self.entries):
             raise ValueError("entries must form a square grid")
         for i in range(nu):

@@ -23,13 +23,14 @@ Division by (1 - m*eps_j) runs on eps_j-chains: the terms that share their
 exponents in the other variables form a dense list p_0, p_1, ... of
 coefficients of eps_j^k, and the quotient satisfies q_k = p_k + m*q_(k-1).
 Run over the whole chain the recurrence is exact division (it divides iff the
-last q vanishes).  The universal product passes ``divide_out`` only factors
-its profile weights prove to divide, so none of its divisions fails; the
-canonical form of sums and products tries every factor.  The chains serve
-only ``divide_out``: ``expand`` runs the same recurrence once per variable on
-the series of prod_m 1/(1 - m*eps_j) and multiplies it in, and ``specialize``
-reads each term's weight prod n_j^(E_j - e_j) from a table cached per
-margins n and top degrees E.
+last q vanishes).  One ``divide_out`` call takes a whole factor multiset
+{(j, m): mult} and groups it by variable itself.  The universal product
+passes it only factors its profile weights prove to divide, so none of its
+divisions fails; the canonical form of sums and products tries every factor.
+The chains serve only ``divide_out``: ``expand`` runs the same recurrence
+once per variable on the series of prod_m 1/(1 - m*eps_j) and multiplies it
+in, and ``specialize`` reads each term's weight prod n_j^(E_j - e_j) from a
+table cached per margins n and top degrees E.
 
 Canonical form: no factor present in the denominator divides the numerator.
 Because every factor is linear with constant term 1, the canonical
@@ -90,30 +91,28 @@ class EpsPolynomial(Combination):
                 out[d] = c1 * c2 if acc is None else acc + c1 * c2
         return EpsPolynomial._make(self.space, {d: c for d, c in out.items() if c})
 
-    def divide_out(self, j: int, factors: dict[int, int]) -> tuple["EpsPolynomial", dict[int, int]]:
+    def divide_out(self, factors: Den) -> tuple["EpsPolynomial", Den]:
         """Divide by each (1 - m*eps_j)^mult of ``factors`` as far as it divides exactly.
 
-        Returns the quotient and the multiplicities {m: mult} left over.  The
-        eps_j-chains are built once and each chain divides on its own; one
-        division is exact iff it is exact in every chain.
+        Returns the quotient and the factors {(j, m): mult} left over; zero is
+        divided by every factor.  The factors are grouped by variable, j
+        ascending, and the eps_j-chains built once per variable; each chain
+        divides on its own, m ascending, and a division is exact iff it is
+        exact in every chain.
         """
-        left = {m: mult for m, mult in factors.items() if mult}
-        if self.is_zero() or not left:
-            return self, left
-        chains = _chains(self, j)
-        divided = False
-        for m in sorted(left):
-            while left[m]:
-                quotients = _divide_chains(chains, m)
-                if quotients is None:
-                    break
-                chains = quotients
-                divided = True
-                left[m] -= 1
-        left = {m: mult for m, mult in left.items() if mult}
-        if not divided:
-            return self, left
-        return _unchain(chains, j, self.space), left
+        if self.is_zero():
+            return self, {}
+        left = {f: mult for f, mult in factors.items() if mult}
+        poly = self
+        for j in sorted({j for j, _ in left}):
+            chains = start = _chains(poly, j)
+            for f in sorted(f for f in left if f[0] == j):
+                while left[f] and (quotients := _divide_chains(chains, f[1])) is not None:
+                    chains = quotients
+                    left[f] -= 1
+            if chains is not start:  # something divided
+                poly = _unchain(chains, j, self.space)
+        return poly, {f: mult for f, mult in left.items() if mult}
 
     def __repr__(self):
         if self.is_zero():
@@ -200,23 +199,18 @@ class EpsRingElement:
 
     __slots__ = ("nu", "num", "den")
 
-    def __init__(self, nu: int, num: EpsPolynomial, den: dict[tuple[int, int], int] | None = None):
+    def __init__(self, nu: int, num: EpsPolynomial, den: Den | None = None):
         if num.nu != nu:
             raise ValueError("numerator variable count mismatch")
+        for (j, m), mult in (den or {}).items():
+            if mult < 0:
+                raise ValueError("negative multiplicity")
+            if m < 1:
+                raise ValueError("denominator factors need m >= 1")
+            if not 0 <= j < nu:
+                raise ValueError("denominator variable index out of range")
         self.nu = nu
-        self.num = num
-        self.den: dict[tuple[int, int], int] = {}
-        if den:
-            for (j, m), mult in den.items():
-                if mult < 0:
-                    raise ValueError("negative multiplicity")
-                if m < 1:
-                    raise ValueError("denominator factors need m >= 1")
-                if not 0 <= j < nu:
-                    raise ValueError("denominator variable index out of range")
-                if mult:
-                    self.den[(j, m)] = mult
-        self._canonicalize()
+        self.num, self.den = num.divide_out(den or {})
 
     @classmethod
     def _make(cls, nu: int, num: EpsPolynomial, den: Den) -> "EpsRingElement":
@@ -226,18 +220,6 @@ class EpsRingElement:
         self.num = num
         self.den = den
         return self
-
-    def _canonicalize(self):
-        if self.num.is_zero():
-            self.den = {}
-            return
-        den: dict[tuple[int, int], int] = {}
-        for j in sorted({j for j, _ in self.den}):
-            self.num, left = self.num.divide_out(
-                j, {m: mult for (i, m), mult in self.den.items() if i == j}
-            )
-            den.update(((j, m), mult) for m, mult in left.items())
-        self.den = den
 
     @classmethod
     def from_rational(cls, nu: int, value) -> "EpsRingElement":

@@ -48,9 +48,9 @@ So (1 - m*eps_j) divides N_c iff sum w * g_j(m, e_j) = 0 over every set of
 c's profiles that share their exponents off j.  Each m - q < 0, as
 m < d_j <= lo_j <= q, and w > 0, so a lone profile never sums to 0: a target
 of one profile keeps every candidate, and by the same argument over all
-variables N_c != 0.  The candidates are distinct linear factors, so N_c is
-divided by the product of its divisors; a division that fails raises
-``InvariantViolation``.
+variables N_c != 0.  The candidates are distinct linear factors, so one
+``divide_out`` call divides N_c by the product of its divisors; a divisor left
+over raises ``InvariantViolation``.
 
 The product cache holds the public key objects: each target is built once
 as an ``OffDiagonalType``, whose hash is stored, and ``universal_product``
@@ -216,10 +216,10 @@ def _product_terms(a: Grid, b: Grid) -> dict[OffDiagonalType, EpsRingElement]:
         den = dict.fromkeys(candidates, 1)
         cut = divisors.get(c)
         if cut:
-            for j in sorted({j for j, _ in cut}):
-                num, left = num.divide_out(j, {m: 1 for i, m in cut if i == j})
-                if left:  # the rule is exact: a factor it names must divide
-                    raise InvariantViolation(f"(1 - {min(left)}*eps_{j + 1}) does not divide N_{c}")
+            num, left = num.divide_out(dict.fromkeys(cut, 1))
+            if left:  # the rule is exact: a factor it names must divide
+                j, m = min(left)
+                raise InvariantViolation(f"(1 - {m}*eps_{j + 1}) does not divide N_{c}")
             for f in cut:
                 del den[f]
         out[make(c)] = EpsRingElement._make(nu, num, den)
@@ -244,10 +244,9 @@ def universal_structure_constant(
 
 
 def candidate_outputs(a: OffDiagonalType, b: OffDiagonalType) -> list[OffDiagonalType]:
-    """The finitely many types reachable from the pair (a, b), sorted."""
-    if a.nu != b.nu:
-        raise ValueError("size mismatch")
-    return sorted(map(OffDiagonalType._make, _profile_weights(a.entries, b.entries)))
+    """The finitely many types reachable from the pair (a, b), sorted: the
+    targets of their product, since no structure constant N_c is 0."""
+    return sorted(universal_product(a, b))
 
 
 class UniversalElement(Combination):

@@ -62,6 +62,11 @@ CASES = [
     # no candidate divides, though one numerator vanishes at (2, 3, 1) on eps_3 = 1
     ("universal-nu3-false-zero", ["universal", "--nu", "3", "--a", "1,3,2,3,1,2",
                                   "--b", "1,2,1,1,3,2,2,1,2,2,3,1,3,1,1,3,2,2"]),
+    # one target cancels (1 - 2*eps_2) and (1 - 2*eps_3): two variables at once
+    ("universal-nu3-cancel-two-variables",
+     ["universal", "--nu", "3", "--a", "1,2,1,1,3,1,2,1,1,2,3,2,3,1,1,3,2,2",
+      "--b", "1,2,2,1,3,2,2,1,2,2,3,1,3,1,2,3,2,1",
+      "--c", "1,2,1,1,3,1,2,1,1,2,3,3,3,1,1,3,2,3"]),
     ("specialize-nu3", ["specialize", "--n", "2,2,3", "--a", NU3_A, "--b", NU3_C]),
     ("specialize-nu3-const", ["specialize", "--n", "2,3,2", "--a", NU3_B, "--b", NU3_A,
                               "--c", NU3_C]),

@@ -288,6 +288,14 @@ def test_offdiagonal_balance_required():
     assert t.star(0) == t.star(1) == 1
 
 
+def test_offdiagonal_refuses_no_blocks():
+    # as Margins does: a type needs at least one block, so the universal
+    # product never sees nu = 0
+    for build in (lambda: OffDiagonalType(()), lambda: OffDiagonalType.zero(0)):
+        with pytest.raises(ValueError, match="at least one block required"):
+            build()
+
+
 @pytest.mark.parametrize("bad", [0.9, Fraction(1), "1"])
 def test_offdiagonal_rejects_non_integers(bad):
     with pytest.raises(TypeError):

@@ -191,6 +191,46 @@ def test_canonical_form_cancels_repeated_factors():
     assert x.num == poly1({0: 1, 1: 1})
 
 
+def _at_pole(poly, j, m):
+    """poly with eps_j = 1/m substituted exactly, as {other exponents: value}."""
+    out = {}
+    for deg, coeff in poly.terms.items():
+        rest = deg[:j] + deg[j + 1 :]
+        out[rest] = out.get(rest, 0) + Fraction(coeff, m ** deg[j])
+    return {d: v for d, v in out.items() if v}
+
+
+@pytest.mark.parametrize("nu", [2, 3, 4])
+def test_divide_out_cancels_the_whole_multiset(nu):
+    # the input is a random polynomial times random factors, and divide_out
+    # is handed a multiset that overlaps them; checked without eps_j-chains:
+    # the quotient times what was divided gives the input back, and no factor
+    # left over vanishes on the quotient at eps_j = 1/m
+    rng = random.Random(4000 + nu)
+    for trial in range(60):
+        base = EpsPolynomial(nu, {
+            tuple(rng.randrange(3) for _ in range(nu)): rng.choice((-3, -2, -1, 1, 2, 4))
+            for _ in range(rng.randrange(1, 4) if trial else 0)  # trial 0: the zero polynomial
+        })
+        variables = rng.sample(range(nu), rng.randrange(2, nu + 1))
+        factors = {(j, m): rng.randrange(4) for j in variables for m in rng.sample(range(1, 4), 2)}
+        poly = base
+        for (j, m), mult in factors.items():
+            for _ in range(rng.randrange(mult + 2)):
+                poly = poly * bracket(m, m + 1, j, nu)
+        quotient, left = poly.divide_out(factors)
+        assert all(0 < left[f] <= factors[f] for f in left)
+        back = quotient
+        for (j, m), mult in factors.items():
+            for _ in range(mult - left.get((j, m), 0)):
+                back = back * bracket(m, m + 1, j, nu)
+        assert back == poly, (poly, factors)
+        if poly.is_zero():
+            assert quotient.is_zero() and left == {}
+        for j, m in left:
+            assert _at_pole(quotient, j, m), (poly, factors, (j, m))
+
+
 def test_equality_across_different_denominators():
     # x = (1-eps)/(1-2eps), y = (1-eps)^2 / ((1-2eps)(1-eps))
     one_minus = poly1({0: 1, 1: -1})
@@ -271,9 +311,9 @@ def test_scaling_and_negation_skip_trial_division(monkeypatch):
     calls = []
     divide_out = EpsPolynomial.divide_out
 
-    def counted(self, j, factors):
-        calls.append(j)
-        return divide_out(self, j, factors)
+    def counted(self, factors):
+        calls.append(factors)
+        return divide_out(self, factors)
 
     monkeypatch.setattr(EpsPolynomial, "divide_out", counted)
     results = [((-1) * y, -y, Fraction(2, 3) * y, 0 * y) for y in coeffs]

@@ -155,6 +155,24 @@ def test_candidate_outputs_two_block():
     assert [t.entries[0][1] for t in outs] == want
 
 
+def test_candidate_outputs_reuse_the_cached_product(monkeypatch):
+    # the targets are read off the cached product, so listing them and then
+    # asking for the product runs the convolution once
+    universal._product_terms.cache_clear()
+    calls = []
+    profile_weights = universal._profile_weights
+
+    def counted(a, b):
+        calls.append((a, b))
+        return profile_weights(a, b)
+
+    monkeypatch.setattr(universal, "_profile_weights", counted)
+    a, b = balanced_types(3, 2)[7], balanced_types(3, 2)[12]
+    outs = candidate_outputs(a, b)
+    assert len(outs) > 1 and sorted(universal_product(a, b)) == outs
+    assert calls == [(a.entries, b.entries)]
+
+
 @pytest.mark.parametrize("nu,entry_max", [(2, 2), (3, 1)])
 def test_candidate_outputs_contain_sum(nu, entry_max):
     for a in balanced_types(nu, entry_max):
