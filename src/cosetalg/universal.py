@@ -20,37 +20,37 @@ All constants live in the localized polynomial ring, and substituting
 eps_j = 1/n_j recovers the finite algebra whenever the star sums of a and b
 fit under the margins.
 
-The tensors are enumerated by the finite product's slice builder
-(``cosets._slice_terms``).  The key of slice j holds its share of c_ik
-(i != k) and, in one more field, its corner t_jjj; the other diagonal cells
-stay out of the key.  The convolution over j gives the finite weight w of
-every (c, corner vector), and w * prod_j t_jjj! * prod b_jk! / prod_j b*_jj!
-is the universal one.  A profile's polynomial and the data of the divisor
-rule below depend on its exponent vector alone, so they are built once per
-distinct exponent vector of the pair, the polynomial already multiplied by
-the profile's monomial and its bracket product cancelled (``_profile_poly``),
-and each target's numerator is summed from its first profile's terms on.
+One pass builds a pair's product, keyed by packed ints until its end.  The
+finite product's slice builder (``cosets._slice_terms``) enumerates the
+tensors: the key of slice j holds its share of c_ik (i != k) and, in a field
+row above c, its corner t_jjj.  The convolution over j maps each profile, a
+key of c and its corner vector e, to its finite weight w; the universal one
+is W = w * prod_j e_j! * prod b_jk! / prod_j b*_j!.  In variable j the
+brackets cancel to one numerator copy on [lo_j, t*_j), lo_j = max(a*_j, b*_j),
+and a denominator on [1, d_j), d_j = min(a*_j, b*_j), that does not depend
+on t*_j: the pair-wide common denominator, whose candidates (j, m) every
+constant lists by j, then m.  A profile adds W * prod_i eps_i^e_i
+prod_(q in [lo_i, t*_i)) (1 - q*eps_i) to its target's numerator N_c; its
+terms are built once per corner row and keyed by packed degree rows, the
+degree in eps_j in field j.  Each target and each distinct degree row is
+decoded once, at the end.
 
-What is left over is the pair-wide common denominator, (1 - m*eps_j) for m in
-[1, d_j), d_j = min(a*_j, b*_j), and the factors that divide a target's
-numerator N_c are read off its profiles exactly.  With lo_j = max(a*_j, b*_j),
-a profile of c with exponent vector e and weight w is
-
-    w * prod_i eps_i^e_i prod_(q in [lo_i, t*_i)) (1 - q*eps_i).
-
-Fix a candidate (j, m).  The factor in a variable i != j has the lowest
-monomial eps_i^e_i, with coefficient 1, so the products over i != j with
-distinct exponents off j are linearly independent: the least exponent tuple
-owns a monomial that no other product has.  A corner e_j is at most d_j, so
-t*_j >= lo_j and e_j + t*_j - lo_j = d_j: at eps_j = 1/m the eps_j factor is
-m^(-d_j) g_j(m, e_j), with g_j(m, e_j) = prod_(q in [lo_j, t*_j)) (m - q).
-So (1 - m*eps_j) divides N_c iff sum w * g_j(m, e_j) = 0 over every set of
-c's profiles that share their exponents off j.  Each m - q < 0, as
-m < d_j <= lo_j <= q, and w > 0, so a lone profile never sums to 0: a target
-of one profile keeps every candidate, and by the same argument over all
-variables N_c != 0.  The candidates are distinct linear factors, so one
-``divide_out`` call divides N_c by the product of its divisors; a divisor left
-over raises ``InvariantViolation``.
+The factors of the common denominator that divide N_c are read off its
+profiles exactly.  Fix a candidate (j, m), m in [1, d_j).  The factor in a
+variable i != j has the lowest monomial eps_i^e_i, with coefficient 1, so
+the products over i != j with distinct exponents off j are linearly
+independent: the least exponent tuple owns a monomial that no other product
+has.  A corner e_j is at most d_j, so t*_j >= lo_j and e_j + t*_j - lo_j =
+d_j: at eps_j = 1/m the eps_j factor is m^(-d_j) g_j(m, e_j), with
+g_j(m, e_j) = prod_(q in [lo_j, t*_j)) (m - q).  So (1 - m*eps_j) divides
+N_c iff sum W * g_j(m, e_j) = 0 over every group of c's profiles that share
+their exponents off j.  Such a group is the profiles whose keys agree off
+corner field j, and in it W is w * e_j! times one positive factor.  Each
+m - q < 0, as m < d_j <= lo_j <= q, and W > 0, so a lone profile never sums
+to 0: a target with a lone group keeps every candidate in eps_j, and by the
+same argument over all variables N_c != 0.  The candidates are distinct
+linear factors, so one ``divide_out`` call divides N_c by the product of its
+divisors; a divisor left over raises ``InvariantViolation``.
 
 The product cache holds the public key objects: each target is built once
 as an ``OffDiagonalType``, whose hash is stored, and ``universal_product``
@@ -59,10 +59,11 @@ hands out a copy of the cached mapping with those same keys.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import factorial, prod
-from operator import mul
 
 from .combination import Combination
 from .cosets import (
@@ -80,18 +81,14 @@ from .epsring import EpsPolynomial, EpsRingElement, _den_product, _falling, _sum
 from .errors import InvariantViolation
 
 
-def _profile_weights(a: Grid, b: Grid) -> dict[Grid, dict[tuple[int, ...], int]]:
-    """Integer weight sum_t prod a! prod b! / prod t! per target c and eps exponent vector,
-    as {c: {exps: w}}.
-
-    A convolution key holds c in its low nu*nu fields and the corner vector,
-    which is the exponent vector, in the field row above them; each distinct
-    target and each distinct corner is decoded once.
-    """
+@lru_cache(maxsize=None)
+def _product_terms(a: Grid, b: Grid) -> dict[OffDiagonalType, EpsRingElement]:
+    """{c: structure constant} for every target type c of the pair with entries a, b."""
     nu = len(a)
     a_stars = [_star(a, j) for j in range(nu)]
     b_stars = [_star(b, j) for j in range(nu)]
-    shift = _field_bits(max(a_stars[j] + b_stars[j] for j in range(nu)))  # bounds every field
+    lows = [max(x, y) for x, y in zip(a_stars, b_stars)]
+    shift = _field_bits(max(x + y for x, y in zip(a_stars, b_stars)))  # bounds every field
     slices = []
     for j in range(nu):
         # slice j of the pair embedded at n_j = a*_j + b*_j, where a_jj = b*_j
@@ -104,125 +101,72 @@ def _profile_weights(a: Grid, b: Grid) -> dict[Grid, dict[tuple[int, ...], int]]
             for k in range(nu)
         )
         slices.append(_slice_terms(caps, cols, shift, fields))
-    # the finite weight divides by the corners' factorials and multiplies by
-    # a_jj! = b*_j!; the universal one divides by neither and has b's factorials
-    num = prod(factorial(v) for row in b for v in row)
-    den = prod(map(factorial, b_stars))
+    # W = w * scale / prod_j b*_j!, where a corner row's scale is prod_j e_j! * prod b_jk!
+    b_facts = prod(factorial(v) for row in b for v in row)
+    b_star_facts = prod(map(factorial, b_stars))
+    candidates = [(j, m) for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))]
     top = nu * nu * shift
     mask = (1 << top) - 1
     field = (1 << shift) - 1
-    corners: dict[int, tuple[tuple[int, ...], int]] = {}  # corner key -> (exps, prod exps!)
-    groups: dict[int, dict[tuple[int, ...], int]] = {}
-    for key, w in _convolve(slices).items():
+    corners: dict[int, tuple[int, dict[int, int]]] = {}  # corner row -> scale, bracket terms
+    targets: dict[int, dict[int, int]] = {}  # c -> N_c as {packed degree row: coefficient}
+    profiles = _convolve(slices)
+    for key, w in profiles.items():
         corner = corners.get(key >> top)
         if corner is None:
-            exps = tuple(key >> top + j * shift & field for j in range(nu))
-            corner = corners[key >> top] = (exps, prod(map(factorial, exps)))
-        exps, scale = corner
-        group = groups.get(key & mask)
-        if group is None:
-            group = groups[key & mask] = {}
-        group[exps] = w * scale * num // den
-    return dict(zip(_unpack(groups, nu, nu, shift), groups.values()))
-
-
-def _profile_poly(
-    a_stars: tuple[int, ...], b_stars: tuple[int, ...], t_stars: tuple[int, ...]
-) -> dict[tuple[int, ...], int]:
-    """The terms of prod_j eps_j^(a*_j + b*_j - t*_j) times the numerator left
-    by prod_j ((a*_j, t*_j)) ((b*_j, t*_j)) / ((0, t*_j)) after cancellation.
-
-    The monomial is the profile's, since its exponent vector is a* + b* - t*.
-    In variable j the factor (1 - m*eps_j) appears in the numerator for m in
-    [a*, t*) and again for m in [b*, t*), and once in the denominator for m
-    in [1, t*).  Cancelling leaves one numerator copy on [max(a*, b*), t*)
-    and a leftover denominator on [1, min(a*, b*)), which is independent of
-    t*; the caller supplies the leftover as the pair-wide common denominator.
-    Brackets in distinct variables multiply as an outer product of coefficients.
-    """
-    terms: dict[tuple[int, ...], int] = {(): 1}
-    for x, y, t in zip(a_stars, b_stars, t_stars):
-        e = x + y - t
-        coeffs = _falling(max(x, y), t)
-        terms = {d + (e + k,): c * v for d, c in terms.items() for k, v in enumerate(coeffs)}
-    return terms
-
-
-def _numerators(
-    a: Grid, b: Grid
-) -> tuple[list[tuple[int, int]], dict[Grid, EpsPolynomial], dict[Grid, list[tuple[int, int]]]]:
-    """The candidate factors, the numerator N_c of every target c over them, and
-    the candidates that divide N_c, listed for each target with a zero sum.
-
-    The candidates are the pair-wide common denominator, (j, m) for m in
-    [1, min(a*_j, b*_j)), in that order, and each target's divisors keep it.
-    A profile adds w * g_j(m, e_j) to the sum of candidate k = (j, m) and its
-    exponents off j, whose id is k + K * (those exponents as base-B digits),
-    with K candidates and B above every exponent; k divides N_c iff all of
-    c's sums of k are 0.
-    """
-    nu = len(a)
-    a_stars = tuple(_star(a, j) for j in range(nu))
-    b_stars = tuple(_star(b, j) for j in range(nu))
-    lows = [max(x, y) for x, y in zip(a_stars, b_stars)]
-    candidates = [(j, m) for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))]
-    size = len(candidates)
-    powers = [(max(lows) + 1) ** i for i in range(nu)]  # B: an exponent e_j is at most lo_j
-    profiles: dict[tuple[int, ...], tuple[dict, list[int], list[int]]] = {}  # exps -> terms, ids, g
-    numerators: dict[Grid, EpsPolynomial] = {}
-    divisors: dict[Grid, list[tuple[int, int]]] = {}
-    for c, group in _profile_weights(a, b).items():
-        for exps in group:
-            if exps not in profiles:
-                t_stars = tuple(x + y - e for x, y, e in zip(a_stars, b_stars, exps))
-                code = sum(map(mul, exps, powers))
-                ids = [k + size * (code - exps[j] * powers[j]) for k, (j, _) in enumerate(candidates)]
-                gs = [prod(m - q for q in range(lows[j], t_stars[j])) for j, m in candidates]
-                profiles[exps] = (_profile_poly(a_stars, b_stars, t_stars), ids, gs)
-        items = iter(group.items())
-        exps, w = next(items)
-        terms, ids, gs = profiles[exps]
-        acc = {d: w * v for d, v in terms.items()}
-        sums = dict(zip(ids, map(w.__mul__, gs)))
-        get = acc.get
-        sget = sums.get
-        for exps, w in items:
-            terms, ids, gs = profiles[exps]
+            exps = [key >> top + j * shift & field for j in range(nu)]
+            terms = {0: 1}
+            for j, e in enumerate(exps):  # brackets in distinct variables: an outer product
+                coeffs = list(enumerate(_falling(lows[j], a_stars[j] + b_stars[j] - e), e))
+                terms = {d + (k << j * shift): x * v for d, x in terms.items() for k, v in coeffs}
+            corner = corners[key >> top] = (prod(map(factorial, exps)) * b_facts, terms)
+        scale, terms = corner
+        weight = w * scale // b_star_facts
+        acc = targets.get(key & mask)
+        if acc is None:
+            targets[key & mask] = {d: weight * v for d, v in terms.items()}
+        else:
+            get = acc.get
             for d, v in terms.items():
-                acc[d] = get(d, 0) + w * v
-            for i, g in zip(ids, gs):
-                sums[i] = sget(i, 0) + w * g
+                acc[d] = get(d, 0) + weight * v
+    cuts: dict[int, list[tuple[int, int]]] = {}  # c -> the candidates that divide N_c
+    for j in range(nu):
+        dj = min(a_stars[j], b_stars[j])
+        if dj < 2:  # no candidate in eps_j
+            continue
+        # a group is the profiles whose keys agree off corner field j; a target
+        # with a lone group keeps every candidate in eps_j
+        pos = top + j * shift
+        sizes = Counter(map(((1 << top + nu * shift) - 1 ^ field << pos).__and__, profiles))
+        lone = {k & mask for k, n in sizes.items() if n == 1}
+        groups = [k for k, n in sizes.items() if n > 1 and k & mask not in lone]
+        kept = set(map(mask.__and__, groups))  # the targets with no lone group
+        ws = [[profiles.get(k | e << pos, 0) for k in groups] for e in range(dj + 1)]
+        for m in range(1, dj):
+            # each group's sum of w * e_j! * g_j(m, e_j), where t*_j = lo_j + d_j - e_j
+            gs = [
+                factorial(e) * prod(m - q for q in range(lows[j], lows[j] + dj - e))
+                for e in range(dj + 1)
+            ]
+            sums = map(sum, zip(*[map(g.__mul__, col) for g, col in zip(gs, ws)]))
+            for c in kept.difference(map(mask.__and__, compress(groups, sums))):
+                cuts.setdefault(c, []).append((j, m))
+    degrees: dict[int, tuple[int, ...]] = {}  # packed degree row -> multidegree
+    _unpack(set().union(*(terms for _, terms in corners.values())), 1, nu, shift, degrees)
+    out: dict[OffDiagonalType, EpsRingElement] = {}
+    for (c, acc), grid in zip(targets.items(), _unpack(targets, nu, nu, shift)):
         if 0 in acc.values():  # profiles rarely cancel: filter only when some did
             acc = {d: v for d, v in acc.items() if v}
-        numerators[c] = EpsPolynomial._make(nu, acc)
-        if 0 in sums.values():  # a sum of one profile is never 0: most targets stop here
-            kept = {i % size for i, v in sums.items() if v}
-            divisors[c] = [f for k, f in enumerate(candidates) if k not in kept]
-    return candidates, numerators, divisors
-
-
-@lru_cache(maxsize=None)
-def _product_terms(a: Grid, b: Grid) -> dict[OffDiagonalType, EpsRingElement]:
-    """{c: structure constant} for every target type c of the pair with entries a, b.
-
-    Each key is built once, here, and the cache holds it: every later call
-    hands out the same ``OffDiagonalType`` objects, whose hashes are stored.
-    """
-    nu = len(a)
-    candidates, numerators, divisors = _numerators(a, b)
-    make = OffDiagonalType._make
-    out: dict[OffDiagonalType, EpsRingElement] = {}
-    for c, num in numerators.items():
+        num = EpsPolynomial._make(nu, dict(zip(map(degrees.__getitem__, acc), acc.values())))
         den = dict.fromkeys(candidates, 1)
-        cut = divisors.get(c)
-        if cut:
+        if cut := cuts.get(c):
             num, left = num.divide_out(dict.fromkeys(cut, 1))
             if left:  # the rule is exact: a factor it names must divide
                 j, m = min(left)
-                raise InvariantViolation(f"(1 - {m}*eps_{j + 1}) does not divide N_{c}")
+                raise InvariantViolation(f"(1 - {m}*eps_{j + 1}) does not divide N_{grid}")
             for f in cut:
                 del den[f]
-        out[make(c)] = EpsRingElement._make(nu, num, den)
+        out[OffDiagonalType._make(grid)] = EpsRingElement._make(nu, num, den)
     return out
 
 

@@ -67,6 +67,13 @@ CASES = [
      ["universal", "--nu", "3", "--a", "1,2,1,1,3,1,2,1,1,2,3,2,3,1,1,3,2,2",
       "--b", "1,2,2,1,3,2,2,1,2,2,3,1,3,1,2,3,2,1",
       "--c", "1,2,1,1,3,1,2,1,1,2,3,3,3,1,1,3,2,3"]),
+    # one of its 17 targets cancels its candidate: a nu=4 cancellation
+    ("universal-nu4-cancel", ["universal", "--nu", "4", "--a",
+                              "2,3,1,2,4,1,3,2,1,3,4,1,4,2,1,4,3,1",
+                              "--b", "1,4,1,3,4,1,4,1,1,4,3,1"]),
+    # a*_j + b*_j = 257: every packed field, the degree row's too, is two bytes wide
+    ("universal-nu2-wide", ["universal", "--nu", "2", "--a", "1,2,255,2,1,255",
+                            "--b", "1,2,2,2,1,2"]),
     ("specialize-nu3", ["specialize", "--n", "2,2,3", "--a", NU3_A, "--b", NU3_C]),
     ("specialize-nu3-const", ["specialize", "--n", "2,3,2", "--a", NU3_B, "--b", NU3_A,
                               "--c", NU3_C]),

@@ -8,9 +8,10 @@ value through embedding, the displayed braid products, the term-by-term
 evaluation at a rational point, the per-term ``Fraction`` evaluation and the
 multiplied-out series expansion.  They share no enumeration with the package,
 except the generic cancellation of the universal numerators, which checks
-only the cancellation and so sums the package's own profiles, and the
-full-slice reader, which checks only that leaving out zero rows and columns
-changes nothing and so walks the package's own ``transport``.
+only the cancellation and so sums its profiles from the package's own slice
+builder and convolution, decoded here, and the full-slice reader, which
+checks only that leaving out zero rows and columns changes nothing and so
+walks the package's own ``transport``.
 """
 
 import itertools
@@ -281,19 +282,24 @@ def walk_tensors(a, b):
 
 @lru_cache(maxsize=None)
 def _profile_polynomial(a_stars, b_stars, t_stars):
-    """The package's bracket product of one profile, monomial included, as a
-    polynomial; kept across calls, since the reference routes meet the same
-    profiles in many pairs."""
-    from cosetalg.universal import _profile_poly
-
-    return EpsPolynomial._make(len(t_stars), _profile_poly(a_stars, b_stars, t_stars))
+    """One profile's monomial prod_j eps_j^(a*_j + b*_j - t*_j) times its
+    brackets ((max(a*_j, b*_j), t*_j)), which are what is left of
+    ((a*_j, t*_j)) ((b*_j, t*_j)) / ((0, t*_j)) over the pair's common
+    denominator, multiplied out from ``bracket`` polynomials; kept across
+    calls, since the reference routes meet the same profiles in many pairs."""
+    nu = len(t_stars)
+    exps = tuple(x + y - t for x, y, t in zip(a_stars, b_stars, t_stars))
+    poly = EpsPolynomial.monomial(nu, exps, 1)
+    for j, (x, y, t) in enumerate(zip(a_stars, b_stars, t_stars)):
+        poly = poly * bracket(max(x, y), t, j, nu)
+    return poly
 
 
 def reference_universal_terms(a, b):
     """Universal constants {c: EpsRingElement} of the pair (a, b) by the tensor walk.
 
-    Weights are summed as one Fraction per tensor; the polynomial part uses
-    the package's per-profile bracket products, which carry the monomial.
+    Weights are summed as one Fraction per tensor; the polynomial part is
+    each profile's ``_profile_polynomial``, which carries the monomial.
     """
     nu = len(a)
     pref = prod(factorial(a[i][j]) * factorial(b[i][j]) for i in range(nu) for j in range(nu))
@@ -325,10 +331,52 @@ def reference_universal_terms(a, b):
 # generic trial division of ``EpsRingElement``, which tries every factor.
 
 
-def raw_universal_numerators(a, b):
-    """(common_den, {c: numerator}) summed from the package's profile weights and polynomials."""
-    from cosetalg.universal import _profile_weights
+def universal_profiles(a, b):
+    """{c: {exponent vector: universal weight}} of the pair (a, b), summed by the
+    package's slice builder and convolution and decoded field by field.
 
+    Slice j is the pair embedded at n_j = a*_j + b*_j; its key holds c_ik
+    (i != k) in field i*nu + k and the corner t_jjj, the eps_j exponent, in
+    field nu*nu + j.  A finite weight w becomes the universal one
+    w * prod_j e_j! * prod b_jk! / prod_j b*_j!.
+    """
+    from cosetalg.cosets import _convolve, _field_bits, _slice_terms
+
+    nu = len(a)
+    a_stars = [_star(a, j) for j in range(nu)]
+    b_stars = [_star(b, j) for j in range(nu)]
+    shift = _field_bits(max(x + y for x, y in zip(a_stars, b_stars)))
+    slices = []
+    for j in range(nu):
+        caps = tuple(b_stars[j] if i == j else a[i][j] for i in range(nu))
+        cols = tuple(a_stars[j] if k == j else b[j][k] for k in range(nu))
+        fields = tuple(
+            nu * nu + j if i == k == j else None if i == k else i * nu + k
+            for i in range(nu)
+            for k in range(nu)
+        )
+        slices.append(_slice_terms(caps, cols, shift, fields))
+    num = prod(factorial(v) for row in b for v in row)
+    den = prod(map(factorial, b_stars))
+
+    @lru_cache(maxsize=None)
+    def fields_of(bits, count):
+        return tuple(bits >> f * shift & (1 << shift) - 1 for f in range(count))
+
+    profiles = {}
+    for key, w in _convolve(slices).items():
+        values = fields_of(key & (1 << nu * nu * shift) - 1, nu * nu)
+        c = tuple(values[i * nu : i * nu + nu] for i in range(nu))
+        exps = fields_of(key >> nu * nu * shift, nu)
+        weight, rem = divmod(w * prod(map(factorial, exps)) * num, den)
+        assert not rem, (a, b, c, exps)
+        profiles.setdefault(c, {})[exps] = weight
+    return profiles
+
+
+def raw_universal_numerators(a, b):
+    """(common_den, {c: numerator}) summed from ``universal_profiles`` and each
+    profile's ``_profile_polynomial``."""
     nu = len(a)
     a_stars = tuple(_star(a, j) for j in range(nu))
     b_stars = tuple(_star(b, j) for j in range(nu))
@@ -336,7 +384,7 @@ def raw_universal_numerators(a, b):
         (j, m): 1 for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))
     }
     numerators = {}
-    for c, group in _profile_weights(a, b).items():
+    for c, group in universal_profiles(a, b).items():
         for exps, w in group.items():
             t_stars = tuple(a_stars[j] + b_stars[j] - exps[j] for j in range(nu))
             num = w * _profile_polynomial(a_stars, b_stars, t_stars)

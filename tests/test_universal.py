@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -39,6 +40,7 @@ from helpers import (
     reference_universal_terms,
     relabel,
     relabel_pair,
+    universal_profiles,
     walk_tensors,
 )
 
@@ -160,17 +162,17 @@ def test_candidate_outputs_reuse_the_cached_product(monkeypatch):
     # asking for the product runs the convolution once
     universal._product_terms.cache_clear()
     calls = []
-    profile_weights = universal._profile_weights
+    convolve = universal._convolve
 
-    def counted(a, b):
-        calls.append((a, b))
-        return profile_weights(a, b)
+    def counted(slices):
+        calls.append(len(slices))
+        return convolve(slices)
 
-    monkeypatch.setattr(universal, "_profile_weights", counted)
+    monkeypatch.setattr(universal, "_convolve", counted)
     a, b = balanced_types(3, 2)[7], balanced_types(3, 2)[12]
     outs = candidate_outputs(a, b)
     assert len(outs) > 1 and sorted(universal_product(a, b)) == outs
-    assert calls == [(a.entries, b.entries)]
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("nu,entry_max", [(2, 2), (3, 1)])
@@ -362,6 +364,21 @@ def test_constants_match_tensor_walk_nu4_sampled():
     _check_against_tensor_walk([(rng.choice(types), rng.choice(types)) for _ in range(100)])
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (((0, 255), (255, 0)), ((0, 2), (2, 0))),
+        (((0, 1, 1), (1, 0, 1), (1, 1, 0)), ((0, 0, 255), (255, 0, 0), (0, 255, 0))),
+    ],
+)
+def test_constants_match_tensor_walk_with_two_byte_fields(a, b):
+    # a*_j + b*_j = 257 does not fit a byte, so every packed field of the pair,
+    # those of the degree rows too, is two bytes wide; both orders of the pair
+    a, b = OffDiagonalType(a), OffDiagonalType(b)
+    assert max(a.star(j) + b.star(j) for j in range(a.nu)) == 257
+    _check_against_tensor_walk([(a, b), (b, a)])
+
+
 def _check_against_generic(pairs):
     product_terms = universal._product_terms.__wrapped__
     for a, b in pairs:
@@ -387,47 +404,52 @@ def test_cancellation_matches_generic_nu4_first():
 def test_numerators_build_one_polynomial_per_target(monkeypatch):
     # the costliest nu=4 pair of the benchmark's universal round at seed 1
     # (1,911 tensors): every target's numerator is summed in place and built
-    # once, with no intermediate polynomial per profile or per addition
+    # once, with no intermediate polynomial per profile or per addition; the
+    # only other polynomials are the quotients of ``divide_out``
     a = ((0, 0, 1, 1), (1, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0))
     b = ((0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0))
-    calls = []
+    callers = []
     make = EpsPolynomial._make.__func__
 
     def counted(cls, space, terms):
-        calls.append(space)
+        callers.append(sys._getframe(1).f_code.co_name)
         return make(cls, space, terms)
 
     monkeypatch.setattr(EpsPolynomial, "_make", classmethod(counted))
-    _, numerators, _ = universal._numerators(a, b)
-    assert len(numerators) == 1156
-    assert len(calls) == len(numerators)
+    terms = universal._product_terms.__wrapped__(a, b)
+    assert len(terms) == 1156
+    assert callers.count("_product_terms") == len(terms)
+    assert set(callers) == {"_product_terms", "_unchain"}
 
 
-def _has_candidate(a, b):
-    return any(min(a.star(j), b.star(j)) >= 2 for j in range(a.nu))
+def _candidates(a, b):
+    """The factors (j, m) of the common denominator of the pair of grids (a, b),
+    m in [1, min(a*_j, b*_j)), in candidate order."""
+    a, b = OffDiagonalType(a), OffDiagonalType(b)
+    return [(j, m) for j in range(a.nu) for m in range(1, min(a.star(j), b.star(j)))]
 
 
 def _sampled_pairs(nu, entry_max, sample):
     types = balanced_types(nu, entry_max)
-    pairs = [(a.entries, b.entries) for a in types for b in types if _has_candidate(a, b)]
+    pairs = [(a.entries, b.entries) for a in types for b in types]
+    pairs = [(a, b) for a, b in pairs if _candidates(a, b)]
     return random.Random(nu).sample(pairs, min(len(pairs), sample))
 
 
 @pytest.mark.parametrize("nu,entry_max,sample", [(2, 5, 60), (3, 2, 60), (4, 1, 60)])
 def test_divisors_are_the_candidates_that_cancel(nu, entry_max, sample):
     # the divisors read off the profile weights are exactly the candidates that
-    # the generic route's trial division removes, in candidate order
+    # the generic route's trial division removes, and every denominator lists
+    # the candidates it keeps in candidate order
     cancelled = 0
     for a, b in _sampled_pairs(nu, entry_max, sample):
-        candidates, numerators, divisors = universal._numerators(a, b)
-        common_den, _ = raw_universal_numerators(a, b)
+        got = grid_keyed(universal._product_terms.__wrapped__(a, b))
+        candidates = _candidates(a, b)
         want = generic_universal_terms(a, b)
-        assert candidates == list(common_den)
-        assert numerators.keys() == want.keys()
-        for c in numerators:
-            gone = [f for f in candidates if f not in want[c].den]
-            assert divisors.get(c, []) == gone, (a, b, c)
-            cancelled += len(gone)
+        assert got.keys() == want.keys()
+        for c, value in got.items():
+            assert list(value.den) == [f for f in candidates if f in want[c].den], (a, b, c)
+            cancelled += len(candidates) - len(value.den)
     assert cancelled or nu == 2  # no pair of the nu=2 grid has a divisor
 
 
@@ -438,13 +460,12 @@ def test_one_profile_targets_keep_every_candidate(nu, entry_max, sample):
     # denominator, in candidate order
     single = 0
     for a, b in _sampled_pairs(nu, entry_max, sample):
-        candidates, _, divisors = universal._numerators(a, b)
+        candidates = _candidates(a, b)
         got = grid_keyed(universal._product_terms.__wrapped__(a, b))
         want = generic_universal_terms(a, b)
-        for c, group in universal._profile_weights(a, b).items():
+        for c, group in universal_profiles(a, b).items():
             if len(group) > 1:
                 continue
-            assert not divisors.get(c), (a, b, c)
             assert _canonical_forms({c: got[c]}) == _canonical_forms({c: want[c]}), (a, b, c)
             assert list(got[c].den) == candidates, (a, b, c)
             single += 1
@@ -457,22 +478,26 @@ def test_false_zero_pair_lists_no_divisor():
     # no divisor for any target
     a = ((0, 0, 2), (0, 0, 0), (2, 0, 0))
     b = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
-    candidates, numerators, divisors = universal._numerators(a, b)
+    common_den, numerators = raw_universal_numerators(a, b)
+    candidates = list(common_den)
     assert (2, 1) in candidates
     assert evaluate_over(numerators[b], [(2, 1), (3, 1), (1, 1)])[0] == 0
-    assert not any(divisors.values())
     got = grid_keyed(universal._product_terms.__wrapped__(a, b))
     assert _canonical_forms(got) == _canonical_forms(generic_universal_terms(a, b))
     assert all(list(v.den) == candidates for v in got.values())
 
 
 def test_a_listed_divisor_that_does_not_divide_raises(monkeypatch):
-    # the rule is exact, so a failed division is a bug: it raises, also under -O
-    a = ((0, 0, 2), (0, 0, 0), (2, 0, 0))
-    b = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
-    candidates, numerators, _ = universal._numerators(a, b)
-    monkeypatch.setattr(universal, "_numerators", lambda a, b: (candidates, numerators, {b: [(2, 1)]}))
-    with pytest.raises(InvariantViolation, match=r"\(1 - 1\*eps_3\) does not divide"):
+    # the rule is exact, so a failed division is a bug: it raises, also under -O.
+    # The pair's target c below has the divisors (1 - 2*eps_2) and (1 - 2*eps_3);
+    # with a division that divides nothing, the smallest is named
+    a = ((0, 1, 1), (1, 0, 2), (1, 2, 0))
+    b = ((0, 2, 2), (2, 0, 1), (2, 1, 0))
+    c = ((0, 1, 1), (1, 0, 3), (1, 3, 0))
+    got = universal._product_terms.__wrapped__(a, b)
+    assert list(got[OffDiagonalType(c)].den) == [(0, 1), (1, 1), (2, 1)]
+    monkeypatch.setattr(EpsPolynomial, "divide_out", lambda self, factors: (self, dict(factors)))
+    with pytest.raises(InvariantViolation, match=r"\(1 - 2\*eps_2\) does not divide N_"):
         universal._product_terms.__wrapped__(a, b)
 
 
