@@ -14,10 +14,13 @@ axis-wise marginal slices reproduce a, b and c:
 The first two constraints separate by the middle index j: the slice t_{.j.}
 is a transportation table with row sums a_{.j} and column sums b_{j.}, and
 c is the sum of the slices.  The slice weight prod_i a_ij! / prod_ik t_ijk!
-is an integer (a product of multinomials), so
+is an integer (a product of multinomials), and the rows of b sum to n, so
 
-    coefficient = (prod_jk b_jk! / prod_j n_j!) * W_c,
-    W_c = sum over slice choices with sum c of the product of slice weights.
+    coefficient = W_c / prod_j multinomial(n_j; b_j.),
+    W_c = sum over slice choices with sum c of the product of slice weights,
+
+with multinomial(n_j; b_j.) = n_j! / prod_k b_jk!; ``cosets._multinomial``
+builds each from binomials, so no factorial of a margin is ever formed.
 
 W_c is computed for every target at once by a convolution over j: a dict
 from the partial c, packed into one integer with a fixed bit width per
@@ -59,7 +62,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial, prod
+from math import prod
 
 from .combination import Combination, bilinear
 from .cosets import (
@@ -71,6 +74,7 @@ from .cosets import (
     _convolve,
     _field_bits,
     _interned,
+    _multinomial,
     _pack,
     _slice_terms,
     count_transport,
@@ -89,10 +93,9 @@ def _coefficients(a: Grid, b: Grid, margins: Margins) -> dict[int, Fraction]:
     shift = _field_bits(max(n))  # every partial c_ik is at most n_i
     cells = tuple(range(nu * nu))  # cell (i, k) packs into field i*nu + k
     weights = _convolve(_slice_terms(_column(a, j), b[j], shift, cells) for j in range(nu))
-    num = prod(factorial(v) for row in b for v in row)
-    den = prod(map(factorial, n))
+    den = prod(map(_multinomial, b))  # prod_j n_j! / prod_k b_jk!: b's rows sum to n
     # W_c -> its coefficient, built once per distinct weight
-    values = {w: Fraction(num * w, den) for w in set(weights.values())}
+    values = {w: Fraction(w, den) for w in set(weights.values())}
     return {c: values[w] for c, w in weights.items()}
 
 

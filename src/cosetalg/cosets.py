@@ -16,16 +16,18 @@ sums with the same total, as the margins of a coset matrix or of a slice of
 a product have, and unequal totals admit no table.
 ``_slice_terms`` hands it only the slice's nonzero rows and columns, since a
 zero cap or a zero column sum forces zeros there, and reads each table into a
-packed integer key and an integer weight over the kept cells.  ``_convolve``
-sums over the slices and ``_unpack`` reads the keys back as grids, one row
-field at a time, decoding each distinct row once through a {row bits: row
-tuple} dict.  ``_interned`` maps the packed targets of a product to key
-objects: each layout (margins or nu, field width) has one table of key
-objects and one row dict, so a target that another product has already
-produced is not decoded again, and while the layout's table is cached equal
-targets of any two products are one object.  ``_pack`` is the inverse of ``_unpack`` for one grid, and
-``count_transport`` counts the tables ``transport`` would walk without
-building them.
+packed integer key and an integer weight over the kept cells.  Every weight,
+here and in ``coset_size``, is a product of row multinomials, built by
+``_multinomial`` from ``comb`` factors, so a huge diagonal cell costs no more
+than the small cells of its row.  ``_convolve`` sums over the slices and
+``_unpack`` reads the keys back as grids, one row field at a time, decoding
+each distinct row once through a {row bits: row tuple} dict.  ``_interned``
+maps the packed targets of a product to key objects: each layout (margins or
+nu, field width) has one table of key objects and one row dict, so a target
+that another product has already produced is not decoded again, and while the
+layout's table is cached equal targets of any two products are one object.
+``_pack`` is the inverse of ``_unpack`` for one grid, and ``count_transport``
+counts the tables ``transport`` would walk without building them.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -37,11 +39,10 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import index, sub
 
-from .errors import InvariantViolation, MarginOverflow
+from .errors import MarginOverflow
 
 Grid = tuple[tuple[int, ...], ...]
 
@@ -447,6 +448,16 @@ def _interned(keys, layout, nu: int, shift: int, make):
     return map(table.__getitem__, keys)
 
 
+def _multinomial(parts) -> int:
+    """(sum of parts)! / prod p!, as prod_k comb(p_1 + ... + p_k, p_k): each ``comb``
+    multiplies min(p_k, p_1 + ... + p_(k-1)) factors, so one huge part is cheap."""
+    out, total = 1, 0
+    for p in parts:
+        total += p
+        out *= comb(total, p)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _slice_terms(
     caps: tuple[int, ...], cols: tuple[int, ...], shift: int, fields: tuple[int | None, ...]
@@ -455,29 +466,27 @@ def _slice_terms(
 
     Cell (i, k) adds its value to field ``fields[i*len(cols) + k]`` of the
     key, fields being ``shift`` bits wide; a cell whose field is None stays
-    out of the key.  The weight is prod_i caps_i! / prod_ik t_ik! over every
-    cell, a product of multinomials, since every row meets its cap.  A row with
-    cap 0 or a column with sum 0 holds only zeros, which add nothing to a key
-    or a weight, so only the other rows and columns are walked; the cells left
-    out are 0 in every table, so the tables come in the same order as over the
+    out of the key.  The weight is prod_i caps_i! / prod_ik t_ik!, the product
+    of the rows' multinomials (``_multinomial``), since every row meets its
+    cap; one huge cell costs no more than a small one.  A row with cap 0 or a
+    column with sum 0 holds only zeros, which add nothing to a key or a
+    weight, so only the other rows and columns are walked; the cells left out
+    are 0 in every table, so the tables come in the same order as over the
     full slice.
     """
     width = len(cols)
     rows = [i for i, cap in enumerate(caps) if cap]
     keep = [k for k, col in enumerate(cols) if col]
-    units = [fields[i * width + k] for i in rows for k in keep]
-    units = [0 if f is None else 1 << shift * f for f in units]
-    facts = [factorial(v) for v in range(max(caps, default=0) + 1)]
-    top = prod(facts[caps[i]] for i in rows)
+    units = [[fields[i * width + k] for k in keep] for i in rows]
+    units = [[0 if f is None else 1 << shift * f for f in row] for row in units]
     out = []
     for table in transport(tuple(caps[i] for i in rows), tuple(cols[k] for k in keep)):
         packed = 0
-        den = 1
-        for v, unit in zip(chain.from_iterable(table), units):
-            if v:
-                packed += v * unit
-                den *= facts[v]
-        out.append((packed, top // den))
+        for row, row_units in zip(table, units):
+            for v, unit in zip(row, row_units):
+                if v:
+                    packed += v * unit
+        out.append((packed, prod(map(_multinomial, table))))
     return tuple(out)
 
 
@@ -507,19 +516,10 @@ def enumerate_coset_matrices(margins: Margins) -> list[CosetMatrix]:
 def coset_size(m: CosetMatrix) -> int:
     """Number of group elements in the double coset labelled by ``m``.
 
-    Equals prod_j (n_j!)^2 / prod_ij a_ij!, always an exact integer.
+    Equals prod_j (n_j!)^2 / prod_ij a_ij!: the product of the rows'
+    multinomials n_i! / prod_j a_ij!, times prod_j n_j!.
     """
-    num = 1
-    for x in m.margins.n:
-        num *= factorial(x) ** 2
-    den = 1
-    for row in m.entries:
-        for v in row:
-            den *= factorial(v)
-    size, rem = divmod(num, den)
-    if rem:
-        raise InvariantViolation(f"coset size of {m.entries} is not integral")
-    return size
+    return prod(map(_multinomial, m.entries)) * prod(map(factorial, m.margins.n))
 
 
 def check_fit(margins: Margins, *types: OffDiagonalType) -> None:

@@ -17,7 +17,7 @@ correctness certificate for every branch.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, perm
 
 from .algebra import structure_constant
 from .cosets import CosetMatrix, Margins
@@ -39,37 +39,30 @@ def phi_matrix(a: int, n1: int, n2: int) -> CosetMatrix:
     return CosetMatrix(((n1 - a, a), (a, n2 - a)), Margins((n1, n2)))
 
 
-def _prefactor(a: int, b: int, n1: int, n2: int) -> Fraction:
-    """The factor a!^2 b!^2 (n1-a)! (n2-a)! (n1-b)! (n2-b)! / (n1! n2!) of every term."""
+def _term(a: int, b: int, n1: int, n2: int, sigma: int, tau: int) -> Fraction:
+    """The (sigma, tau) term of the double sum, 0 <= sigma, tau <= min(a, b).
+
+    Its weight a!^2 b!^2 (n1-a)! (n2-a)! (n1-b)! (n2-b)! / (n1! n2!) over the
+    summand's eight factorials cancels to binomials and falling factorials
+    P(n, k) = n! / (n-k)!, whose cost does not grow with the margins; P(n, k)
+    is 0 for k > n, where a factorial argument would be negative.
+    """
     return Fraction(
-        factorial(a) ** 2 * factorial(b) ** 2
-        * factorial(n1 - a) * factorial(n2 - a) * factorial(n1 - b) * factorial(n2 - b),
-        factorial(n1) * factorial(n2),
+        comb(a, sigma) * comb(b, tau) * perm(a, tau) * perm(b, sigma)
+        * perm(n1 - b, a - tau) * perm(n2 - b, a - sigma),
+        perm(n1, a) * perm(n2, a),
     )
 
 
 def s_sum(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:
-    """Structure constant as the explicit double sum over (sigma, tau).
-
-    Terms where any factorial argument would go negative contribute zero.
-    """
+    """Structure constant as the explicit double sum over (sigma, tau), tau = a+b-c-sigma."""
     _check_domain(a, b, c, n1, n2)
     total = Fraction(0)
-    for sigma in range(0, min(a, b) + 1):
+    for sigma in range(min(a, b) + 1):
         tau = a + b - c - sigma
-        if not 0 <= tau <= min(a, b):
-            continue
-        args = (
-            sigma, tau, a - sigma, b - sigma, a - tau, b - tau,
-            n1 - a - b + tau, n2 - a - b + sigma,
-        )
-        if any(x < 0 for x in args):
-            continue
-        den = 1
-        for x in args:
-            den *= factorial(x)
-        total += Fraction(1, den)
-    return _prefactor(a, b, n1, n2) * total
+        if 0 <= tau <= min(a, b):
+            total += _term(a, b, n1, n2, sigma, tau)
+    return total
 
 
 def f43_terminating(upper, lower) -> Fraction:
@@ -106,7 +99,7 @@ def f43_terminating(upper, lower) -> Fraction:
 
 
 def s_closed_form(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:
-    """Structure constant as (prefactor) * 4F3(1), exact on every branch.
+    """Structure constant as (the sum's term at sigma = s0) * 4F3(1), exact on every branch.
 
     In terms of the single summation variable sigma the summand is
 
@@ -131,13 +124,10 @@ def s_closed_form(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:
     )
     if min(base_args) < 0:
         raise InvariantViolation(f"negative 4F3 base argument in {base_args}")
-    den = 1
-    for x in base_args:
-        den *= factorial(x)
     upper = (s0 - a, s0 - b, s0 + c - a - b, s0 + c - n1)
     lowers = [s0 + 1, c - b + s0 + 1, c - a + s0 + 1, n2 - a - b + s0 + 1]
     lowers.remove(1)  # the slot realizing s0 supplies the series k!
-    return _prefactor(a, b, n1, n2) / den * f43_terminating(upper, tuple(lowers))
+    return _term(a, b, n1, n2, s0, a + b - c - s0) * f43_terminating(upper, tuple(lowers))
 
 
 def s_eq3(a: int, b: int, c: int, n1: int, n2: int) -> Fraction:

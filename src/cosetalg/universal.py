@@ -25,14 +25,15 @@ finite product's slice builder (``cosets._slice_terms``) enumerates the
 tensors: the key of slice j holds its share of c_ik (i != k) and, in a field
 row above c, its corner t_jjj.  The convolution over j maps each profile, a
 key of c and its corner vector e, to its finite weight w; the universal one
-is W = w * prod_j e_j! * prod b_jk! / prod_j b*_j!.  In variable j the
-brackets cancel to one numerator copy on [lo_j, t*_j), lo_j = max(a*_j, b*_j),
-and a denominator on [1, d_j), d_j = min(a*_j, b*_j), that does not depend
-on t*_j: the pair-wide common denominator, whose candidates (j, m) every
-constant lists by j, then m.  A profile adds W * prod_i eps_i^e_i
-prod_(q in [lo_i, t*_i)) (1 - q*eps_i) to its target's numerator N_c; its
-terms are built once per corner row and keyed by packed degree rows, the
-degree in eps_j in field j.  Each target and each distinct degree row is
+is W = w * prod_j e_j! * prod b_jk! / prod_j b*_j!, whose divisor is the
+product of b's row multinomials (``cosets._multinomial``; b's diagonal is
+0).  In variable j the brackets cancel to one numerator copy on
+[lo_j, t*_j), lo_j = max(a*_j, b*_j), and a denominator on [1, d_j),
+d_j = min(a*_j, b*_j), that does not depend on t*_j: the pair-wide common
+denominator, whose candidates (j, m) every constant lists by j, then m.  A
+profile adds W * prod_i eps_i^e_i prod_(q in [lo_i, t*_i)) (1 - q*eps_i) to
+its target's numerator N_c; its terms are built once per corner row and
+keyed by packed degree rows, the degree in eps_j in field j.  Each target and each distinct degree row is
 decoded once, at the end.
 
 The factors of the common denominator that divide N_c are read off its
@@ -72,6 +73,7 @@ from .cosets import (
     OffDiagonalType,
     _convolve,
     _field_bits,
+    _multinomial,
     _slice_terms,
     _star,
     _unpack,
@@ -101,9 +103,8 @@ def _product_terms(a: Grid, b: Grid) -> dict[OffDiagonalType, EpsRingElement]:
             for k in range(nu)
         )
         slices.append(_slice_terms(caps, cols, shift, fields))
-    # W = w * scale / prod_j b*_j!, where a corner row's scale is prod_j e_j! * prod b_jk!
-    b_facts = prod(factorial(v) for row in b for v in row)
-    b_star_facts = prod(map(factorial, b_stars))
+    # W = w * scale / b_rows: a corner row's scale is prod_j e_j!, b_rows b's row multinomials
+    b_rows = prod(map(_multinomial, b))
     candidates = [(j, m) for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))]
     top = nu * nu * shift
     mask = (1 << top) - 1
@@ -119,9 +120,9 @@ def _product_terms(a: Grid, b: Grid) -> dict[OffDiagonalType, EpsRingElement]:
             for j, e in enumerate(exps):  # brackets in distinct variables: an outer product
                 coeffs = list(enumerate(_falling(lows[j], a_stars[j] + b_stars[j] - e), e))
                 terms = {d + (k << j * shift): x * v for d, x in terms.items() for k, v in coeffs}
-            corner = corners[key >> top] = (prod(map(factorial, exps)) * b_facts, terms)
+            corner = corners[key >> top] = (prod(map(factorial, exps)), terms)
         scale, terms = corner
-        weight = w * scale // b_star_facts
+        weight = w * scale // b_rows
         acc = targets.get(key & mask)
         if acc is None:
             targets[key & mask] = {d: weight * v for d, v in terms.items()}

@@ -46,6 +46,10 @@ CASES = [
                      "1,0,0,0,1,1,0,1,2"]),
     ("product-2222-rev", ["product", "--n", "2,2,2,2", "--a", P2222_B, "--b", P2222_A]),
     ("product-identity-31", ["product", "--n", ONES_31, "--a", IDENTITY_31, "--b", IDENTITY_31]),
+    # a diagonal of about 10**5 points in each block, off-diagonal mass 6 and 4
+    ("product-large-diagonal", ["product", "--n", "100000,100000,100000",
+                                "--a", "99998,1,1,1,99998,1,1,1,99998",
+                                "--b", "99999,1,0,0,99999,1,1,0,99999"]),
     ("verify-assoc-112", ["verify-assoc", "--n", "1,1,2"]),
     ("oracle-check-22", ["oracle-check", "--n", "2,2"]),
     ("oracle-check-122-sample", ["--seed", "3", "oracle-check", "--n", "1,2,2", "--sample", "4"]),
@@ -87,6 +91,13 @@ CASES = [
     ("nu2-all", ["nu2", "s", "--a", "2", "--b", "1", "--c", "1", "--n1", "3", "--n2", "4"]),
     ("nu2-closed", ["nu2", "s", "--a", "2", "--b", "2", "--c", "3", "--n1", "5", "--n2", "4",
                     "--method", "closed"]),
+    # a diagonal of 1,997 points in each block; three routes, the oracle skipped
+    ("nu2-s-2000", ["nu2", "s", "--a", "3", "--b", "2", "--c", "1", "--n1", "2000", "--n2",
+                    "2000"]),
+    # diagonals of 99,997 points: every weight is a binomial product, so this
+    # costs what the small cases do
+    ("nu2-s-large", ["nu2", "s", "--a", "3", "--b", "2", "--c", "1", "--n1", "100000", "--n2",
+                     "100000"]),
     # error paths
     ("error-margin-overflow", ["specialize", "--n", "1,2,2", "--a", NU3_B, "--b", ""]),
     ("error-limit-exceeded", ["oracle-check", "--n", "3,3,3", "--sample", "1"]),

@@ -256,3 +256,29 @@ def test_oracle_check_refuses_oversized_group_before_any_product(capsys, monkeyp
     code, out = run(capsys, "oracle-check", "--n", "3,3,3,3", "--sample", "1")
     assert code == 1
     assert json.loads(out) == {"error": "limit-exceeded", "N": 12, "limit": 8}
+
+
+def _cli(*argv):
+    """(exit code, stdout) of one CLI call in a fresh process, killed after 30 s."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosetalg.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(cosetalg.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=30,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_cost_does_not_grow_with_the_diagonal():
+    # every finite weight is a product of binomials, so a diagonal of 10**9
+    # points costs no more than the off-diagonal mass; s(1,1,0,n,n) = 1/n^2
+    code, out = _cli("nu2", "s", "--a", "1", "--b", "1", "--c", "0", "--n1", "1000000000",
+                     "--n2", "1000000000")
+    assert code == 0
+    assert json.loads(out) == {"values": dict.fromkeys(("sum", "closed", "eq3"),
+                                                       "1/1000000000000000000"),
+                               "agree": True}
+    code, out = _cli("product", "--n", "1000000000,1000000001,1000000002",
+                     "--a", "999999998,1,1,1,999999999,1,1,1,1000000000",
+                     "--b", "999999999,1,0,0,1000000000,1,1,0,1000000001")
+    assert code == 0
+    assert len(json.loads(out)["terms"]) == 25  # as in golden case product-large-diagonal

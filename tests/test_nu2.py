@@ -87,6 +87,18 @@ def test_closed_form_equals_sum_exhaustive(n1, n2):
                 assert s_closed_form(a, b, c, n1, n2) == s_sum(a, b, c, n1, n2)
 
 
+def test_closed_form_equals_sum_at_large_margins():
+    # the exhaustive loop cannot reach n ~ 10**6; every small (a, b, c) there,
+    # where each route's cost must not grow with the diagonal
+    n1, n2 = 10**6, 10**6 + 7
+    for a in range(5):
+        for b in range(5):
+            for c in range(5):
+                value = s_sum(a, b, c, n1, n2)
+                assert s_closed_form(a, b, c, n1, n2) == value == s_eq3(a, b, c, n1, n2)
+    assert s_sum(1, 1, 0, n1, n2) == Fraction(1, n1 * n2)
+
+
 def test_boundary_branch():
     # a + b = n2 sits on the boundary between the two summation bases
     n1, n2 = 5, 4

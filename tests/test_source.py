@@ -185,3 +185,46 @@ def test_unbounded_cache_sites_are_recognised():
     )
     nodes = (("m.py", node) for node in ast.walk(ast.parse(source)))
     assert _unbounded_cache_sites(nodes) == {"m.f", "m.g", "m.h", "m.line 12"}
+
+
+# the only functions that form a factorial: every other weight is a product of
+# binomials (``cosets._multinomial``), whose cost does not grow with a margin
+FACTORIAL_SITES = {"cosets.coset_size", "universal._product_terms"}
+
+
+def _factorial_sites(nodes):
+    """module.function of every use of ``factorial``; an import is module.import."""
+    owner: dict[tuple[str, int], str] = {}  # (module, id of a node) -> innermost function
+    found = set()
+    for name, node in nodes:
+        module = name[:-3]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(((module, id(n)), node.name) for n in ast.walk(node))
+        elif (isinstance(node, ast.Name) and node.id == "factorial") or (
+            isinstance(node, ast.Attribute) and node.attr == "factorial"
+        ):
+            found.add(f"{module}.{owner.get((module, id(node)), f'line {node.lineno}')}")
+        elif isinstance(node, ast.alias) and node.name.split(".")[-1] == "factorial":
+            found.add(f"{module}.import")
+    return found
+
+
+def test_factorial_only_at_its_sites():
+    imports = {f"{site.split('.')[0]}.import" for site in FACTORIAL_SITES}
+    assert _factorial_sites(_nodes()) == FACTORIAL_SITES | imports
+
+
+def test_factorial_sites_are_recognised():
+    source = (
+        "import math\n"
+        "from math import factorial\n"
+        "def f(n): return factorial(n)\n"
+        "def g(n):\n"
+        "    def h(k): return math.factorial(k)\n"
+        "    return h(n)\n"
+        "def p(xs): return list(map(factorial, xs))\n"
+        "def comb_only(n): return math.comb(n, 2)\n"
+        "k = factorial(3)\n"
+    )
+    nodes = (("m.py", node) for node in ast.walk(ast.parse(source)))
+    assert _factorial_sites(nodes) == {"m.import", "m.f", "m.h", "m.p", "m.line 9"}

@@ -288,6 +288,25 @@ def test_specialization_matches_finite_algebra(n):
             )
 
 
+def test_finite_product_matches_universal_at_large_diagonal():
+    # near n = 10**6 the finite weights are binomial products whose cost does not
+    # grow with the diagonal; the universal constants, built at the star margins
+    # and specialised, are the independent route.  Every pair of the nu=3,
+    # entries <= 1 grid and a seeded sample of the entries <= 2 grid.
+    margins = Margins((10**6, 10**6 + 1, 10**6 + 3))
+    ones, twos = balanced_types(3, 1), balanced_types(3, 2)
+    pairs = list(itertools.product(ones, repeat=2))
+    pairs += random.Random(16).sample(list(itertools.product(twos, repeat=2)), 200)
+    for a, b in pairs:
+        fin = multiply(
+            AlgebraElement.basis(embed_offdiagonal(a, margins)),
+            AlgebraElement.basis(embed_offdiagonal(b, margins)),
+        )
+        want = {c: v for c, coeff in universal_product(a, b).items()
+                if (v := coeff.specialize(margins))}
+        assert {strip_diagonal(m): v for m, v in fin.terms.items()} == want
+
+
 @pytest.mark.parametrize("nu,entry_max", [(2, 3), (3, 1)])
 def test_universal_tensors_are_finite_tensors_at_star_margins(nu, entry_max):
     # at margins n_j = a*_j + b*_j every universal tensor of (a, b) is a finite
