@@ -36,11 +36,10 @@ lives in ``cosets``, where the universal product uses it too.
 packed target.  ``_product_terms`` wraps it with the product cache, which
 holds the public key objects.  The targets of products at the same margins
 repeat from one product to the next, so the keys are interned per margins
-(``cosets._interned``): a target is decoded and built as a ``CosetMatrix``,
-whose hash is stored, the first time any product produces it, and while the
-margins' table stays cached every product that produces it again hands out
-that same object.  A warm product neither builds nor rehashes a key, and
-merging products compares none.
+(``cosets._interned``): a target is decoded and built as a ``CosetMatrix``
+the first time any product produces it, and while the margins' table stays
+cached every product that produces it again hands out that same object.  A
+warm product builds no key, and merging products compares none.
 
 Two symmetries leave the coefficients unchanged: renaming blocks of equal
 size (a permutation p of the block indices with n[p[i]] == n[i]), and the
@@ -105,8 +104,8 @@ def _product_terms(a: Grid, b: Grid, margins: Margins) -> dict[CosetMatrix, Frac
 
     The keys are the margins' interned coset matrices (``cosets._interned``):
     while the margins' table stays cached, equal targets of any two products
-    are one object, decoded once, whose hash is stored, and this cache holds
-    it for every later call.
+    are one object, decoded once, and this cache holds it for every later
+    call.
     """
     terms = _coefficients(a, b, margins)
     keys = _interned(terms, margins, margins.nu, _field_bits(max(margins.n)),

@@ -11,8 +11,8 @@ products are the bilinear extension of a product of basis keys.
 
 A basis product is a mapping {key: nonzero coefficient}, which ``bilinear``
 only reads: the algebras hand it their cached dicts, whose keys are built
-once and store their hashes, and a product of two single terms copies the
-cached dict, so the element it returns shares the keys but not the dict.
+once, and a product of two single terms copies the cached dict, so the
+element it returns shares the keys but not the dict.
 
 Coefficient rule: the validating constructor stores a rational coefficient
 through ``_exact``, so it is an ``int`` where integral and a ``Fraction``
@@ -135,7 +135,7 @@ def bilinear(x: Combination, y: Combination, basis_product) -> Combination:
     zeros are dropped once at the end.  A product of two single terms has one
     contribution and is built directly; under the int weight 1 it is a copy
     of the mapping, whose values are taken as they are, since 1 * v is v of
-    the same type, and whose keys keep the hashes the mapping stored.
+    the same type.
     """
     x._check(y)
     if len(x.terms) == len(y.terms) == 1:

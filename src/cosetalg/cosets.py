@@ -33,11 +33,14 @@ Conventions fixed here and relied on everywhere else:
 
 * indices are 0-based internally and 1-based in all JSON output;
 * enumeration order is lexicographic on the row-major flattening, ascending;
-* all arithmetic is exact (Python integers, ``fractions.Fraction``).
+* all arithmetic is exact (Python integers, ``fractions.Fraction``);
+* the value types are named tuples, each hashing, comparing and ordering as
+  the plain tuple of its fields, which it also equals.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import index, sub
@@ -54,42 +57,18 @@ def _star(entries: Grid, j: int) -> int:
     return sum(entries[i][j] for i in range(len(entries)) if i != j)
 
 
-def _frozen(self, name, *value):
-    raise AttributeError(f"cannot assign to or delete field {name!r} of {type(self).__name__}")
+class Margins(namedtuple("Margins", "n")):
+    """Block sizes (n_1, ..., n_nu) of a Young subgroup."""
 
+    __slots__ = ()
 
-class Margins:
-    """Block sizes (n_1, ..., n_nu) of a Young subgroup.
-
-    The hash, that of the field tuple ``(n,)``, is computed once and stored,
-    since every ``CosetMatrix`` hash includes it.
-    """
-
-    __slots__ = ("n", "_hash")
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, n: tuple[int, ...]):
+    def __new__(cls, n: tuple[int, ...]):
         n = tuple(map(index, n))
         if len(n) < 1:
             raise ValueError("at least one block required")
         if any(x < 1 for x in n):
             raise ValueError(f"block sizes must be positive: {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_hash", hash((n,)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Margins(n={self.n!r})"
-
-    def __reduce__(self):
-        return Margins, (self.n,)
+        return tuple.__new__(cls, (n,))
 
     @property
     def nu(self) -> int:
@@ -100,17 +79,12 @@ class Margins:
         return sum(self.n)
 
 
-class CosetMatrix:
-    """A nu x nu nonnegative integer matrix with row and column sums n_i, n_j.
+class CosetMatrix(namedtuple("CosetMatrix", "entries margins")):
+    """A nu x nu nonnegative integer matrix with row and column sums n_i, n_j."""
 
-    The hash, that of the field tuple ``(entries, margins)``, is computed once
-    and stored, since the matrices are the keys of every finite product.
-    """
+    __slots__ = ()
 
-    __slots__ = ("entries", "margins", "_hash")
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, entries: tuple[tuple[int, ...], ...], margins: Margins):
+    def __new__(cls, entries: tuple[tuple[int, ...], ...], margins: Margins):
         entries = tuple(tuple(map(index, row)) for row in entries)
         n = margins.n
         nu = margins.nu
@@ -126,35 +100,12 @@ class CosetMatrix:
             col = sum(entries[i][j] for i in range(nu))
             if col != n[j]:
                 raise ValueError(f"column {j + 1} sums to {col}, expected {n[j]}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "margins", margins)
-        object.__setattr__(self, "_hash", hash((entries, margins)))
+        return tuple.__new__(cls, (entries, margins))
 
     @classmethod
     def _make(cls, entries: tuple[tuple[int, ...], ...], margins: Margins) -> "CosetMatrix":
         """Trusted constructor: entries already a valid integer grid for the margins."""
-        self = object.__new__(cls)
-        _set_entries(self, entries)
-        _set_margins(self, margins)
-        _set_matrix_hash(self, hash((entries, margins)))
-        return self
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries, self.margins) == (other.entries, other.margins)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"CosetMatrix(entries={self.entries!r}, margins={self.margins!r})"
-
-    def __reduce__(self):
-        return CosetMatrix, (self.entries, self.margins)
-
-    def __lt__(self, other: "CosetMatrix") -> bool:
-        return self.entries < other.entries
+        return tuple.__new__(cls, (entries, margins))
 
     def transpose(self) -> "CosetMatrix":
         nu = self.margins.nu
@@ -167,64 +118,38 @@ class CosetMatrix:
         return {"n": list(self.margins.n), "entries": [list(row) for row in self.entries]}
 
 
-# the slot setters, which ``_make`` calls directly; ``__setattr__`` refuses
-_set_entries = CosetMatrix.entries.__set__
-_set_margins = CosetMatrix.margins.__set__
-_set_matrix_hash = CosetMatrix._hash.__set__
-
-
-class OffDiagonalType:
+class OffDiagonalType(namedtuple("OffDiagonalType", "entries")):
     """The off-diagonal part {a_ij : i != j} of a coset matrix, margins forgotten.
 
     Stored as a full nu x nu grid with a zero diagonal.  Validity requires the
     balance condition: at every index j the off-diagonal column sum equals the
     off-diagonal row sum.  That common value is the star sum a*_jj, the number
-    of points that leave (equivalently, enter) block j.  The hash, that of the
-    field tuple ``(entries,)``, is computed once and stored, since the types
-    are the keys of every universal and graded product.
+    of points that leave (equivalently, enter) block j.
     """
 
-    __slots__ = ("entries", "_hash")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = ()
 
-    def __init__(self, entries: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "entries", tuple(tuple(map(index, row)) for row in entries))
-        object.__setattr__(self, "_hash", hash((self.entries,)))
-        nu = len(self.entries)
+    def __new__(cls, entries: tuple[tuple[int, ...], ...]):
+        entries = tuple(tuple(map(index, row)) for row in entries)
+        nu = len(entries)
         if nu < 1:
             raise ValueError("at least one block required")
-        if any(len(row) != nu for row in self.entries):
+        if any(len(row) != nu for row in entries):
             raise ValueError("entries must form a square grid")
         for i in range(nu):
-            if self.entries[i][i] != 0:
+            if entries[i][i] != 0:
                 raise ValueError("diagonal slots must be zero")
-            if any(v < 0 for v in self.entries[i]):
+            if any(v < 0 for v in entries[i]):
                 raise ValueError("entries must be nonnegative")
         for j in range(nu):
-            if self.star(j) != sum(self.entries[j][i] for i in range(nu)):
+            if _star(entries, j) != sum(entries[j][i] for i in range(nu)):
                 raise ValueError(f"unbalanced at index {j + 1}: column and row sums differ")
+        return tuple.__new__(cls, (entries,))
 
     @classmethod
     def _make(cls, entries: tuple[tuple[int, ...], ...]) -> "OffDiagonalType":
         """Trusted constructor: entries already a balanced integer grid, zero diagonal."""
-        self = object.__new__(cls)
-        _set_type_entries(self, entries)
-        _set_type_hash(self, hash((entries,)))
-        return self
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"OffDiagonalType(entries={self.entries!r})"
-
-    def __reduce__(self):
-        return OffDiagonalType, (self.entries,)
+        return tuple.__new__(cls, (entries,))
 
     @property
     def nu(self) -> int:
@@ -243,9 +168,6 @@ class OffDiagonalType:
                 for ra, rb in zip(self.entries, other.entries)
             )
         )
-
-    def __lt__(self, other: "OffDiagonalType") -> bool:
-        return self.entries < other.entries
 
     @classmethod
     def zero(cls, nu: int) -> "OffDiagonalType":
@@ -269,11 +191,6 @@ class OffDiagonalType:
             if i != j and self.entries[i][j]
         ]
         return {"nu": self.nu, "offdiag": offdiag}
-
-
-# the slot setters of ``OffDiagonalType._make``
-_set_type_entries = OffDiagonalType.entries.__set__
-_set_type_hash = OffDiagonalType._hash.__set__
 
 
 def transport(caps: tuple[int, ...], cols: tuple[int, ...]) -> tuple[Grid, ...]:
@@ -439,7 +356,7 @@ def _interned(keys, layout, nu: int, shift: int, make):
     out, and ``make`` builds the key object of a grid.  Only the keys the
     layout's table has not seen are decoded, through ``_unpack`` with the
     layout's row dict, so while the layout stays cached every product that
-    produces a target hands out the same object, decoded and hashed once.
+    produces a target hands out the same object, decoded once.
     """
     table, rows = _intern_tables(layout, shift)
     new = [key for key in keys if key not in table]

@@ -26,12 +26,12 @@ symmetric in a and b, so it cancels from the commutator.  ``_order_one_linear``
 still computes both pieces, as the reference route that tests tie to the full
 ring expansion and to the bracket.
 
-The bracket cache is keyed by the two basis types, whose hashes are stored,
-and holds the public key objects.  The target types are interned per nu and
-field width (``cosets._interned``): a target is built once, the first time
-any bracket produces it, and while that layout's table stays cached every
-bracket that produces it again hands out that same object, so merging
-brackets compares no keys.
+The bracket cache is keyed by the two basis types and holds the public key
+objects.  The target types are interned per nu and field width
+(``cosets._interned``): a target is built once, the first time any bracket
+produces it, and while that layout's table stays cached every bracket that
+produces it again hands out that same object, so merging brackets compares
+no keys.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def _bracket_basis(x: OffDiagonalType, y: OffDiagonalType) -> dict[OffDiagonalTy
     Every field of a target is at most an entry of a + b plus one.  The
     nonzero targets are the interned types of the layout (nu, field width),
     so a target that an earlier bracket produced is not decoded again.  The
-    cache is keyed by the two types, whose hashes are stored, and it holds the
-    target types that every later call hands out.
+    cache is keyed by the two types, and it holds the target types that every
+    later call hands out.
     """
     a, b = x.entries, y.entries
     nu = len(a)

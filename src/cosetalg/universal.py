@@ -54,8 +54,8 @@ linear factors, so one ``divide_out`` call divides N_c by the product of its
 divisors; a divisor left over raises ``InvariantViolation``.
 
 The product cache holds the public key objects: each target is built once
-as an ``OffDiagonalType``, whose hash is stored, and ``universal_product``
-hands out a copy of the cached mapping with those same keys.
+as an ``OffDiagonalType``, and ``universal_product`` hands out a copy of the
+cached mapping with those same keys.
 """
 
 from __future__ import annotations

@@ -4,10 +4,16 @@ from fractions import Fraction
 import pytest
 
 from cosetalg import (
+    EpsPolynomial,
+    EpsRingElement,
+    GradedElement,
     Margins,
+    OffDiagonalType,
+    UniversalElement,
     check_relations,
     classify,
     commutator,
+    poisson_bracket,
     r_element,
     scaled_r_element,
 )
@@ -146,3 +152,63 @@ def test_report_json_shape():
     payload = report.to_json_dict()
     assert report.ok and payload["all_hold"] is True
     assert {c["relation"] for c in payload["checks"]} == {"(8)"}
+
+
+# Relations (8) and (9) for all margins at once.  With T_ij = n_i n_j r_ij =
+# E_ij E_ji - n_i, the polarisation operators' gl_2 Casimir of {i, j} up to a
+# constant, (8) is [T_ij, T_ik + T_jk] = 0 and (9) is [T_ij, T_kl] = 0; dividing
+# (8) by n_i^2 n_j^2 n_k gives eps_i [r_ij, r_jk] + eps_j [r_ij, r_ik] = 0 at
+# eps_j = 1/n_j.  (nu, ordered triples, ordered quadruples of distinct indices)
+MARGIN_FREE = [(3, 6, 0), (4, 24, 24), (5, 60, 120)]
+
+
+def _r_type(nu, i, j):
+    return OffDiagonalType.build(nu, {(i, j): 1, (j, i): 1})
+
+
+def _eps(nu, i):
+    """eps_i as a universal element: the ring monomial on the unit type."""
+    deg = tuple(int(k == i) for k in range(nu))
+    monomial = EpsRingElement(nu, EpsPolynomial.monomial(nu, deg))
+    return UniversalElement(nu, {OffDiagonalType.zero(nu): monomial})
+
+
+@pytest.mark.parametrize("nu,triples,quadruples", MARGIN_FREE)
+def test_braid_relations_without_margins(nu, triples, quadruples):
+    r = {
+        (i, j): UniversalElement.basis(_r_type(nu, i, j))
+        for i, j in itertools.permutations(range(nu), 2)
+    }
+
+    def com(x, y):
+        return x * y - y * x
+
+    seen = 0
+    for i, j, k in itertools.permutations(range(nu), 3):
+        first, second = com(r[i, j], r[j, k]), com(r[i, j], r[i, k])
+        assert (_eps(nu, i) * first + _eps(nu, j) * second).is_zero(), (i, j, k)
+        if nu <= 4:
+            # not vacuous: neither the unscaled sum nor the swapped scaling vanishes
+            assert not (first + second).is_zero()
+            assert not (_eps(nu, j) * first + _eps(nu, i) * second).is_zero()
+        seen += 1
+    assert seen == triples
+    seen = 0
+    for i, j, k, l in itertools.permutations(range(nu), 4):
+        assert com(r[i, j], r[k, l]).is_zero(), (i, j, k, l)
+        seen += 1
+    assert seen == quadruples
+
+
+@pytest.mark.parametrize("nu", [nu for nu, _, _ in MARGIN_FREE])
+def test_braid_relations_in_the_poisson_limit(nu):
+    r = {
+        (i, j): GradedElement.basis(_r_type(nu, i, j))
+        for i, j in itertools.permutations(range(nu), 2)
+    }
+    for i, j, k in itertools.permutations(range(nu), 3):
+        single = poisson_bracket(r[i, j], r[j, k])
+        assert not single.is_zero(), (i, j, k)
+        assert (single + poisson_bracket(r[i, j], r[i, k])).is_zero(), (i, j, k)
+    for i, j, k, l in itertools.permutations(range(nu), 4):
+        assert poisson_bracket(r[i, j], r[k, l]).is_zero(), (i, j, k, l)

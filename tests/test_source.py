@@ -6,6 +6,7 @@ import re
 from graphlib import TopologicalSorter
 
 import cosetalg
+from cosetalg import cosets
 
 SRC = pathlib.Path(cosetalg.__file__).resolve().parent
 NUMBERS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
@@ -74,7 +75,7 @@ def test_no_environment_reads():
 
 def test_no_dataclasses():
     # every CLI process imports the value types, and ``dataclasses`` costs each
-    # one the import of ``dataclasses`` and ``inspect``; the types are plain classes
+    # one the import of ``dataclasses`` and ``inspect``; the types are named tuples
     found = [
         f"{name}:{node.lineno}"
         for name, node in _nodes()
@@ -228,3 +229,56 @@ def test_factorial_sites_are_recognised():
     )
     nodes = (("m.py", node) for node in ast.walk(ast.parse(source)))
     assert _factorial_sites(nodes) == {"m.import", "m.f", "m.h", "m.p", "m.line 9"}
+
+
+# the value types are named tuples, whose C tuple protocol gives them equality,
+# hashing, immutability, pickling, repr and order; none writes its own
+VALUE_TYPES = ("Margins", "CosetMatrix", "OffDiagonalType")
+TUPLE_PROTOCOL = {
+    "__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__", "__repr__", "__lt__"
+}
+
+
+def _tuple_protocol_sites(nodes):
+    """module.class.name of every tuple-protocol name a class body defines or assigns."""
+    found = set()
+    for name, node in nodes:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                continue
+            found |= {f"{name[:-3]}.{node.name}.{n}" for n in names & TUPLE_PROTOCOL}
+    return found
+
+
+def test_value_types_are_named_tuples():
+    for name in VALUE_TYPES:
+        cls = getattr(cosets, name)
+        (base,) = cls.__bases__
+        assert base.__bases__ == (tuple,) and base._fields == cls._fields, name
+    own = {f"cosets.{name}.{method}" for name in VALUE_TYPES for method in TUPLE_PROTOCOL}
+    assert _tuple_protocol_sites(_nodes()) & own == set()
+    assert not hasattr(cosets, "_frozen")
+    assert [n for n in vars(cosets) if n.startswith("_set_")] == []
+
+
+def test_tuple_protocol_sites_are_recognised():
+    source = (
+        "class A(tuple):\n"
+        "    def __hash__(self): return 0\n"
+        "    def nu(self): return 1\n"
+        "class B:\n"
+        "    __setattr__ = __delattr__ = print\n"
+        "    __repr__: object = repr\n"
+        "    __slots__ = ()\n"
+    )
+    nodes = (("m.py", node) for node in ast.walk(ast.parse(source)))
+    assert _tuple_protocol_sites(nodes) == {
+        "m.A.__hash__", "m.B.__setattr__", "m.B.__delattr__", "m.B.__repr__"
+    }
