@@ -58,6 +58,7 @@ canonical form would cost more than it saves.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -151,15 +152,6 @@ class AlgebraElement(Combination):
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self, other)
-
-    def to_json_dict(self):
-        return {
-            "n": list(self.margins.n),
-            "terms": [
-                {"matrix": [list(r) for r in m.entries], "coeff": str(c)}
-                for m, c in self.sorted_terms()
-            ],
-        }
 
 
 def _basis_product(a: CosetMatrix, b: CosetMatrix) -> dict[CosetMatrix, Fraction]:
@@ -266,33 +258,16 @@ def product_table(
     return rows
 
 
-class AssociativityReport:
-    def __init__(
-        self,
-        margins: Margins,
-        basis_size: int,
-        triples_checked: int,
-        violations: list[tuple[CosetMatrix, CosetMatrix, CosetMatrix]],
-    ):
-        self.margins = margins
-        self.basis_size = basis_size
-        self.triples_checked = triples_checked
-        self.violations = violations
+class AssociativityReport(
+    namedtuple("AssociativityReport", "margins basis_size triples_checked violations")
+):
+    """The margins, the basis size, the triples compared and the (a, b, c) that failed."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self):
-        return {
-            "n": list(self.margins.n),
-            "basis_size": self.basis_size,
-            "triples_checked": self.triples_checked,
-            "violations": [
-                [x.to_json_dict(), y.to_json_dict(), z.to_json_dict()]
-                for x, y, z in self.violations
-            ],
-        }
 
 
 def verify_associativity(margins: Margins, max_basis: int = MAX_BASIS) -> AssociativityReport:

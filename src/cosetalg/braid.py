@@ -16,6 +16,7 @@ equal block sizes.  Relation (9) is a single commutator and holds unscaled.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import AlgebraElement, commutator
@@ -49,39 +50,18 @@ def scaled_r_element(i: int, j: int, margins: Margins) -> AlgebraElement:
     return Fraction(margins.n[i - 1] * margins.n[j - 1]) * base
 
 
-class RelationCheck:
-    def __init__(
-        self, relation: str, indices: tuple[int, ...], holds: bool, commutator: AlgebraElement
-    ):
-        self.relation = relation  # "(8)" or "(9)"
-        self.indices = indices
-        self.holds = holds
-        self.commutator = commutator
+class RelationCheck(namedtuple("RelationCheck", "relation indices holds commutator")):
+    """One instance: "(8)" or "(9)", its 1-based indices, and the commutator it sets to zero."""
 
-    def to_json_dict(self):
-        return {
-            "relation": self.relation,
-            "indices": list(self.indices),
-            "holds": self.holds,
-            "commutator": self.commutator.to_json_dict(),
-        }
+    __slots__ = ()
 
 
-class BraidReport:
-    def __init__(self, margins: Margins, checks: list[RelationCheck]):
-        self.margins = margins
-        self.checks = checks
+class BraidReport(namedtuple("BraidReport", "margins checks")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return all(c.holds for c in self.checks)
-
-    def to_json_dict(self):
-        return {
-            "n": list(self.margins.n),
-            "all_hold": self.ok,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
 
 
 def check_relations(margins: Margins) -> BraidReport:

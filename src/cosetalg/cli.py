@@ -9,6 +9,19 @@ before the output is written.
 
 Each subcommand imports the layers it runs when it runs, so a call loads only
 what it uses; the module level holds what parsing and error reports need.
+
+Output format.  This module alone knows it: the library returns values, and
+each command builds its JSON here.
+
+* Every block index is 1-based, and every rational coefficient or value is a
+  string such as ``"3/4"``.
+* A coset matrix is ``{"n": [n_1, ...], "entries": [[row], ...]}``.
+* An off-diagonal type is ``{"nu": nu, "offdiag": [[i, j, value], ...]}``, its
+  nonzero cells in row-major order.
+* An eps-ring element is ``{"num": [{"deg": [e_1, ...], "coeff": c}, ...],
+  "den": [{"j": j, "m": m, "mult": k}, ...]}``: the numerator's terms and the
+  denominator's factors (1 - m*eps_j)^k, each in ascending order.
+* A combination lists its ``terms`` in ascending key order.
 """
 
 from __future__ import annotations
@@ -89,6 +102,24 @@ def _emit(payload) -> None:
     print(json.dumps(payload))
 
 
+def _matrix_json(m: CosetMatrix) -> dict:
+    return {"n": list(m.margins.n), "entries": [list(row) for row in m.entries]}
+
+
+def _type_json(t: OffDiagonalType) -> dict:
+    # the diagonal of a type is zero, so its nonzero cells are off the diagonal
+    offdiag = [[i + 1, j + 1, v] for i, row in enumerate(t.entries) for j, v in enumerate(row) if v]
+    return {"nu": t.nu, "offdiag": offdiag}
+
+
+def _ring_json(x) -> dict:
+    """An ``EpsRingElement``."""
+    return {
+        "num": [{"deg": list(deg), "coeff": str(c)} for deg, c in x.num.sorted_terms()],
+        "den": [{"j": j + 1, "m": m, "mult": mult} for (j, m), mult in sorted(x.den.items())],
+    }
+
+
 def _cmd_cosets(args) -> int:
     margins = _parse_margins(args.n)
     count = count_transport(margins.n, margins.n)  # counted, so a refusal builds none
@@ -99,7 +130,7 @@ def _cmd_cosets(args) -> int:
         {
             "n": list(margins.n),
             "count": len(matrices),
-            "matrices": [m.to_json_dict() for m in matrices],
+            "matrices": [_matrix_json(m) for m in matrices],
         }
     )
     return 0
@@ -122,12 +153,9 @@ def _cmd_product(args) -> int:
     _emit(
         {
             "n": list(margins.n),
-            "a": a.to_json_dict(),
-            "b": b.to_json_dict(),
-            "terms": [
-                {"c": c.to_json_dict(), "coeff": str(v)}
-                for c, v in product.sorted_terms()
-            ],
+            "a": _matrix_json(a),
+            "b": _matrix_json(b),
+            "terms": [{"c": _matrix_json(c), "coeff": str(v)} for c, v in product.sorted_terms()],
         }
     )
     return 0
@@ -159,7 +187,7 @@ def _cmd_table(args) -> int:
     # table has 20,323 rows over 55 matrices).  The lines go out TABLE_CHUNK
     # at a time, so an unbuffered stdout takes one write per chunk, not two
     # per line, and no write holds the whole table.
-    matrices = _Fragments(lambda m: json.dumps(m.to_json_dict()))
+    matrices = _Fragments(lambda m: json.dumps(_matrix_json(m)))
     coeffs = _Fragments(lambda key: json.dumps(str(Fraction(*key))))
     for start in range(0, len(rows), TABLE_CHUNK):
         sys.stdout.write("".join(
@@ -175,7 +203,14 @@ def _cmd_verify_assoc(args) -> int:
 
     margins = _parse_margins(args.n)
     report = algebra.verify_associativity(margins, max_basis=args.max_basis)
-    _emit(report.to_json_dict())
+    _emit(
+        {
+            "n": list(margins.n),
+            "basis_size": report.basis_size,
+            "triples_checked": report.triples_checked,
+            "violations": [list(map(_matrix_json, abc)) for abc in report.violations],
+        }
+    )
     return 0 if report.ok else CHECK_FAILED
 
 
@@ -223,17 +258,16 @@ def _cmd_universal(args) -> int:
     if args.c is not None:
         c = _parse_offdiag(args.c, nu)
         coeff = universal.universal_structure_constant(a, b, c)
-        _emit({"nu": nu, "c": c.to_json_dict(), "coeff": coeff.to_json_dict()})
+        _emit({"nu": nu, "c": _type_json(c), "coeff": _ring_json(coeff)})
         return 0
     product = universal.universal_product(a, b)
     _emit(
         {
             "nu": nu,
-            "a": a.to_json_dict(),
-            "b": b.to_json_dict(),
+            "a": _type_json(a),
+            "b": _type_json(b),
             "terms": [
-                {"c": c.to_json_dict(), "coeff": product[c].to_json_dict()}
-                for c in sorted(product)
+                {"c": _type_json(c), "coeff": _ring_json(product[c])} for c in sorted(product)
             ],
         }
     )
@@ -250,7 +284,7 @@ def _cmd_specialize(args) -> int:
     if args.c is not None:
         c = _parse_offdiag(args.c, nu)
         value = universal.specialize_constant(a, b, c, margins)
-        _emit({"n": list(margins.n), "c": c.to_json_dict(), "value": str(value)})
+        _emit({"n": list(margins.n), "c": _type_json(c), "value": str(value)})
         return 0
     check_fit(margins, a, b)
     product = universal.universal_product(a, b)
@@ -258,8 +292,8 @@ def _cmd_specialize(args) -> int:
     for c in sorted(product):
         value = product[c].specialize(margins)
         if value:
-            terms.append({"c": c.to_json_dict(), "value": str(value)})
-    _emit({"n": list(margins.n), "a": a.to_json_dict(), "b": b.to_json_dict(), "terms": terms})
+            terms.append({"c": _type_json(c), "value": str(value)})
+    _emit({"n": list(margins.n), "a": _type_json(a), "b": _type_json(b), "terms": terms})
     return 0
 
 
@@ -268,7 +302,23 @@ def _cmd_braid_check(args) -> int:
 
     margins = _parse_margins(args.n)
     report = braid.check_relations(margins)
-    _emit(report.to_json_dict())
+    n = list(margins.n)
+    checks = [
+        {
+            "relation": c.relation,
+            "indices": list(c.indices),
+            "holds": c.holds,
+            "commutator": {
+                "n": n,
+                "terms": [
+                    {"matrix": [list(row) for row in m.entries], "coeff": str(v)}
+                    for m, v in c.commutator.sorted_terms()
+                ],
+            },
+        }
+        for c in report.checks
+    ]
+    _emit({"n": n, "all_hold": report.ok, "checks": checks})
     return 0 if report.ok else CHECK_FAILED
 
 
@@ -306,12 +356,15 @@ def _cmd_graded(args) -> int:
 
     a = poisson.GradedElement.basis(_parse_offdiag(args.a, args.nu))
     b = poisson.GradedElement.basis(_parse_offdiag(args.b, args.nu))
-    _emit(getattr(poisson, args.op)(a, b).to_json_dict())
+    x = getattr(poisson, args.op)(a, b)
+    terms = [{"type": _type_json(t), "coeff": str(c)} for t, c in x.sorted_terms()]
+    _emit({"nu": x.nu, "terms": terms})
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cosetalg", description=__doc__)
+    # ``--help`` shows the docstring up to the output format
+    parser = _Parser(prog="cosetalg", description=(__doc__ or "").partition("\n\nOutput format")[0])
     parser.add_argument("--nmax", type=int, default=None,
                         help=f"brute-force limit (default {DEFAULT_LIMIT}, hard cap {HARD_CAP})")
     parser.add_argument("--seed", type=int, default=0,

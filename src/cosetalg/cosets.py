@@ -31,7 +31,7 @@ counts the tables ``transport`` would walk without building them.
 
 Conventions fixed here and relied on everywhere else:
 
-* indices are 0-based internally and 1-based in all JSON output;
+* indices are 0-based internally;
 * enumeration order is lexicographic on the row-major flattening, ascending;
 * all arithmetic is exact (Python integers, ``fractions.Fraction``);
 * the value types are named tuples, each hashing, comparing and ordering as
@@ -57,6 +57,11 @@ def _star(entries: Grid, j: int) -> int:
     return sum(entries[i][j] for i in range(len(entries)) if i != j)
 
 
+def _replace(self, **fields):
+    """A copy with some fields replaced, built through the validating constructor."""
+    return type(self)(**dict(zip(self._fields, self), **fields))
+
+
 class Margins(namedtuple("Margins", "n")):
     """Block sizes (n_1, ..., n_nu) of a Young subgroup."""
 
@@ -69,6 +74,13 @@ class Margins(namedtuple("Margins", "n")):
         if any(x < 1 for x in n):
             raise ValueError(f"block sizes must be positive: {n}")
         return tuple.__new__(cls, (n,))
+
+    @classmethod
+    def _make(cls, n: tuple[int, ...]) -> "Margins":
+        """Trusted constructor: n already a nonempty tuple of positive ints."""
+        return tuple.__new__(cls, (n,))
+
+    _replace = _replace
 
     @property
     def nu(self) -> int:
@@ -107,15 +119,14 @@ class CosetMatrix(namedtuple("CosetMatrix", "entries margins")):
         """Trusted constructor: entries already a valid integer grid for the margins."""
         return tuple.__new__(cls, (entries, margins))
 
+    _replace = _replace
+
     def transpose(self) -> "CosetMatrix":
         nu = self.margins.nu
         return CosetMatrix(
             tuple(tuple(self.entries[j][i] for j in range(nu)) for i in range(nu)),
             self.margins,
         )
-
-    def to_json_dict(self):
-        return {"n": list(self.margins.n), "entries": [list(row) for row in self.entries]}
 
 
 class OffDiagonalType(namedtuple("OffDiagonalType", "entries")):
@@ -151,6 +162,8 @@ class OffDiagonalType(namedtuple("OffDiagonalType", "entries")):
         """Trusted constructor: entries already a balanced integer grid, zero diagonal."""
         return tuple.__new__(cls, (entries,))
 
+    _replace = _replace
+
     @property
     def nu(self) -> int:
         return len(self.entries)
@@ -182,15 +195,6 @@ class OffDiagonalType(namedtuple("OffDiagonalType", "entries")):
                 raise ValueError("diagonal positions are not allowed")
             grid[i][j] = v
         return cls(tuple(tuple(row) for row in grid))
-
-    def to_json_dict(self):
-        offdiag = [
-            [i + 1, j + 1, self.entries[i][j]]
-            for i in range(self.nu)
-            for j in range(self.nu)
-            if i != j and self.entries[i][j]
-        ]
-        return {"nu": self.nu, "offdiag": offdiag}
 
 
 def transport(caps: tuple[int, ...], cols: tuple[int, ...]) -> tuple[Grid, ...]:

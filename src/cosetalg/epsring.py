@@ -330,27 +330,12 @@ class EpsRingElement:
             terms = out
         return EpsPolynomial._make(self.nu, {d: c for d, c in terms.items() if c})
 
-    def sorted_den(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(self.den.items())
-
-    def to_json_dict(self):
-        return {
-            "num": [
-                {"deg": list(deg), "coeff": str(coeff)}
-                for deg, coeff in self.num.sorted_terms()
-            ],
-            "den": [
-                {"j": j + 1, "m": m, "mult": mult}
-                for (j, m), mult in self.sorted_den()
-            ],
-        }
-
     def __repr__(self):
         if not self.den:
             return repr(self.num)
         bits = [
             f"(1-{m}e{j + 1})" + (f"^{mult}" if mult > 1 else "")
-            for (j, m), mult in self.sorted_den()
+            for (j, m), mult in sorted(self.den.items())
         ]
         return f"({self.num!r}) / ({'*'.join(bits)})"
 

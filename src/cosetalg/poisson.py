@@ -55,15 +55,6 @@ class GradedElement(Combination):
     def nu(self) -> int:
         return self.space
 
-    def to_json_dict(self):
-        return {
-            "nu": self.nu,
-            "terms": [
-                {"type": tp.to_json_dict(), "coeff": str(coeff)}
-                for tp, coeff in self.sorted_terms()
-            ],
-        }
-
 
 def graded_multiply(x: GradedElement, y: GradedElement) -> GradedElement:
     """Commutative product: basis types multiply by entrywise addition."""

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from cosetalg import (
     structure_constant,
     verify_associativity,
 )
-from cosetalg import algebra, cosets
+from cosetalg import algebra, cli, cosets
 from cosetalg.oracle import oracle_product
 
 from helpers import (
@@ -150,11 +151,12 @@ def test_basis_bound_refuses_before_enumerating(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [(1, 1), (2, 2), (2, 3), (1, 1, 2)])
-def test_associativity(n):
+def test_associativity(n, capsys):
     report = verify_associativity(Margins(n))
     assert report.ok
     assert report.triples_checked == report.basis_size**3
-    assert report.to_json_dict() == {
+    assert cli.main(["verify-assoc", "--n", ",".join(map(str, n))]) == 0
+    assert json.loads(capsys.readouterr().out) == {
         "n": list(n),
         "basis_size": report.basis_size,
         "triples_checked": report.triples_checked,

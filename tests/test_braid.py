@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,13 @@ from cosetalg import (
     check_relations,
     classify,
     commutator,
+    embed_offdiagonal,
     poisson_bracket,
     r_element,
     scaled_r_element,
+    universal_product,
 )
+from cosetalg.cli import main
 
 from helpers import (
     GroupAlgebraVector,
@@ -147,9 +151,10 @@ def test_relations_against_oracle():
     assert lhs == rhs
 
 
-def test_report_json_shape():
+def test_report_json_shape(capsys):
     report = check_relations(Margins((1, 1, 2)))
-    payload = report.to_json_dict()
+    assert main(["braid-check", "--n", "1,1,2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert report.ok and payload["all_hold"] is True
     assert {c["relation"] for c in payload["checks"]} == {"(8)"}
 
@@ -212,3 +217,44 @@ def test_braid_relations_in_the_poisson_limit(nu):
         assert (single + poisson_bracket(r[i, j], r[i, k])).is_zero(), (i, j, k)
     for i, j, k, l in itertools.permutations(range(nu), 4):
         assert poisson_bracket(r[i, j], r[k, l]).is_zero(), (i, j, k, l)
+
+
+def _displayed_pattern(nu, i, j, k):
+    """Criterion 4's displayed product in universal form (0-based indices):
+    r_ij r_jk = (1 - eps_j) * chain + eps_j * cycle, where the chain is
+    r_ij + r_jk and the cycle moves a point j -> i -> k -> j, so that its
+    orientation follows the order of the factors."""
+    eps_j = EpsRingElement(nu, EpsPolynomial.monomial(nu, tuple(int(x == j) for x in range(nu))))
+    chain = _r_type(nu, i, j) + _r_type(nu, j, k)
+    cycle = OffDiagonalType.build(nu, {(j, i): 1, (i, k): 1, (k, j): 1})
+    return {chain: EpsRingElement.from_rational(nu, 1) - eps_j, cycle: eps_j}
+
+
+@pytest.mark.parametrize("nu", [3, 4])
+def test_displayed_product_in_universal_form(nu):
+    for i, j, k in itertools.permutations(range(nu), 3):
+        want = _displayed_pattern(nu, i, j, k)
+        assert universal_product(_r_type(nu, i, j), _r_type(nu, j, k)) == want, (i, j, k)
+    if nu > 3:
+        return
+    # at (1, 2, 3) the coefficients read the same in both orders; the cycles are opposite
+    for a, b in [(0, 2), (2, 0)]:
+        product = universal_product(_r_type(nu, a, 1), _r_type(nu, 1, b))
+        assert sorted(map(repr, product.values())) == ["1 + -1*e2", "1*e2"]
+        (cycle,) = [c for c, v in product.items() if repr(v) == "1*e2"]
+        assert cycle.entries[1][a] == cycle.entries[a][b] == cycle.entries[b][1] == 1
+
+
+@pytest.mark.parametrize("n", [(2, 2, 2), (1, 2, 3), (3, 3, 3)])
+def test_displayed_product_specialises_to_criterion_4(n):
+    # criterion 4's finite product r_jk * r_ij carries (n_j - 1)/n_j on the
+    # chain and 1/n_j on the forward cycle; at n_j = 1 the chain's 1 - eps_j
+    # specialises to 0, where the finite product has no chain
+    margins = Margins(n)
+    for i, j, k in itertools.permutations(range(3), 3):
+        pattern = _displayed_pattern(3, k, j, i)
+        values = {c: v.specialize(margins) for c, v in pattern.items()}
+        nj = n[j]
+        assert sorted(values.values()) == sorted([Fraction(nj - 1, nj), Fraction(1, nj)])
+        product, _, _ = displayed_product_targets(i + 1, j + 1, k + 1, margins)
+        assert product.terms == {embed_offdiagonal(c, margins): v for c, v in values.items() if v}

@@ -223,8 +223,8 @@ def test_table_bytes_and_bounded_writes(monkeypatch):
     monkeypatch.setattr(sys, "stdout", fake)
     assert main(["table", "--n", "3,3,3"]) == 0
     want = [
-        json.dumps({"a": a.to_json_dict(), "b": b.to_json_dict(), "c": c.to_json_dict(),
-                    "coeff": str(v)}) + "\n"
+        json.dumps({"a": cli._matrix_json(a), "b": cli._matrix_json(b),
+                    "c": cli._matrix_json(c), "coeff": str(v)}) + "\n"
         for a, b, c, v in algebra.product_table(Margins((3, 3, 3)))
     ]
     got = "".join(fake.writes).splitlines(keepends=True)

@@ -19,6 +19,7 @@ from cosetalg import (
     enumerate_coset_matrices,
     strip_diagonal,
 )
+from cosetalg.cli import _matrix_json, _type_json
 from cosetalg.cosets import _field_bits, _slice_terms, count_transport, transport
 
 from helpers import balanced_types, naive_tables, reference_slice_terms
@@ -341,11 +342,11 @@ def test_strip_embed_roundtrip(n):
 
 def test_json_shapes():
     m = CosetMatrix(((1, 1), (1, 1)), Margins((2, 2)))
-    assert m.to_json_dict() == {"n": [2, 2], "entries": [[1, 1], [1, 1]]}
+    assert _matrix_json(m) == {"n": [2, 2], "entries": [[1, 1], [1, 1]]}
     t = OffDiagonalType(((0, 2), (2, 0)))
-    assert t.to_json_dict() == {"nu": 2, "offdiag": [[1, 2, 2], [2, 1, 2]]}
-    json.dumps(m.to_json_dict())
-    json.dumps(t.to_json_dict())
+    assert _type_json(t) == {"nu": 2, "offdiag": [[1, 2, 2], [2, 1, 2]]}
+    json.dumps(_matrix_json(m))
+    json.dumps(_type_json(t))
 
 
 def test_offdiagonal_addition():
@@ -385,10 +386,44 @@ def test_value_type_contract(cls, fields, text):
     assert x == fields and not x != fields
     others = [other(*f) for other, f, _ in VALUE_TYPES if other is not cls]
     assert all(x != y and not x == y for y in [fields[0], *others])
-    # the trusted constructor takes the fields as the constructor does; Margins
-    # has none of its own, only namedtuple's ``_make(iterable)``
-    make = cls._make if "_make" in vars(cls) else cls
-    assert make(*fields) == x and hash(make(*fields)) == hash(fields)
+    # the trusted constructor takes the fields as the constructor does
+    assert tuple(inspect.signature(cls._make).parameters) == cls._fields
+    assert cls._make(*fields) == x and hash(cls._make(*fields)) == hash(fields)
     # pickling and copying rebuild the value through the validating constructor
     for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert type(y) is cls and y == x and hash(y) == hash(fields)
+
+
+# (value, a valid replacement and what it gives, a refused one and its message);
+# ``_replace`` builds through the validating constructor, not the trusted ``_make``
+REPLACEMENTS = [
+    (
+        Margins((2, 2)),
+        {"n": (1, 3)}, Margins((1, 3)),
+        {"n": (0,)}, "block sizes must be positive: (0,)",
+    ),
+    (
+        CosetMatrix(((1, 1), (1, 1)), Margins((2, 2))),
+        {"entries": ((2, 0), (0, 2))}, CosetMatrix(((2, 0), (0, 2)), Margins((2, 2))),
+        {"margins": Margins((1, 3))}, "row 1 sums to 2, expected 1",
+    ),
+    (
+        OffDiagonalType(((0, 1), (1, 0))),
+        {"entries": ((0, 2), (2, 0))}, OffDiagonalType(((0, 2), (2, 0))),
+        {"entries": ((0, 2), (1, 0))}, "unbalanced at index 1: column and row sums differ",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "x,good,want,bad,detail", REPLACEMENTS, ids=[type(r[0]).__name__ for r in REPLACEMENTS]
+)
+def test_replace_validates(x, good, want, bad, detail):
+    got = x._replace(**good)
+    assert type(got) is type(x) and got == want and hash(got) == hash(want)
+    with pytest.raises(ValueError) as exc:
+        x._replace(**bad)
+    assert str(exc.value) == detail
+    with pytest.raises(TypeError):
+        x._replace(unknown=1)
+    assert x._replace() == x

@@ -13,6 +13,7 @@ from cosetalg import (
     bracket,
     universal_product,
 )
+from cosetalg.cli import _ring_json
 from helpers import (
     div_by_bracket,
     evaluate,
@@ -242,7 +243,7 @@ def test_equality_across_different_denominators():
 
 def test_json_shape():
     x = EpsRingElement(2, EpsPolynomial(2, {(1, 0): Fraction(1, 2)}), {(1, 3): 2})
-    assert x.to_json_dict() == {
+    assert _ring_json(x) == {
         "num": [{"deg": [1, 0], "coeff": "1/2"}],
         "den": [{"j": 2, "m": 3, "mult": 2}],
     }

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -199,3 +199,50 @@ def test_universal_s_specializes_to_sum():
 def test_phi_matrix():
     m = phi_matrix(1, 2, 3)
     assert m.entries == ((1, 1), (1, 2))
+
+
+# nu = 2 is the Johnson scheme J(n1 + n2, n1) (Delsarte 1973): for n1 <= n2 the
+# basis element a is the scheme's distance-a relation over its valency
+# C(n1, a) C(n2, a), so on the k-th common eigenspace it acts as
+# omega_k(a) = E_a(k) / (C(n1, a) C(n2, a)), with the Eberlein polynomial
+# E_a(k) = sum_j (-1)^j C(k, j) C(n1 - k, a - j) C(n2 - k, a - j), so
+# omega_k(a) omega_k(b) = sum_c s(a, b, c) omega_k(c) for every k.  No
+# permutation is formed, so the check reaches past the oracle's N <= 9.
+def _eberlein(a, k, n1, n2, sign=-1):
+    return sum(
+        sign**j * comb(k, j) * comb(n1 - k, a - j) * comb(n2 - k, a - j) for j in range(a + 1)
+    )
+
+
+def _johnson_failures(n1, n2, s, sign=-1):
+    """The (k, a, b) at which the eigenvalues do not multiply by the constants s(a, b, c)."""
+    top = range(n1 + 1)
+    omega = [
+        [Fraction(_eberlein(a, k, n1, n2, sign), comb(n1, a) * comb(n2, a)) for a in top]
+        for k in top
+    ]
+    table = {(a, b, c): s(a, b, c, n1, n2) for a in top for b in top for c in top}
+    return [
+        (k, a, b)
+        for k in top
+        for a in top
+        for b in top
+        if omega[k][a] * omega[k][b] != sum(table[a, b, c] * omega[k][c] for c in top)
+    ]
+
+
+def test_two_blocks_are_the_johnson_scheme():
+    instances = 0
+    for n1 in range(1, 9):
+        for n2 in range(n1, 12):
+            assert _johnson_failures(n1, n2, s_sum) == [], (n1, n2)
+            instances += (n1 + 1) ** 3
+    assert instances == 10980
+    # not vacuous: without the sign the eigenvalues do not multiply
+    assert _johnson_failures(3, 4, s_sum, sign=1) != []
+
+
+@pytest.mark.parametrize("n1,n2", [(4, 6), (5, 5), (3, 9)])
+def test_tensor_route_is_the_johnson_scheme(n1, n2):
+    # s_eq3 is the finite algebra's tensor sum, here at N = 10 and 12
+    assert _johnson_failures(n1, n2, s_eq3) == []

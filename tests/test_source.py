@@ -6,7 +6,7 @@ import re
 from graphlib import TopologicalSorter
 
 import cosetalg
-from cosetalg import cosets
+from cosetalg import algebra, braid, cosets
 
 SRC = pathlib.Path(cosetalg.__file__).resolve().parent
 NUMBERS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine")
@@ -234,6 +234,12 @@ def test_factorial_sites_are_recognised():
 # the value types are named tuples, whose C tuple protocol gives them equality,
 # hashing, immutability, pickling, repr and order; none writes its own
 VALUE_TYPES = ("Margins", "CosetMatrix", "OffDiagonalType")
+# the reports are named tuples too, with the fields callers read
+REPORT_TYPES = {
+    algebra.AssociativityReport: ("margins", "basis_size", "triples_checked", "violations"),
+    braid.RelationCheck: ("relation", "indices", "holds", "commutator"),
+    braid.BraidReport: ("margins", "checks"),
+}
 TUPLE_PROTOCOL = {
     "__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__", "__repr__", "__lt__"
 }
@@ -263,6 +269,12 @@ def test_value_types_are_named_tuples():
         (base,) = cls.__bases__
         assert base.__bases__ == (tuple,) and base._fields == cls._fields, name
     own = {f"cosets.{name}.{method}" for name in VALUE_TYPES for method in TUPLE_PROTOCOL}
+    for cls, fields in REPORT_TYPES.items():
+        (base,) = cls.__bases__
+        assert base.__bases__ == (tuple,) and cls._fields == fields, cls.__name__
+        assert "__init__" not in vars(cls) and cls.__slots__ == (), cls.__name__
+        module = cls.__module__.rpartition(".")[2]
+        own |= {f"{module}.{cls.__name__}.{method}" for method in TUPLE_PROTOCOL}
     assert _tuple_protocol_sites(_nodes()) & own == set()
     assert not hasattr(cosets, "_frozen")
     assert [n for n in vars(cosets) if n.startswith("_set_")] == []
@@ -282,3 +294,38 @@ def test_tuple_protocol_sites_are_recognised():
     assert _tuple_protocol_sites(nodes) == {
         "m.A.__hash__", "m.B.__setattr__", "m.B.__delattr__", "m.B.__repr__"
     }
+
+
+# ``cli`` alone knows the output format: no other module serialises to JSON
+def _json_sites(nodes):
+    """module.line of every ``to_json_dict`` a module defines and every import of ``json``."""
+    found = set()
+    for name, node in nodes:
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] == "json" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").split(".")[0] == "json"
+        else:
+            method = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            hit = method and node.name == "to_json_dict"
+        if hit:
+            found.add(f"{name[:-3]}.{node.lineno}")
+    return found
+
+
+def test_json_only_in_cli():
+    assert {site.split(".")[0] for site in _json_sites(_nodes())} == {"cli"}
+
+
+def test_json_sites_are_recognised():
+    source = (
+        "import json\n"
+        "from json import dumps\n"
+        "import os, json.decoder\n"
+        "class A:\n"
+        "    def to_json_dict(self): return {}\n"
+        "    def as_dict(self): return {}\n"
+        "import jsonschema\n"
+    )
+    nodes = (("m.py", node) for node in ast.walk(ast.parse(source)))
+    assert _json_sites(nodes) == {"m.1", "m.2", "m.3", "m.5"}
