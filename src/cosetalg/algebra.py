@@ -45,12 +45,12 @@ Two symmetries leave the coefficients unchanged: renaming blocks of equal
 size (a permutation p of the block indices with n[p[i]] == n[i]), and the
 anti-involution g -> g^-1 of S_N, which maps a coset matrix to its
 transpose and reverses products.  ``product_table`` computes one product
-per orbit of basis pairs and carries it to the rest of the orbit; at
-(3,3,3) that is 301 products for 3,025 pairs.  The table never decodes a
-key: it packs each basis grid once, maps each orbit product's packed
-targets straight to basis indices, and lets every pair of the orbit share
-that one {index: coefficient} dict through the symmetry's index map.  It
-calls ``_coefficients`` directly, so it leaves the product cache as it was.
+per orbit of basis pairs and carries it to the rest of the orbit.  The
+table never decodes a key: it packs each basis grid once, maps each orbit
+product's packed targets straight to basis indices, and lets every pair of
+the orbit share that one {index: coefficient} dict through the symmetry's
+index map.  It calls ``_coefficients`` directly, so it leaves the product
+cache as it was.
 Single products (``multiply``, ``structure_constant``) take the direct
 route: a run of products almost never meets the same orbit twice, so a
 canonical form would cost more than it saves.
@@ -61,7 +61,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import prod
 
 from .combination import Combination, bilinear
@@ -183,21 +183,13 @@ def _bounded_basis(margins: Margins, max_basis: int) -> list[CosetMatrix]:
 def _stabiliser(n: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every permutation p of the block indices with n[p[i]] == n[i].
 
-    It is the product of the symmetric groups on the blocks of each size.
-    Each p gives a different coset matrix, with n_i at (i, p[i]), so there
-    are never more of them than basis elements.
+    The filter walks all of S_nu, which costs no more than the basis that
+    ``_bounded_basis`` has already counted: each p in S_nu gives a distinct
+    coset matrix, with a unit at (i, p[i]) and n_i - 1 on the diagonal of
+    each moved block i (n_i on the diagonal of each fixed one), so nu! is at
+    most the basis size.
     """
-    blocks: dict[int, list[int]] = {}
-    for i, size in enumerate(n):
-        blocks.setdefault(size, []).append(i)
-    perms = []
-    for images in product(*(permutations(b) for b in blocks.values())):
-        p = [0] * len(n)
-        for b, image in zip(blocks.values(), images):
-            for i, k in zip(b, image):
-                p[i] = k
-        perms.append(tuple(p))
-    return perms
+    return [p for p in permutations(range(len(n))) if all(n[k] == n[i] for i, k in enumerate(p))]
 
 
 def product_table(

@@ -1,14 +1,8 @@
 """Command-line interface.
 
-All output is JSON on stdout (the ``table`` subcommand emits JSON lines).
-Matrices are passed as flat comma-separated row-major entries, off-diagonal
-types as flat comma-separated (i, j, value) triples with 1-based indices.
-Exit status: 0 on success or a verified check, 2 on a failed verification, 1
-on usage errors and, with nothing on stderr, when the reader closes stdout
-before the output is written.
-
-Each subcommand imports the layers it runs when it runs, so a call loads only
-what it uses; the module level holds what parsing and error reports need.
+``DESCRIPTION``, the text ``--help`` prints, states the input formats, the
+exit statuses and how the subcommands load their layers.  It is a constant,
+not this docstring, so ``python -OO`` prints the same help.
 
 Output format.  This module alone knows it: the library returns values, and
 each command builds its JSON here.
@@ -44,6 +38,19 @@ from .cosets import (
 )
 from .errors import BruteForceLimitExceeded, CosetAlgError, MarginOverflow
 from .oracle import DEFAULT_LIMIT, HARD_CAP, resolve_limit
+
+DESCRIPTION = """Command-line interface.
+
+All output is JSON on stdout (the ``table`` subcommand emits JSON lines).
+Matrices are passed as flat comma-separated row-major entries, off-diagonal
+types as flat comma-separated (i, j, value) triples with 1-based indices.
+Exit status: 0 on success or a verified check, 2 on a failed verification, 1
+on usage errors and, with nothing on stderr, when the reader closes stdout
+before the output is written.
+
+Each subcommand imports the layers it runs when it runs, so a call loads only
+what it uses; the module level holds what parsing and error reports need.
+"""
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
@@ -183,10 +190,9 @@ def _cmd_table(args) -> int:
     rows = algebra.product_table(margins, max_basis=args.max_basis)
     # Each line is the text json.dumps gives for the row's dict, joined from
     # fragments with json.dumps's separators: every basis matrix and every
-    # distinct coefficient is serialised once, not once per row (the (3,3,3)
-    # table has 20,323 rows over 55 matrices).  The lines go out TABLE_CHUNK
-    # at a time, so an unbuffered stdout takes one write per chunk, not two
-    # per line, and no write holds the whole table.
+    # distinct coefficient is serialised once, not once per row.  The lines go
+    # out TABLE_CHUNK at a time, so an unbuffered stdout takes one write per
+    # chunk, not two per line, and no write holds the whole table.
     matrices = _Fragments(lambda m: json.dumps(_matrix_json(m)))
     coeffs = _Fragments(lambda key: json.dumps(str(Fraction(*key))))
     for start in range(0, len(rows), TABLE_CHUNK):
@@ -363,8 +369,7 @@ def _cmd_graded(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # ``--help`` shows the docstring up to the output format
-    parser = _Parser(prog="cosetalg", description=(__doc__ or "").partition("\n\nOutput format")[0])
+    parser = _Parser(prog="cosetalg", description=DESCRIPTION)
     parser.add_argument("--nmax", type=int, default=None,
                         help=f"brute-force limit (default {DEFAULT_LIMIT}, hard cap {HARD_CAP})")
     parser.add_argument("--seed", type=int, default=0,

@@ -19,8 +19,7 @@ coset, over one permutation per left H-orbit of it:
 - The orbit of h is fixed by its labelling, the block of h(x) for each point
   x: sigma o h has the labels of h, and h' o h^-1 is in H when h' has the
   labels of h.  Block i has m_ij points labelled j, in any order, which makes
-  prod_i n_i! / prod_ij m_ij! orbits, the coset's size over |H| = prod_j n_j!
-  (at most 30 at margins (3, 5), against the 8! permutations of the group).
+  prod_i n_i! / prod_ij m_ij! orbits, the coset's size over |H| = prod_j n_j!.
   The representative of a labelling sends the points labelled j to block j's
   points in increasing order.
 
@@ -42,10 +41,11 @@ hard cap of 9.  The blocks of the Young subgroup are the consecutive runs
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, permutations, repeat
+from itertools import chain, permutations, product, repeat
 
 from .cosets import CosetMatrix, Grid, Margins
 from .errors import BruteForceLimitExceeded
@@ -116,52 +116,31 @@ def _labelled(labels: list[int]) -> Perm:
     return tuple(sorted(range(len(labels)), key=order.__getitem__))
 
 
+def _orders(counts: list[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct orders of a multiset of labels, counts[j] copies of label
+    j, in lexicographic order.  Works in place on counts, which holds its
+    starting values again once the orders run out."""
+    if not any(counts):
+        yield ()
+        return
+    for j, k in enumerate(counts):
+        if k:
+            counts[j] -= 1
+            for rest in _orders(counts):
+                yield (j, *rest)
+            counts[j] += 1
+
+
 @lru_cache(maxsize=1024)
-def _first_labelling(m: CosetMatrix) -> tuple[Perm, tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The m-coset's first labelling, block by block m_ij labels j for j in
-    increasing order, with its permutation and the spans of the blocks that
-    carry two labels or more, the only ones with a second order.
-
-    Reading m takes nu^2 steps, more than the rest of a sweep when the blocks
-    are small, so the result, 2N + 2nu ints at most, is cached for the last
-    1024 matrices.
-    """
-    n, nu = m.margins.n, m.margins.nu
-    labels = [j for row in m.entries for j in range(nu) for _ in range(row[j])]
-    spans = tuple((lo, lo + size) for lo, size, row in zip(accumulate((0,) + n[:-1]), n, m.entries)
-                  if max(row) < size)
-    return _labelled(labels), tuple(labels), spans
-
-
-def _step(labels: list[int], lo: int, hi: int) -> bool:
-    """Put labels[lo:hi] in its next order, lexicographically; from the last
-    (decreasing) order, wrap round to the first (increasing) and return False."""
-    k = hi - 2
-    while k >= lo and labels[k] >= labels[k + 1]:
-        k -= 1
-    if k >= lo:
-        swap = hi - 1
-        while labels[swap] <= labels[k]:
-            swap -= 1
-        labels[k], labels[swap] = labels[swap], labels[k]
-    labels[k + 1 : hi] = reversed(labels[k + 1 : hi])
-    return k >= lo
-
-
-def _representatives(m: CosetMatrix) -> Iterator[Perm]:
+def _representatives(m: CosetMatrix) -> tuple[Perm, ...]:
     """One permutation in each left Young-subgroup orbit of the m-coset, one
-    per labelling (see the module docstring).  The labellings are stepped
-    through like an odometer, each block's orders lexicographically."""
-    first, labels, spans = _first_labelling(m)
-    yield first
-    labels = list(labels)
-    while True:
-        for lo, hi in spans:
-            if _step(labels, lo, hi):
-                break
-        else:
-            return
-        yield _labelled(labels)
+    per labelling (see the module docstring): block i's labels in each of
+    their distinct orders, block by block.  The first has every block's labels
+    in increasing order.  Cached for the last 1024 matrices, so a coset met by
+    many factors is walked once.
+    """
+    blocks = product(*(_orders(list(row)) for row in m.entries))
+    return tuple(_labelled(list(chain.from_iterable(labels))) for labels in blocks)
 
 
 def _sweep(a: CosetMatrix, b: CosetMatrix, limit: int | None):
@@ -174,15 +153,10 @@ def _sweep(a: CosetMatrix, b: CosetMatrix, limit: int | None):
     if b.margins != margins:
         raise ValueError("all matrices must share their margins")
     _check_limit(margins, limit)
-    g0 = _first_labelling(a)[0]
+    g0 = _representatives(a)[0]
     block_of, nu = _block_of(margins.n), margins.nu
-    counts: dict[Grid, int] = {}
-    total = 0
-    for h in _representatives(b):
-        c = _block_counts(compose(h, g0), block_of, nu)
-        counts[c] = counts.get(c, 0) + 1
-        total += 1
-    return counts, total
+    reps = _representatives(b)
+    return Counter(_block_counts(compose(h, g0), block_of, nu) for h in reps), len(reps)
 
 
 def oracle_structure_constant(

@@ -4,7 +4,8 @@ The corpus lives in ``tests/golden`` and is written by ``golden/generate.py``.
 Every case replays in process; one case per subcommand and one error case
 also replay as ``python -m cosetalg.cli`` in a fresh interpreter, where only
 the modules the call itself imports are loaded; and the whole corpus replays
-once more in a fresh ``python -O`` interpreter, where asserts are stripped.
+once more in a fresh ``python -OO`` interpreter, where asserts and
+docstrings are stripped.
 """
 
 import json
@@ -75,13 +76,13 @@ def test_golden_corpus_replays_under_optimize():
         "print(json.dumps({'optimize': sys.flags.optimize, 'results': results}))"
     )
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
+        [sys.executable, "-OO", "-c", script],
         input=json.dumps([case["argv"] for case in CASES]), cwd=ROOT,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (ROOT / "src", GOLDEN.parent)))},
         capture_output=True, text=True, check=True,
     )
     replay = json.loads(proc.stdout)
-    assert replay["optimize"] == 1
+    assert replay["optimize"] == 2
     mismatched = [
         case["name"]
         for case, (code, out) in zip(CASES, replay["results"], strict=True)

@@ -294,15 +294,21 @@ def test_oracle_product_matches_whole_coset_sweep_sampled():
         assert oracle_product(a, b) == whole_coset_product(a, b), (a.entries, b.entries)
 
 
-@pytest.mark.parametrize("n", [(1, 1, 1), (2, 3), (1, 2, 3), (2, 2, 2), (3, 5), (1, 1, 2, 2)])
+@pytest.mark.parametrize(
+    "n",
+    [(1, 1, 1), (2, 3), (1, 2, 3), (2, 2, 2), (3, 5), (1, 1, 2, 2), (4, 5), (3, 3, 3), (2, 3, 4), (6,)],
+)
 def test_representatives_one_per_left_orbit(n):
     # the left orbit of h under the Young subgroup is fixed by the block of
-    # each image point, so distinct representatives have distinct block images
+    # each image point, so distinct representatives have distinct block images;
+    # (4, 5), (3, 3, 3) and (2, 3, 4) reach the hard cap N = 9 (up to 216
+    # orbits a coset), and (6,) is one block (one orbit)
     margins = Margins(n)
     block_of = [j for j, size in enumerate(n) for _ in range(size)]
     subgroup = prod(factorial(size) for size in n)
     for b in enumerate_coset_matrices(margins):
-        reps = list(_representatives(b))
+        reps = _representatives(b)
+        assert type(reps) is tuple and _representatives(b) is reps
         assert len(reps) * subgroup == coset_size(b)
         assert all(classify(h, margins) == b for h in reps)
         assert len({tuple(block_of[y] for y in h) for h in reps}) == len(reps)
