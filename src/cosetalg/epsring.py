@@ -29,8 +29,8 @@ passes it only factors its profile weights prove to divide, so none of its
 divisions fails; the canonical form of sums and products tries every factor.
 The chains serve only ``divide_out``: ``expand`` runs the same recurrence
 once per variable on the series of prod_m 1/(1 - m*eps_j) and multiplies it
-in, and ``specialize`` reads each term's weight prod n_j^(E_j - e_j) from a
-table cached per margins n and top degrees E.
+in, and ``specialize`` reads each term's weight prod n_j^(E_j - e_j) from the
+one table cached per margins n, whose E only grows to the largest degrees met.
 
 Canonical form: no factor present in the denominator divides the numerator.
 Because every factor is linear with constant term 1, the canonical
@@ -43,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from .combination import Combination
 from .cosets import Margins
@@ -58,14 +58,15 @@ class EpsPolynomial(Combination):
     """Sparse polynomial: a combination of exponent multidegrees in nu variables.
 
     A coefficient is an ``int`` where integral and a ``Fraction`` otherwise,
-    never a ``float``; the constructor accepts any rational.
+    never a ``float``; the constructor accepts any rational.  Exponents are
+    read through ``operator.index``, so a float exponent raises ``TypeError``.
     """
 
     __slots__ = ()
 
     @staticmethod
     def _space_of(deg: Degree) -> int:
-        if any(d < 0 for d in deg):
+        if any(index(d) < 0 for d in deg):
             raise ValueError(f"negative exponent in multidegree {deg}")
         return len(deg)
 
@@ -195,7 +196,11 @@ def _falling(p: int, q: int) -> list[int]:
 
 
 class EpsRingElement:
-    """Numerator polynomial over a multiset of factors (1 - m*eps_j), canonical."""
+    """Numerator polynomial over a multiset of factors (1 - m*eps_j), canonical.
+
+    The constructor reads j, m and each multiplicity through ``operator.index``,
+    so a float raises ``TypeError``; ``_make`` checks nothing.
+    """
 
     __slots__ = ("nu", "num", "den")
 
@@ -203,6 +208,7 @@ class EpsRingElement:
         if num.nu != nu:
             raise ValueError("numerator variable count mismatch")
         for (j, m), mult in (den or {}).items():
+            j, m, mult = index(j), index(m), index(mult)
             if mult < 0:
                 raise ValueError("negative multiplicity")
             if m < 1:
@@ -272,10 +278,13 @@ class EpsRingElement:
     def specialize(self, margins: Margins) -> Fraction:
         """Evaluate at eps_j = 1/n_j; fails exactly on surviving factors with m = n_j.
 
-        With E_j the top degree in eps_j, a term c * prod eps_j^e_j is
-        c * prod n_j^(E_j - e_j) over prod n_j^E_j (``_weight_table``).  Each
-        factor 1/(1 - m/n_j) is n_j/(n_j - m), so the denominator folds into
-        one integer ratio and the value is built as a single Fraction.
+        With E_j the largest degree in eps_j met so far at n, a term
+        c * prod eps_j^e_j is c * prod n_j^(E_j - e_j) over prod n_j^E_j, both
+        read from the one table kept per margins (``_weight_table``); only a
+        monomial the table has not met sends the element's terms to
+        ``_WeightTable.add``.  Each factor 1/(1 - m/n_j) is n_j/(n_j - m), so
+        the denominator folds into one integer ratio and the value is built as
+        a single Fraction, which reduces it, so a larger E changes no value.
         """
         if margins.nu != self.nu:
             raise ValueError("margins dimension mismatch")
@@ -285,12 +294,13 @@ class EpsRingElement:
                 j, m = min(f for f in self.den if f[1] == n[f[0]])
                 raise PoleAtSpecialization(j + 1, m)
         terms = self.num.terms
-        tops = tuple(map(max, zip(*terms))) or (0,) * self.nu
-        den, weights = _weight_table(n, tops)
-        new = [d for d in terms if d not in weights]
-        if new:
-            weights.update((d, prod(map(pow, n, map(sub, tops, d)))) for d in new)
-        total = sum(map(mul, terms.values(), map(weights.__getitem__, terms)))
+        table = _weight_table(n)
+        try:
+            total = sum(map(mul, terms.values(), map(table.weights.__getitem__, terms)))
+        except KeyError:
+            table.add(terms)
+            total = sum(map(mul, terms.values(), map(table.weights.__getitem__, terms)))
+        den = table.den
         for (j, m), mult in self.den.items():
             total *= n[j] ** mult
             den *= (n[j] - m) ** mult
@@ -340,15 +350,42 @@ class EpsRingElement:
         return f"({self.num!r}) / ({'*'.join(bits)})"
 
 
-@lru_cache(maxsize=256)
-def _weight_table(n: tuple[int, ...], tops: Degree) -> tuple[int, dict[Degree, int]]:
-    """(prod n_j^E_j, {e: prod n_j^(E_j - e_j)}) at margins n and top degrees E = tops.
+class _WeightTable:
+    """The term weights at margins n: E = ``tops``, the largest degrees met so
+    far, ``den`` = prod n_j^E_j and ``weights`` = {e: prod n_j^(E_j - e_j)}
+    for each monomial e met, never the whole box below E."""
 
-    ``specialize`` adds the degrees it meets, so a table holds only monomials
-    seen under its key, never the whole box below E.  The bound is above the
-    keys a cold ``universal`` benchmark round meets, so a round never evicts.
+    __slots__ = ("n", "tops", "den", "weights")
+
+    def __init__(self, n: tuple[int, ...]):
+        self.n = n
+        self.tops: Degree = (0,) * len(n)
+        self.den = 1
+        self.weights: dict[Degree, int] = {}
+
+    def add(self, degrees) -> None:
+        """Raise E to cover ``degrees``, re-weighting the monomials met once, and weigh
+        those of ``degrees`` not yet met."""
+        n, weights = self.n, self.weights
+        tops = tuple(map(max, self.tops, *degrees))
+        if tops != self.tops:
+            scale = prod(map(pow, n, map(sub, tops, self.tops)))
+            for e, w in weights.items():
+                weights[e] = w * scale
+            self.tops, self.den = tops, self.den * scale
+        for e in degrees:
+            if e not in weights:
+                weights[e] = prod(map(pow, n, map(sub, tops, e)))
+
+
+@lru_cache(maxsize=256)
+def _weight_table(n: tuple[int, ...]) -> _WeightTable:
+    """The one weight table at margins n.
+
+    The bound is above the margins a cold ``universal`` benchmark round meets,
+    so a round never evicts; an evicted table is rebuilt as it is met again.
     """
-    return prod(map(pow, n, tops)), {}
+    return _WeightTable(n)
 
 
 def _times_factors(poly: EpsPolynomial, factors: Den) -> EpsPolynomial:

@@ -82,6 +82,11 @@ CASES = [
     ("specialize-nu3-const", ["specialize", "--n", "2,3,2", "--a", NU3_B, "--b", NU3_A,
                               "--c", NU3_C]),
     ("specialize-nu4", ["specialize", "--n", "2,2,2,2", "--a", NU4_A, "--b", NU4_B]),
+    # 788 targets, 526 nonzero values; the numerators have several distinct top
+    # degrees, so the weight table at (3,3,3,3) grows during the call
+    ("specialize-nu4-many", ["specialize", "--n", "3,3,3,3",
+                             "--a", "1,3,1,1,4,1,2,1,1,3,2,1,3,4,1,4,1,1,4,3,1",
+                             "--b", "1,3,1,1,4,1,2,1,1,2,3,1,3,2,1,3,4,1,4,1,1,4,2,1"]),
     ("poisson-nu3", ["poisson", "--nu", "3", "--a", NU3_A, "--b", NU3_C]),
     ("poisson-nu4", ["poisson", "--nu", "4", "--a", NU4_A, "--b", NU4_B]),
     ("graded-nu3", ["graded", "--nu", "3", "--a", NU3_B, "--b", NU3_C]),

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -13,6 +13,7 @@ from cosetalg import (
     bracket,
     universal_product,
 )
+from cosetalg import epsring
 from cosetalg.cli import _ring_json
 from helpers import (
     div_by_bracket,
@@ -299,6 +300,62 @@ def test_specialize_matches_reference():
         for _ in range(60):
             x = random_element(rng, 2)
             assert x.specialize(margins) == reference_specialize(x, margins), x
+
+
+def _table_state(n):
+    table = epsring._weight_table(n)
+    return table.tops, table.den, dict(table.weights)
+
+
+def test_weight_table_grows_with_the_degrees_met():
+    # one table per margins: E only grows, and growing it re-weights every
+    # monomial already met, so each value still equals the reference
+    epsring._weight_table.cache_clear()
+    margins = Margins((3, 4))
+    n = margins.n
+    low = EpsRingElement(2, EpsPolynomial(2, {(0, 0): 2, (1, 0): Fraction(1, 3), (0, 1): -5}),
+                         {(0, 1): 1})
+    high = EpsRingElement(2, EpsPolynomial(2, {(3, 0): 7, (0, 5): 1, (2, 2): -1}), {(1, 2): 2})
+    steps = [(low, (1, 1)), (high, (3, 5)), (low, (3, 5)), (EpsRingElement.zero(2), (3, 5))]
+    met = set()
+    for x, tops in steps:
+        assert x.specialize(margins) == reference_specialize(x, margins), x
+        met |= x.num.terms.keys()
+        table_tops, den, weights = _table_state(n)
+        assert table_tops == tops
+        assert den == prod(map(pow, n, tops))
+        assert weights == {e: prod(k ** (t - d) for k, t, d in zip(n, tops, e)) for e in met}
+    # a pole raises before the table is touched, whatever the numerator's degrees
+    before = _table_state(n)
+    pole = EpsRingElement(2, EpsPolynomial(2, {(9, 9): 1}), {(0, 3): 1})
+    with pytest.raises(PoleAtSpecialization):
+        pole.specialize(margins)
+    assert _table_state(n) == before
+    # past the bound of 256 tables the first margins' table is evicted and rebuilt
+    for k in range(300):
+        other = Margins((5 + k, 2))
+        assert low.specialize(other) == reference_specialize(low, other)
+    assert epsring._weight_table.cache_info().currsize == 256
+    assert high.specialize(margins) == reference_specialize(high, margins)
+    assert _table_state(n)[0] == (3, 5)
+    assert _table_state(n)[2].keys() == high.num.terms.keys()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EpsPolynomial(1, {(0.5,): 1}),
+        lambda: EpsRingElement(1, EpsPolynomial(1, {(0,): 1}), {(0, 1.5): 1}),
+        lambda: EpsRingElement(1, EpsPolynomial(1, {(0,): 1}), {(0, 1): 1.5}),
+        lambda: EpsRingElement(1, EpsPolynomial.zero(1), {(0.0, 1): 1}),
+    ],
+    ids=["exponent", "factor", "multiplicity", "variable"],
+)
+def test_constructors_refuse_non_integers(build):
+    # a float exponent used to reach Fraction in specialize, and a float factor
+    # or multiplicity gave float series coefficients in expand
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_scaling_and_negation_skip_trial_division(monkeypatch):

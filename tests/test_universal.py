@@ -537,13 +537,15 @@ def _tops(poly):
 
 @pytest.mark.parametrize("nu,entry_max,sample", [(3, 2, 40), (4, 1, 40)])
 def test_specialize_weight_table_matches_reference(nu, entry_max, sample):
-    # at the fitted margins and at margins raised by 0-2 per block, so that the
-    # weight tables are both hit and missed; some constants had a factor
+    # one weight table per margins, met at the fitted margins and at margins
+    # raised by 0-2 per block, so that the tables are both hit and missed and
+    # grow as constants of higher degree arrive; some constants had a factor
     # divided out, which lowers their top degrees below their raw numerator's
     epsring._weight_table.cache_clear()
     types = balanced_types(nu, entry_max)
     rng = random.Random(nu)
     lowered = 0
+    met = set()
     for _ in range(sample):
         a, b = rng.choice(types), rng.choice(types)
         _, raw = raw_universal_numerators(a.entries, b.entries)
@@ -552,9 +554,11 @@ def test_specialize_weight_table_matches_reference(nu, entry_max, sample):
         for c, coeff in universal_product(a, b).items():
             lowered += _tops(coeff.num) != _tops(raw[c.entries])
             for margins in (Margins(fitted), Margins(raised)):
+                met.add(margins.n)
                 assert coeff.specialize(margins) == reference_specialize(coeff, margins), (a, b, c)
     info = epsring._weight_table.cache_info()
     assert info.hits and info.misses and lowered
+    assert info.misses == len(met)
 
 
 def _relabel_constant(x, p):
