@@ -16,16 +16,19 @@ sums with the same total, as the margins of a coset matrix or of a slice of
 a product have, and unequal totals admit no table.
 ``_slice_terms`` hands it only the slice's nonzero rows and columns, since a
 zero cap or a zero column sum forces zeros there, and reads each table into a
-packed integer key and an integer weight over the kept cells.  Every weight,
+packed integer key and an integer weight over the kept cells.  The tables and
+weights of each such trimmed shape are built once (``_shape_terms``), and the
+slices of every layout that meets the shape only pack them.  Every weight,
 here and in ``coset_size``, is a product of row multinomials, built by
 ``_multinomial`` from ``comb`` factors, so a huge diagonal cell costs no more
 than the small cells of its row.  ``_convolve`` sums over the slices and
 ``_unpack`` reads the keys back as grids, one row field at a time, decoding
 each distinct row once through a {row bits: row tuple} dict.  ``_interned``
-maps the packed targets of a product to key objects: each layout (margins or
-nu, field width) has one table of key objects and one row dict, so a target
-that another product has already produced is not decoded again, and while the
-layout's table is cached equal targets of any two products are one object.
+maps the packed targets of a product or bracket to key objects: each layout
+(margins or nu, field width) has one table of key objects and one row dict,
+so a target that another product has already produced is not decoded again,
+and while the layout's table is cached equal targets of any two products are
+one object.
 ``_pack`` is the inverse of ``_unpack`` for one grid, and ``count_transport``
 counts the tables ``transport`` would walk without building them.
 
@@ -43,7 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial, prod
-from operator import index, sub
+from operator import index, mul, sub
 
 from .errors import MarginOverflow
 
@@ -333,10 +336,11 @@ def _unpack(keys, rows: int, width: int, shift: int, decoded=None) -> list[Grid]
 def _intern_tables(layout, shift: int) -> tuple[dict, dict[int, tuple[int, ...]]]:
     """({packed key: key object}, {row bits: row tuple}) of one key layout.
 
-    A layout is the margins of coset matrices or the nu of off-diagonal
-    types, with a field width; ``_interned`` fills its two dicts.  They live
-    only in this cache, so its ``cache_clear``, which a fresh-process reset
-    calls with every other module-level cache, empties them.
+    A layout is the margins of coset matrices (finite products) or the nu
+    of off-diagonal types (Poisson brackets and universal products, which
+    share it), with a field width; ``_interned`` fills its two dicts.  They
+    live only in this cache, so its ``cache_clear``, which a fresh-process
+    reset calls with every other module-level cache, empties them.
 
     The cache keeps 64 layouts, more than any benchmark round asks for.  An
     evicted layout costs a second decode of its targets, and later products
@@ -379,7 +383,23 @@ def _multinomial(parts) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
+def _shape_terms(caps: tuple[int, ...], cols: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+    """(cells, weights) of ``transport(caps, cols)``: each table's cells
+    flattened row by row, and its weight prod_i caps_i! / prod_ik t_ik!, the
+    product of the rows' multinomials (``_multinomial``), since every row
+    meets its cap; one huge cell costs no more than a small one.
+
+    The shape is a trimmed slice, every cap and column sum nonzero, so the
+    slices of many products and layouts share it; the cache keeps 256
+    shapes, more than a benchmark round meets.
+    """
+    tables = transport(caps, cols)
+    cells = tuple(tuple(v for row in table for v in row) for table in tables)
+    return cells, tuple(prod(map(_multinomial, table)) for table in tables)
+
+
+@lru_cache(maxsize=2048)
 def _slice_terms(
     caps: tuple[int, ...], cols: tuple[int, ...], shift: int, fields: tuple[int | None, ...]
 ) -> tuple[tuple[int, int], ...]:
@@ -387,28 +407,21 @@ def _slice_terms(
 
     Cell (i, k) adds its value to field ``fields[i*len(cols) + k]`` of the
     key, fields being ``shift`` bits wide; a cell whose field is None stays
-    out of the key.  The weight is prod_i caps_i! / prod_ik t_ik!, the product
-    of the rows' multinomials (``_multinomial``), since every row meets its
-    cap; one huge cell costs no more than a small one.  A row with cap 0 or a
-    column with sum 0 holds only zeros, which add nothing to a key or a
-    weight, so only the other rows and columns are walked; the cells left out
-    are 0 in every table, so the tables come in the same order as over the
-    full slice.
+    out of the key.  The weight is the product of the table's row
+    multinomials.  A row with cap 0 or a column with sum 0 holds only zeros,
+    which add nothing to a key or a weight, so the tables and weights of the
+    other rows and columns come from the shape cache (``_shape_terms``) and
+    are only packed here, for this layout; the cells left out are 0 in every
+    table, so the tables come in the same order as over the full slice.  The
+    cache keeps 2,048 slices, more than a benchmark round builds.
     """
     width = len(cols)
     rows = [i for i, cap in enumerate(caps) if cap]
     keep = [k for k, col in enumerate(cols) if col]
-    units = [[fields[i * width + k] for k in keep] for i in rows]
-    units = [[0 if f is None else 1 << shift * f for f in row] for row in units]
-    out = []
-    for table in transport(tuple(caps[i] for i in rows), tuple(cols[k] for k in keep)):
-        packed = 0
-        for row, row_units in zip(table, units):
-            for v, unit in zip(row, row_units):
-                if v:
-                    packed += v * unit
-        out.append((packed, prod(map(_multinomial, table))))
-    return tuple(out)
+    units = [fields[i * width + k] for i in rows for k in keep]
+    units = [0 if f is None else 1 << shift * f for f in units]
+    cells, weights = _shape_terms(tuple(caps[i] for i in rows), tuple(cols[k] for k in keep))
+    return tuple(zip([sum(map(mul, table, units)) for table in cells], weights))
 
 
 def _convolve(slices) -> dict[int, int]:

@@ -28,10 +28,10 @@ ring expansion and to the bracket.
 
 The bracket cache is keyed by the two basis types and holds the public key
 objects.  The target types are interned per nu and field width
-(``cosets._interned``): a target is built once, the first time any bracket
-produces it, and while that layout's table stays cached every bracket that
-produces it again hands out that same object, so merging brackets compares
-no keys.
+(``cosets._interned``), a layout the universal products share: a target is
+built once, the first time any bracket or universal product produces it, and
+while that layout's table stays cached every bracket that produces it again
+hands out that same object, so merging brackets compares no keys.
 """
 
 from __future__ import annotations

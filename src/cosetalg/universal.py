@@ -20,21 +20,22 @@ All constants live in the localized polynomial ring, and substituting
 eps_j = 1/n_j recovers the finite algebra whenever the star sums of a and b
 fit under the margins.
 
-One pass builds a pair's product, keyed by packed ints until its end.  The
-finite product's slice builder (``cosets._slice_terms``) enumerates the
-tensors: the key of slice j holds its share of c_ik (i != k) and, in a field
-row above c, its corner t_jjj.  The convolution over j maps each profile, a
-key of c and its corner vector e, to its finite weight w; the universal one
-is W = w * prod_j e_j! * prod b_jk! / prod_j b*_j!, whose divisor is the
+One pass builds a pair's product.  The finite product's slice builder
+(``cosets._slice_terms``) enumerates the tensors: the packed key of slice j
+holds its share of c_ik (i != k) and, in a field row above c, its corner
+t_jjj.  The convolution over j maps each profile, a key of c and its corner
+vector e, to its finite weight w; the universal one is
+W = w * prod_j e_j! * prod b_jk! / prod_j b*_j!, whose divisor is the
 product of b's row multinomials (``cosets._multinomial``; b's diagonal is
 0).  In variable j the brackets cancel to one numerator copy on
 [lo_j, t*_j), lo_j = max(a*_j, b*_j), and a denominator on [1, d_j),
 d_j = min(a*_j, b*_j), that does not depend on t*_j: the pair-wide common
 denominator, whose candidates (j, m) every constant lists by j, then m.  A
 profile adds W * prod_i eps_i^e_i prod_(q in [lo_i, t*_i)) (1 - q*eps_i) to
-its target's numerator N_c; its terms are built once per corner row and
-keyed by packed degree rows, the degree in eps_j in field j.  Each target and each distinct degree row is
-decoded once, at the end.
+its target's numerator N_c.  The factor in eps_i is built once per pair for
+each corner e_i <= d_i, and their product once per corner row, keyed by
+multidegree tuples, so each target sums straight into the keys of its final
+polynomial; only the keys of the targets stay packed.
 
 The factors of the common denominator that divide N_c are read off its
 profiles exactly.  Fix a candidate (j, m), m in [1, d_j).  The factor in a
@@ -49,13 +50,19 @@ their exponents off j.  Such a group is the profiles whose keys agree off
 corner field j, and in it W is w * e_j! times one positive factor.  Each
 m - q < 0, as m < d_j <= lo_j <= q, and W > 0, so a lone profile never sums
 to 0: a target with a lone group keeps every candidate in eps_j, and by the
-same argument over all variables N_c != 0.  The candidates are distinct
-linear factors, so one ``divide_out`` call divides N_c by the product of its
-divisors; a divisor left over raises ``InvariantViolation``.
+same argument over all variables N_c != 0.  A target of one profile has a
+lone group in every variable, so the rule reads only the profiles of the
+targets that met a second profile, and only their numerators can hold a
+term that cancelled to 0.  The candidates are distinct linear factors, so
+one ``divide_out`` call divides N_c by the product of its divisors; a
+divisor left over raises ``InvariantViolation``.
 
-The product cache holds the public key objects: each target is built once
-as an ``OffDiagonalType``, and ``universal_product`` hands out a copy of the
-cached mapping with those same keys.
+The product cache holds the public key objects.  The targets are interned
+per nu and field width (``cosets._interned``), the layout the Poisson
+brackets use: a target is decoded and built as an ``OffDiagonalType`` the
+first time any product or bracket produces it, and while that layout's table
+stays cached every later product hands out that same object.
+``universal_product`` hands out a copy of the cached mapping with those keys.
 """
 
 from __future__ import annotations
@@ -73,10 +80,10 @@ from .cosets import (
     OffDiagonalType,
     _convolve,
     _field_bits,
+    _interned,
     _multinomial,
     _slice_terms,
     _star,
-    _unpack,
     check_fit,
 )
 from .epsring import EpsPolynomial, EpsRingElement, _den_product, _falling, _sum_over_lcm
@@ -105,31 +112,43 @@ def _product_terms(a: Grid, b: Grid) -> dict[OffDiagonalType, EpsRingElement]:
         slices.append(_slice_terms(caps, cols, shift, fields))
     # W = w * scale / b_rows: a corner row's scale is prod_j e_j!, b_rows b's row multinomials
     b_rows = prod(map(_multinomial, b))
-    candidates = [(j, m) for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))]
+    # the common denominator, copied for each target
+    candidates = {(j, m): 1 for j in range(nu) for m in range(1, min(a_stars[j], b_stars[j]))}
+    # the terms of eps_j^e * ((lo_j, t*_j)) for each corner e <= d_j, t*_j = n_j - e
+    brackets = [
+        [list(enumerate(_falling(lo, x + y - e), e)) for e in range(min(x, y) + 1)]
+        for lo, x, y in zip(lows, a_stars, b_stars)
+    ]
     top = nu * nu * shift
     mask = (1 << top) - 1
     field = (1 << shift) - 1
-    corners: dict[int, tuple[int, dict[int, int]]] = {}  # corner row -> scale, bracket terms
-    targets: dict[int, dict[int, int]] = {}  # c -> N_c as {packed degree row: coefficient}
+    # corner row -> scale, bracket terms {multidegree: coefficient}
+    corners: dict[int, tuple[int, dict[tuple[int, ...], int]]] = {}
+    targets: dict[int, dict[tuple[int, ...], int]] = {}  # c -> N_c as {multidegree: coefficient}
+    shared = set()  # the targets that met a second profile
     profiles = _convolve(slices)
     for key, w in profiles.items():
         corner = corners.get(key >> top)
         if corner is None:
             exps = [key >> top + j * shift & field for j in range(nu)]
-            terms = {0: 1}
-            for j, e in enumerate(exps):  # brackets in distinct variables: an outer product
-                coeffs = list(enumerate(_falling(lows[j], a_stars[j] + b_stars[j] - e), e))
-                terms = {d + (k << j * shift): x * v for d, x in terms.items() for k, v in coeffs}
+            terms = {(): 1}
+            for row, e in zip(brackets, exps):  # brackets in distinct variables: an outer product
+                terms = {d + (k,): x * v for d, x in terms.items() for k, v in row[e]}
             corner = corners[key >> top] = (prod(map(factorial, exps)), terms)
         scale, terms = corner
         weight = w * scale // b_rows
-        acc = targets.get(key & mask)
+        c = key & mask
+        acc = targets.get(c)
         if acc is None:
-            targets[key & mask] = {d: weight * v for d, v in terms.items()}
+            targets[c] = {d: weight * v for d, v in terms.items()}
         else:
+            shared.add(c)
             get = acc.get
             for d, v in terms.items():
                 acc[d] = get(d, 0) + weight * v
+    # a target of one profile has a lone group in every variable, so the rule
+    # reads only the profiles of the shared targets
+    grouped = [k for k in profiles if k & mask in shared]
     cuts: dict[int, list[tuple[int, int]]] = {}  # c -> the candidates that divide N_c
     for j in range(nu):
         dj = min(a_stars[j], b_stars[j])
@@ -138,7 +157,7 @@ def _product_terms(a: Grid, b: Grid) -> dict[OffDiagonalType, EpsRingElement]:
         # a group is the profiles whose keys agree off corner field j; a target
         # with a lone group keeps every candidate in eps_j
         pos = top + j * shift
-        sizes = Counter(map(((1 << top + nu * shift) - 1 ^ field << pos).__and__, profiles))
+        sizes = Counter(map(((1 << top + nu * shift) - 1 ^ field << pos).__and__, grouped))
         lone = {k & mask for k, n in sizes.items() if n == 1}
         groups = [k for k, n in sizes.items() if n > 1 and k & mask not in lone]
         kept = set(map(mask.__and__, groups))  # the targets with no lone group
@@ -152,22 +171,21 @@ def _product_terms(a: Grid, b: Grid) -> dict[OffDiagonalType, EpsRingElement]:
             sums = map(sum, zip(*[map(g.__mul__, col) for g, col in zip(gs, ws)]))
             for c in kept.difference(map(mask.__and__, compress(groups, sums))):
                 cuts.setdefault(c, []).append((j, m))
-    degrees: dict[int, tuple[int, ...]] = {}  # packed degree row -> multidegree
-    _unpack(set().union(*(terms for _, terms in corners.values())), 1, nu, shift, degrees)
     out: dict[OffDiagonalType, EpsRingElement] = {}
-    for (c, acc), grid in zip(targets.items(), _unpack(targets, nu, nu, shift)):
-        if 0 in acc.values():  # profiles rarely cancel: filter only when some did
+    types = _interned(targets, nu, nu, shift, OffDiagonalType._make)
+    for (c, acc), tc in zip(targets.items(), types):
+        if c in shared and 0 in acc.values():  # only summed profiles can cancel
             acc = {d: v for d, v in acc.items() if v}
-        num = EpsPolynomial._make(nu, dict(zip(map(degrees.__getitem__, acc), acc.values())))
-        den = dict.fromkeys(candidates, 1)
+        num = EpsPolynomial._make(nu, acc)
+        den = candidates.copy()
         if cut := cuts.get(c):
             num, left = num.divide_out(dict.fromkeys(cut, 1))
             if left:  # the rule is exact: a factor it names must divide
                 j, m = min(left)
-                raise InvariantViolation(f"(1 - {m}*eps_{j + 1}) does not divide N_{grid}")
+                raise InvariantViolation(f"(1 - {m}*eps_{j + 1}) does not divide N_{tc.entries}")
             for f in cut:
                 del den[f]
-        out[OffDiagonalType._make(grid)] = EpsRingElement._make(nu, num, den)
+        out[tc] = EpsRingElement._make(nu, num, den)
     return out
 
 

@@ -19,7 +19,7 @@ from cosetalg import (
     structure_constant,
     verify_associativity,
 )
-from cosetalg import algebra, cli, cosets
+from cosetalg import algebra, cli, cosets, universal
 from cosetalg.oracle import oracle_product
 
 from helpers import (
@@ -405,6 +405,7 @@ def _clear_product_caches():
     # the identity holds while a layout stays in the intern cache; start with
     # no cached product whose keys an earlier table built
     algebra._product_terms.cache_clear()
+    universal._product_terms.cache_clear()
     cosets._intern_tables.cache_clear()
 
 
@@ -465,8 +466,11 @@ def test_cache_reset_empties_the_intern_tables():
     # loaded package modules
     margins = Margins((2, 2, 2))
     a, b = enumerate_coset_matrices(margins)[3:5]
+    p, q = ((0, 1, 1), (1, 0, 1), (1, 1, 0)), ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    _clear_product_caches()
     before = list(algebra._product_terms(a.entries, b.entries, margins))
-    assert cosets._intern_tables.cache_info().currsize > 0
+    universal_before = list(universal._product_terms(p, q))
+    assert cosets._intern_tables.cache_info().currsize > 1
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "cosetalg":
             for value in vars(module).values():
@@ -474,8 +478,11 @@ def test_cache_reset_empties_the_intern_tables():
                     value.cache_clear()
     assert cosets._intern_tables.cache_info().currsize == 0
     after = list(algebra._product_terms(a.entries, b.entries, margins))
-    assert after == before
+    universal_after = list(universal._product_terms(p, q))
+    assert after == before and universal_after == universal_before
+    assert len(universal_after) > 1
     assert not any(x is y for x, y in zip(after, before))
+    assert not any(x is y for x, y in zip(universal_after, universal_before))
 
 
 def test_structure_constant_builds_zero_only_on_a_miss(monkeypatch):

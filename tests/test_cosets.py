@@ -20,7 +20,7 @@ from cosetalg import (
     strip_diagonal,
 )
 from cosetalg.cli import _matrix_json, _type_json
-from cosetalg.cosets import _field_bits, _slice_terms, count_transport, transport
+from cosetalg.cosets import _field_bits, _shape_terms, _slice_terms, count_transport, transport
 
 from helpers import balanced_types, naive_tables, reference_slice_terms
 
@@ -204,6 +204,7 @@ def test_every_transport_call_has_equal_totals(monkeypatch):
     ]
     for phase in phases:
         _slice_terms.cache_clear()
+        _shape_terms.cache_clear()
         calls.clear()
         for f, args in phase:
             f(*args)
@@ -244,6 +245,35 @@ def test_slice_terms_match_full_slice():
         shift = _field_bits(max(caps + cols))
         want = reference_slice_terms(caps, cols, shift, fields)
         assert _slice_terms.__wrapped__(caps, cols, shift, fields) == want
+
+
+def test_layouts_of_one_shape_walk_it_once(monkeypatch):
+    # slices whose trimmed caps and columns agree share one transport walk,
+    # whatever their zero rows and columns, fields and field width
+    from cosetalg import cosets
+
+    layouts = [
+        ((2, 1, 0), (0, 1, 2), 8, tuple(range(9))),
+        ((0, 2, 1), (1, 0, 2), 8, tuple(range(8, -1, -1))),
+        ((2, 0, 1), (1, 2, 0), 16, (None, 4, None, 2, 0, 1, 3, 5, 6)),
+        ((0, 2, 0, 1), (0, 1, 2), 8, tuple(range(12))),
+    ]
+    wants = [reference_slice_terms(*layout) for layout in layouts]
+    assert all(len(want) > 1 for want in wants)
+    calls = []
+    walk = cosets.transport
+
+    def recorded(caps, cols):
+        calls.append((caps, cols))
+        return walk(caps, cols)
+
+    monkeypatch.setattr(cosets, "transport", recorded)
+    _slice_terms.cache_clear()
+    _shape_terms.cache_clear()
+    for layout, want in zip(layouts, wants):
+        assert _slice_terms(*layout) == want
+    assert calls == [((2, 1), (1, 2))]
+    assert _shape_terms.cache_info().misses == 1
 
 
 def test_enumerate_deterministic_rerun():

@@ -137,7 +137,6 @@ def test_combination_docstring_lists_every_subclass():
 # each grows with every distinct argument a long-lived process sees
 UNBOUNDED_CACHES = {
     "algebra._product_terms",
-    "cosets._slice_terms",
     "oracle._partition_by_matrix",
     "poisson._bracket_basis",
     "poisson._order_one_linear",

@@ -175,6 +175,35 @@ def test_candidate_outputs_reuse_the_cached_product(monkeypatch):
     assert calls == [3]
 
 
+def test_equal_targets_of_universal_products_are_one_object():
+    # products and brackets at one nu share the interned target types: equal
+    # targets of two products, or of a product and a bracket, are one object
+    from cosetalg import cosets, poisson
+
+    universal._product_terms.cache_clear()
+    poisson._bracket_basis.cache_clear()
+    cosets._intern_tables.cache_clear()
+    types = balanced_types(3, 1)
+    rng = random.Random(37)
+    seen = {}
+    shared = 0
+    for _ in range(30):
+        a, b = rng.choice(types), rng.choice(types)
+        for c in universal_product(a, b):
+            if c in seen:
+                assert c is seen[c]
+                shared += 1
+            seen.setdefault(c, c)
+    assert shared > 30
+    met = 0
+    for x, y in itertools.product(types[:8], repeat=2):
+        for c in poisson._bracket_basis(x, y):
+            if c in seen:
+                assert c is seen[c]
+                met += 1
+    assert met
+
+
 @pytest.mark.parametrize("nu,entry_max", [(2, 2), (3, 1)])
 def test_candidate_outputs_contain_sum(nu, entry_max):
     for a in balanced_types(nu, entry_max):
