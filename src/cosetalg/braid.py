@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 
 from .algebra import AlgebraElement, commutator
 from .cosets import CosetMatrix, Margins
@@ -46,8 +45,7 @@ def r_element(i: int, j: int, margins: Margins) -> AlgebraElement:
 
 def scaled_r_element(i: int, j: int, margins: Margins) -> AlgebraElement:
     """n_i * n_j times the transposition average; the braid-relation normalization."""
-    base = r_element(i, j, margins)
-    return Fraction(margins.n[i - 1] * margins.n[j - 1]) * base
+    return margins.n[i - 1] * margins.n[j - 1] * r_element(i, j, margins)
 
 
 class RelationCheck(namedtuple("RelationCheck", "relation indices holds commutator")):
@@ -65,12 +63,19 @@ class BraidReport(namedtuple("BraidReport", "margins checks")):
 
 
 def check_relations(margins: Margins) -> BraidReport:
-    """Verify every instance of (8) (nu >= 3) and (9) (nu >= 4) exactly."""
+    """Verify every instance of (8) (nu >= 3) and (9) (nu >= 4) exactly.
+
+    The nu(nu - 1) scaled elements are built once, keyed by their ordered
+    index pair, and every instance reads its elements from them.
+    """
     nu = margins.nu
+    rr = {
+        (i, j): scaled_r_element(i, j, margins)
+        for i, j in itertools.permutations(range(1, nu + 1), 2)
+    }
     checks: list[RelationCheck] = []
     for i, j, k in itertools.permutations(range(1, nu + 1), 3):
-        x = scaled_r_element(i, j, margins)
-        lhs = commutator(x, scaled_r_element(j, k, margins) + scaled_r_element(i, k, margins))
+        lhs = commutator(rr[i, j], rr[j, k] + rr[i, k])
         checks.append(RelationCheck("(8)", (i, j, k), lhs.is_zero(), lhs))
     for i, j, k, l in itertools.combinations(range(1, nu + 1), 4):
         # every ordered pair of disjoint index pairs inside the quadruple
@@ -79,6 +84,6 @@ def check_relations(margins: Margins) -> BraidReport:
         ):
             if len({p, q, r, s}) != 4:
                 continue
-            lhs = commutator(scaled_r_element(p, q, margins), scaled_r_element(r, s, margins))
+            lhs = commutator(rr[p, q], rr[r, s])
             checks.append(RelationCheck("(9)", (p, q, r, s), lhs.is_zero(), lhs))
     return BraidReport(margins, checks)

@@ -14,6 +14,11 @@ only reads: the algebras hand it their cached dicts, whose keys are built
 once, and a product of two single terms copies the cached dict, so the
 element it returns shares the keys but not the dict.
 
+A sum or a difference copies the first operand's terms and merges the
+second's into the copy, one helper for both: a difference stores -c for a
+new key and prev - c for a shared one, so it builds no negated copy of the
+second operand first.
+
 Coefficient rule: the validating constructor stores a rational coefficient
 through ``_exact``, so it is an ``int`` where integral and a ``Fraction``
 otherwise, never a ``float``, and it drops zero coefficients.
@@ -88,25 +93,29 @@ class Combination:
         return type(other) is type(self) and other.space == self.space and other.terms == self.terms
 
     def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = terms.get(key)
-            if prev is None:
-                terms[key] = coeff
-                continue
-            total = prev + coeff
-            if total:
-                terms[key] = total
-            else:
-                del terms[key]
-        return self._make(self.space, terms)
+        return self._merge(other, False)
 
     def __neg__(self):
         return (-1) * self
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return self._merge(other, True)
+
+    def _merge(self, other, negate: bool):
+        """self + other, or self - other when ``negate``: other's terms merge into a copy."""
+        self._check(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            prev = terms.get(key)
+            if prev is None:
+                terms[key] = -coeff if negate else coeff
+                continue
+            total = prev - coeff if negate else prev + coeff
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+        return self._make(self.space, terms)
 
     def __rmul__(self, scalar):
         scalar = _exact(scalar)

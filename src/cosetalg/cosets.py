@@ -337,10 +337,11 @@ def _intern_tables(layout, shift: int) -> tuple[dict, dict[int, tuple[int, ...]]
     """({packed key: key object}, {row bits: row tuple}) of one key layout.
 
     A layout is the margins of coset matrices (finite products) or the nu
-    of off-diagonal types (Poisson brackets and universal products, which
-    share it), with a field width; ``_interned`` fills its two dicts.  They
-    live only in this cache, so its ``cache_clear``, which a fresh-process
-    reset calls with every other module-level cache, empties them.
+    of off-diagonal types (Poisson brackets, graded products and universal
+    products, which share it), with a field width; ``_interned`` fills its
+    two dicts.  They live only in this cache, so its ``cache_clear``, which a
+    fresh-process reset calls with every other module-level cache, empties
+    them.
 
     The cache keeps 64 layouts, more than any benchmark round asks for.  An
     evicted layout costs a second decode of its targets, and later products
@@ -350,9 +351,10 @@ def _intern_tables(layout, shift: int) -> tuple[dict, dict[int, tuple[int, ...]]
     A table holds each distinct target its layout's products or brackets
     produced while it was cached: at margins n, at most the coset matrices of
     n.  The product and bracket caches mostly hold the same objects, but a
-    product computed past its cache (``__wrapped__``) or dropped by a
-    ``cache_clear`` of that cache leaves its targets here alone.  Bounding
-    those caches must also clear these tables.
+    product computed past its cache (``__wrapped__``), dropped by a
+    ``cache_clear`` of that cache or evicted from the bounded graded-product
+    cache leaves its targets here alone.  Bounding the other caches must also
+    clear these tables.
     """
     return {}, {}
 

@@ -26,12 +26,14 @@ symmetric in a and b, so it cancels from the commutator.  ``_order_one_linear``
 still computes both pieces, as the reference route that tests tie to the full
 ring expansion and to the bracket.
 
-The bracket cache is keyed by the two basis types and holds the public key
-objects.  The target types are interned per nu and field width
-(``cosets._interned``), a layout the universal products share: a target is
-built once, the first time any bracket or universal product produces it, and
-while that layout's table stays cached every bracket that produces it again
-hands out that same object, so merging brackets compares no keys.
+The bracket cache and the graded-product cache are keyed by the two basis
+types and hold the public key objects; the graded cache is bounded, since a
+product there is cheap to recompute.  The target types are interned per nu
+and field width (``cosets._interned``), a layout the universal products
+share: a target is built once, the first time any bracket, graded product or
+universal product produces it, and while that layout's table stays cached
+every later product that produces it hands out that same object, so merging
+brackets and graded products compares no keys and builds no type.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .combination import Combination, bilinear
-from .cosets import Grid, OffDiagonalType, _field_bits, _interned
+from .cosets import Grid, OffDiagonalType, _field_bits, _interned, _pack
 
 
 class GradedElement(Combination):
@@ -58,7 +60,27 @@ class GradedElement(Combination):
 
 def graded_multiply(x: GradedElement, y: GradedElement) -> GradedElement:
     """Commutative product: basis types multiply by entrywise addition."""
-    return bilinear(x, y, lambda a, b: {a + b: 1})
+    return bilinear(x, y, _graded_basis)
+
+
+@lru_cache(maxsize=4096)
+def _graded_basis(x: OffDiagonalType, y: OffDiagonalType) -> dict[OffDiagonalType, int]:
+    """{a + b: 1}: the graded product of the basis types x, y with entries a, b.
+
+    The target is built as ``_bracket_basis`` builds its targets: packed at
+    the pair's field width (``_pair_shift``), where no field carries, the key
+    of a + b is the sum of the two keys, and the target is the interned type
+    of that key in the layout (nu, field width).  So a graded product and a
+    bracket that produce equal targets in one layout hand out one object.
+    The cache keeps 4,096 pairs, more than a warm round of the benchmark's
+    identity checks meets; a pair evicted from it is recomputed and hands out
+    its interned target again while the layout stays cached.
+    """
+    a, b = x.entries, y.entries
+    nu = len(a)
+    shift = _pair_shift(a, b)
+    (target,) = _interned([_pack(a, shift) + _pack(b, shift)], nu, nu, shift, OffDiagonalType._make)
+    return {target: 1}
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +99,7 @@ def _bracket_basis(x: OffDiagonalType, y: OffDiagonalType) -> dict[OffDiagonalTy
     """
     a, b = x.entries, y.entries
     nu = len(a)
-    shift = _field_bits(max(map(max, a), default=0) + max(map(max, b), default=0) + 1)
+    shift = _pair_shift(a, b)
     unit = [[0 if i == k else 1 << shift * (i * nu + k) for k in range(nu)] for i in range(nu)]
     base = sum((a[i][k] + b[i][k]) * unit[i][k] for i in range(nu) for k in range(nu))
     acc: dict[int, int] = {}
@@ -97,6 +119,11 @@ def _bracket_basis(x: OffDiagonalType, y: OffDiagonalType) -> dict[OffDiagonalTy
     keys = [key for key, v in acc.items() if v]
     targets = _interned(keys, nu, nu, shift, OffDiagonalType._make)
     return dict(zip(targets, map(acc.__getitem__, keys)))
+
+
+def _pair_shift(a: Grid, b: Grid) -> int:
+    """The field width of the pair's layout: it holds an entry of a + b plus one."""
+    return _field_bits(max(map(max, a), default=0) + max(map(max, b), default=0) + 1)
 
 
 def _shift_target(base: Grid, alpha: int, j: int, gamma: int) -> OffDiagonalType:

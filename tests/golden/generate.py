@@ -93,6 +93,8 @@ CASES = [
     ("graded-nu4", ["graded", "--nu", "4", "--a", NU4_B, "--b", NU4_C]),
     ("braid-check-1111", ["braid-check", "--n", "1,1,1,1"]),
     ("braid-check-222", ["braid-check", "--n", "2,2,2"]),
+    # the benchmark's margins: relation (9) has instances, and each element is scaled by 9
+    ("braid-check-3333", ["braid-check", "--n", "3,3,3,3"]),
     ("nu2-all", ["nu2", "s", "--a", "2", "--b", "1", "--c", "1", "--n1", "3", "--n2", "4"]),
     ("nu2-closed", ["nu2", "s", "--a", "2", "--b", "2", "--c", "3", "--n1", "5", "--n2", "4",
                     "--method", "closed"]),

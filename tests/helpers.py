@@ -4,7 +4,8 @@ The package keeps one production route per quantity; the independent routes
 that check it live here: the full 3-tensor walks, the group algebra of S_N,
 the oracle's sweep of a whole coset, the two-block universal sum, the
 polynomial-ring Poisson bracket, Lemma 3's exponent bookkeeping, the finite
-value through embedding, the displayed braid products, the term-by-term
+value through embedding, the displayed braid products, the braid check with
+fresh elements for every instance, the term-by-term
 evaluation at a rational point, the per-term ``Fraction`` evaluation and the
 multiplied-out series expansion.  They share no enumeration with the package,
 except the generic cancellation of the universal numerators, which checks
@@ -20,12 +21,14 @@ from functools import lru_cache
 from math import factorial, prod
 
 from cosetalg import (
+    BraidReport,
     CosetMatrix,
     EpsPolynomial,
     EpsRingElement,
     Margins,
     MarginOverflow,
     OffDiagonalType,
+    RelationCheck,
     bracket,
     commutator,
     embed_offdiagonal,
@@ -752,3 +755,27 @@ def commutator_witness(i, j, k, margins):
     completed by the two opposite 3-cycles through blocks i, j, k.
     """
     return commutator(r_element(j, k, margins), r_element(i, j, margins))
+
+
+def reference_check_relations(margins):
+    """``check_relations`` with each instance's elements built afresh.
+
+    Every instance scales its own transposition averages by the ``Fraction``
+    n_i * n_j, and shares no element with another instance.
+    """
+    nu, n = margins.nu, margins.n
+
+    def scaled(i, j):
+        return Fraction(n[i - 1] * n[j - 1]) * r_element(i, j, margins)
+
+    checks = []
+    for i, j, k in itertools.permutations(range(1, nu + 1), 3):
+        lhs = commutator(scaled(i, j), scaled(j, k) + scaled(i, k))
+        checks.append(RelationCheck("(8)", (i, j, k), lhs.is_zero(), lhs))
+    for quad in itertools.combinations(range(1, nu + 1), 4):
+        pairs = list(itertools.combinations(quad, 2))
+        for (p, q), (r, s) in itertools.permutations(pairs, 2):
+            if len({p, q, r, s}) == 4:
+                lhs = commutator(scaled(p, q), scaled(r, s))
+                checks.append(RelationCheck("(9)", (p, q, r, s), lhs.is_zero(), lhs))
+    return BraidReport(margins, checks)

@@ -20,6 +20,7 @@ from cosetalg import (
     scaled_r_element,
     universal_product,
 )
+from cosetalg import braid
 from cosetalg.cli import main
 
 from helpers import (
@@ -30,6 +31,7 @@ from helpers import (
     cycle_matrices,
     displayed_product_targets,
     mass,
+    reference_check_relations,
     young_average,
 )
 
@@ -149,6 +151,35 @@ def test_relations_against_oracle():
     rhs = convolve(scaled(n[1] * n[2], avg(2, 3)) + scaled(n[0] * n[2], avg(1, 3)),
                    scaled(n[0] * n[1], avg(1, 2)))
     assert lhs == rhs
+
+
+def test_check_builds_each_scaled_element_once(monkeypatch):
+    # nu(nu - 1) = 12 ordered pairs at nu = 4, where the 24 instances of (8) and
+    # 6 of (9) read 84 elements
+    calls = []
+
+    def counting(i, j, margins):
+        calls.append((i, j))
+        return scaled_r_element(i, j, margins)
+
+    monkeypatch.setattr(braid, "scaled_r_element", counting)
+    margins = Margins((3, 3, 3, 3))
+    report = check_relations(margins)
+    assert sorted(calls) == list(itertools.permutations(range(1, 5), 2))
+    assert [c.relation for c in report.checks].count("(9)") == 6
+    assert report == reference_check_relations(margins)
+
+
+@pytest.mark.parametrize("n", [(3, 3, 3, 3), (1, 2, 3), (2, 1, 1, 2), (1, 2, 3, 1, 2)])
+def test_check_matches_fresh_elements(n):
+    margins = Margins(n)
+    report = check_relations(margins)
+    assert report.ok and report.checks
+    assert report == reference_check_relations(margins)
+    for i, j in itertools.permutations(range(1, margins.nu + 1), 2):
+        scale = margins.n[i - 1] * margins.n[j - 1]
+        ((_, coeff),) = scaled_r_element(i, j, margins).terms.items()
+        assert type(coeff) is int and coeff == scale
 
 
 def test_report_json_shape(capsys):

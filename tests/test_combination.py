@@ -77,6 +77,54 @@ def test_self_difference_and_zero_multiple_vanish(cls):
     assert 2 * x == x + x
 
 
+def _scalars(x):
+    """The rational coefficients of x: over the eps-ring, its numerators' coefficients."""
+    if type(x) is UniversalElement:
+        return [c for coeff in x.terms.values() for c in coeff.num.terms.values()]
+    return list(x.terms.values())
+
+
+@pytest.mark.parametrize("cls", [AlgebraElement, GradedElement, EpsPolynomial, UniversalElement])
+def test_difference_merges_directly(cls):
+    # a shared key with int coefficients, a key only in the first operand with
+    # a Fraction, a key only in the second, and a shared key that cancels
+    space, (k1, k2), _ = KEYS[cls]
+    x = cls(space, {k1: Fraction(1, 2), k2: -3})
+    pairs = [
+        (x, cls(space, {k2: 5})),
+        (cls(space, {k2: 5}), x),
+        (x, cls(space, {k1: Fraction(1, 2), k2: 4})),
+        (x, cls(space, {k1: Fraction(3, 2)})),
+        (x, cls.zero(space)),
+        (cls.zero(space), x),
+    ]
+    for a, b in pairs:
+        got, want = a - b, a + (-1) * b
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+        assert [type(c) for c in _scalars(got)] == [type(c) for c in _scalars(want)]
+    assert not (x - x).terms and (x - x) == cls.zero(space)
+    d = x - cls(space, {k2: 5})
+    assert _scalars(d) == [Fraction(1, 2), -8]
+    assert [type(c) for c in _scalars(d)] == [Fraction, int]
+    # a Fraction difference that is integral stays a Fraction
+    whole = x - cls(space, {k1: Fraction(3, 2)})
+    assert [type(c) for c in _scalars(whole)] == [Fraction, int]
+    assert _scalars(whole) == [-1, -3]
+    assert [type(c) for c in _scalars(cls(space, {k2: 5}) - x)] == [int, Fraction]
+
+
+def test_universal_difference_over_the_ring():
+    # ring coefficients are subtracted as ring elements, in the first operand's order
+    space, (k1, k2), _ = KEYS[UniversalElement]
+    eps = EpsRingElement(space, EpsPolynomial(space, {(1, 0): 1}))
+    x = UniversalElement(space, {k1: eps, k2: 2})
+    y = UniversalElement(space, {k2: eps, k1: eps})
+    got = x - y
+    assert got == x + (-1) * y and list(got.terms) == [k2]
+    assert got.terms[k2] == EpsRingElement.from_rational(space, 2) - eps
+
+
 @pytest.mark.parametrize("cls", CLASSES)
 def test_negation_is_the_minus_one_multiple(cls):
     x = _element(cls)

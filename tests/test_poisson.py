@@ -278,6 +278,75 @@ def test_equal_targets_of_brackets_are_one_object():
     assert shared > 100
 
 
+def _clear_graded_caches():
+    poisson._graded_basis.cache_clear()
+    poisson._bracket_basis.cache_clear()
+    cosets._intern_tables.cache_clear()
+
+
+def test_warm_graded_product_builds_no_type(monkeypatch):
+    _clear_graded_caches()
+    x, y = (GradedElement.basis(t) for t in balanced_types(3, 2)[5:7])
+    cold = graded_multiply(x, y)
+    calls = []
+    add = OffDiagonalType.__add__
+    monkeypatch.setattr(OffDiagonalType, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    assert graded_multiply(x, y) == cold
+    assert graded_multiply(x + y, x) == graded_multiply(x, x) + cold
+    assert calls == []
+    assert poisson._graded_basis.cache_info().hits >= 2
+
+
+def test_equal_graded_targets_are_one_object():
+    # equal targets of two graded products, and of a graded product and a
+    # bracket in the same layout, are one interned object: start with every
+    # cache empty
+    _clear_graded_caches()
+    pool = balanced_types(3, 1)
+    bracketed = {}
+    for a, b in itertools.product(pool, repeat=2):
+        for t in poisson._bracket_basis(a, b):
+            bracketed.setdefault(t, t)
+    seen = {}
+    shared = met = 0
+    for a, b in itertools.product(pool, repeat=2):
+        ((t, v),) = poisson._graded_basis(a, b).items()
+        assert t == a + b and type(v) is int and v == 1
+        if t in seen:
+            assert t is seen[t]
+            shared += 1
+        seen.setdefault(t, t)
+        if t in bracketed:
+            assert t is bracketed[t]
+            met += 1
+    assert shared > 50 and met > 50
+
+
+def test_graded_products_past_the_cache_bound():
+    # fill the bounded cache with the nu=3, entries <= 2 grid, evict all of it
+    # with more pairs than it holds, and compute the grid again
+    _clear_graded_caches()
+    grid = balanced_types(3, 2)
+    first = {(a, b): poisson._graded_basis(a, b) for a, b in itertools.product(grid, repeat=2)}
+    bound = poisson._graded_basis.cache_parameters()["maxsize"]
+    assert len(first) < bound
+    extra = sorted(set(balanced_types(3, 3)) - set(grid))
+    filler = itertools.product(extra, repeat=2)
+    for a, b in itertools.islice(filler, bound):
+        poisson._graded_basis(a, b)
+    info = poisson._graded_basis.cache_info()
+    assert info.currsize == bound and info.misses == len(first) + bound
+    for (a, b), terms in first.items():
+        x, y = GradedElement.basis(a), GradedElement.basis(b)
+        assert graded_multiply(x, y) == GradedElement.basis(a + b)
+        # recomputed, yet the same interned target while the layout stays cached
+        assert poisson._graded_basis(a, b) is not terms
+        (t,), (u,) = terms, poisson._graded_basis(a, b)
+        assert t is u
+    # every grid pair was evicted: each missed once more, on graded_multiply
+    assert poisson._graded_basis.cache_info().misses == info.misses + len(first)
+
+
 def trace_power(nu, p):
     """tr X^p with every diagonal x_jj = 1, each monomial read as a balanced type.
 
